@@ -37,13 +37,26 @@ def load_degree(space):
 
 @dataclass
 class LoadSpec:
-    """Time-dependent body force f(x,t)->(n,3) [N/m^3] and boundary
-    traction g(x,t,normal)->(n,3) [Pa] applied on the given tag labels
-    (default: all Neumann-tagged facets)."""
+    """Time-dependent body force [N/m^3] and boundary traction [Pa]
+    applied on the given tag labels (default: all Neumann-tagged facets).
+
+    Each part may be given as a closure, f(x,t)->(n,3) and
+    g(x,t,normal)->(n,3), re-evaluated at every time it is needed, and/or
+    as time-separable terms: ``body_terms`` of pairs (c(t), F(x)) and
+    ``traction_terms`` of pairs (c(t), G(x, normal)), meaning
+    f = sum_j c_j(t) F_j(x) and g = sum_j c_j(t) G_j(x, normal). The
+    spatial vector of each F_j and G_j is assembled once per (space,
+    quadrature degree, labels) and cached under the field object, so a
+    field should keep its identity across calls (a function or a bound
+    method, not a fresh lambda); only the scalars c_j are evaluated per
+    time. Both forms may be combined; their contributions add.
+    """
 
     body_force: object = None
     traction: object = None
     traction_labels: tuple = None
+    body_terms: tuple = ()
+    traction_terms: tuple = ()
 
 
 class VolumeData:
@@ -132,31 +145,44 @@ class FacetData:
         )
 
 
+def _cached(space, key, build):
+    """build(), computed once per (space, key) and kept while the space
+    lives."""
+    cache = _space_caches.setdefault(space, {})
+    if key not in cache:
+        cache[key] = build()
+    return cache[key]
+
+
 def volume_data(space: FeSpace, degree=None) -> VolumeData:
     degree = form_degree(space) if degree is None else int(degree)
-    cache = _space_caches.setdefault(space, {})
-    key = ("vol", degree)
-    if key not in cache:
-        cache[key] = VolumeData(space, degree)
-    return cache[key]
+    return _cached(space, ("vol", degree), lambda: VolumeData(space, degree))
+
+
+def _label_key(labels):
+    """Hashable form of a traction label selection; None selects every
+    Neumann-tagged facet."""
+    if labels is None:
+        return ("<neumann>",)
+    return (labels,) if isinstance(labels, str) else tuple(labels)
 
 
 def facet_data(space: FeSpace, degree=None, labels=None) -> FacetData:
     degree = load_degree(space) if degree is None else int(degree)
-    if labels is None:
-        facets = space.mesh.facets_with_kind(BoundaryKind.NEUMANN)
-        key_labels = ("<neumann>",)
-    else:
-        labels = (labels,) if isinstance(labels, str) else tuple(labels)
-        facets = np.concatenate(
-            [space.mesh.facets_with_label(lb) for lb in labels]
-        ) if labels else np.array([], dtype=np.int64)
-        key_labels = labels
-    cache = _space_caches.setdefault(space, {})
-    key = ("facet", degree, key_labels)
-    if key not in cache:
-        cache[key] = FacetData(space, degree, facets)
-    return cache[key]
+    key_labels = _label_key(labels)
+
+    def build():
+        if labels is None:
+            facets = space.mesh.facets_with_kind(BoundaryKind.NEUMANN)
+        elif key_labels:
+            facets = np.concatenate(
+                [space.mesh.facets_with_label(lb) for lb in key_labels]
+            )
+        else:
+            facets = np.array([], dtype=np.int64)
+        return FacetData(space, degree, facets)
+
+    return _cached(space, ("facet", degree, key_labels), build)
 
 
 def _scatter(space, vdofs, dense):
@@ -246,12 +272,54 @@ def assemble_traction_load(space: FeSpace, traction, t, degree=None, labels=None
     return out
 
 
-def assemble_load(space: FeSpace, loads: LoadSpec, t, degree=None):
-    """Load vector (f, v) + (g, v)_Gamma_N at a fixed time."""
-    out = assemble_volume_load(space, loads.body_force, t, degree)
-    out += assemble_traction_load(
-        space, loads.traction, t, degree, loads.traction_labels
+def _read_only(vec):
+    vec.flags.writeable = False
+    return vec
+
+
+def body_term_vector(space: FeSpace, field, degree=None):
+    """(F, v) of a time-independent body-force field F(x)->(n,3), assembled
+    once per (space, degree, field) and cached read-only."""
+    degree = load_degree(space) if degree is None else int(degree)
+    return _cached(
+        space, ("body_term", degree, field),
+        lambda: _read_only(
+            assemble_volume_load(space, lambda x, _t: field(x), 0.0, degree)
+        ),
     )
+
+
+def traction_term_vector(space: FeSpace, field, degree=None, labels=None):
+    """(G, v)_Gamma of a time-independent traction field G(x, normal)->(n,3)
+    on the labelled facets, assembled once per (space, degree, labels,
+    field) and cached read-only."""
+    degree = load_degree(space) if degree is None else int(degree)
+    return _cached(
+        space, ("traction_term", degree, _label_key(labels), field),
+        lambda: _read_only(assemble_traction_load(
+            space, lambda x, _t, n: field(x, n), 0.0, degree, labels
+        )),
+    )
+
+
+def assemble_load(space: FeSpace, loads: LoadSpec, t, degree=None):
+    """Load vector (f, v) + (g, v)_Gamma_N at a fixed time, from the
+    closures and the separable terms of ``loads`` (zero for None)."""
+    out = np.zeros(space.n_dofs)
+    if loads is None:
+        return out
+    if loads.body_force is not None:
+        out += assemble_volume_load(space, loads.body_force, t, degree)
+    for coef, field in loads.body_terms:
+        out += coef(t) * body_term_vector(space, field, degree)
+    if loads.traction is not None:
+        out += assemble_traction_load(
+            space, loads.traction, t, degree, loads.traction_labels
+        )
+    for coef, field in loads.traction_terms:
+        out += coef(t) * traction_term_vector(
+            space, field, degree, loads.traction_labels
+        )
     return out
 
 

@@ -169,10 +169,13 @@ def material_from_config(cfg: RunConfig) -> MaterialModel:
                 raise ConfigError(
                     f"arm entry {tok!r} must look like kappa:tau"
                 ) from None
-    if mu is not None and lam is not None:
-        return MaterialModel(rho, mu, lam, tuple(arms))
-    if E is not None and nu is not None:
-        return MaterialModel.from_engineering(rho, E, nu, tuple(arms))
+    try:
+        if mu is not None and lam is not None:
+            return MaterialModel(rho, mu, lam, tuple(arms))
+        if E is not None and nu is not None:
+            return MaterialModel.from_engineering(rho, E, nu, tuple(arms))
+    except ValueError as exc:
+        raise ConfigError(f"[material]: {exc}") from None
     raise ConfigError("[material] needs either mu & lam or E & nu")
 
 
@@ -411,6 +414,10 @@ def run_convergence(cfg: RunConfig, out_dir: Path, threads=1, long_run=False):
     ks = sec.get_floats("k", default_k)
     ps = sec.get_ints("p", default_p)
     reference = sec.get_str("reference", "exact")
+    if reference not in ("exact", "fine_k"):
+        raise ConfigError(
+            f"[convergence] reference must be exact or fine_k, got {reference!r}"
+        )
     end_time = cfg.section("time").get_float("t", 1.0)
     material = material_from_config(cfg)
     solver = solver_from_config(cfg)

@@ -30,10 +30,13 @@ import scipy.sparse.linalg as spla
 from .assembly import (
     assemble_deviatoric,
     assemble_elastic,
+    assemble_load,
     assemble_mass,
     assemble_traction_load,
     assemble_volume_load,
+    body_term_vector,
     load_degree,
+    traction_term_vector,
 )
 from .fespace import Constraints, FeSpace
 from .material import MaterialModel, step_coefficients
@@ -77,7 +80,12 @@ class LinearSolver:
             lu = lu_factor(matrix.toarray())
             return lambda b: lu_solve(lu, b)
         if method == "direct":
-            factor = spla.splu(matrix.tocsc())
+            try:
+                factor = spla.splu(matrix.tocsc())
+            except (RuntimeError, MemoryError) as exc:  # singular, or fill too large
+                raise SolverError(
+                    f"sparse LU factorization failed: {exc!r}"
+                ) from None
             return factor.solve
         diag = matrix.diagonal()
         if np.any(diag <= 0):
@@ -204,13 +212,22 @@ def reconstruct_ve(u1_prev, u1_next, uve_prev, coeffs):
     )
 
 
-def load_time_integral(loads, space: FeSpace, t_prev, t_next, degree=None):
+def load_time_integral(loads, space: FeSpace, t_prev, t_next, degree=None,
+                       memo=None):
     """Integral of the load functional over one time interval.
 
     The body force is integrated with 2-point Gauss in time (exact for
     quadratic-in-time f); the traction uses the trapezoidal rule on its
     endpoint values, which integrates the piecewise-linear-in-time
-    interpolant of g exactly.
+    interpolant of g exactly. Separable terms c_j(t) F_j(x) apply the same
+    rules to the scalar c_j only, times the cached spatial vector of F_j:
+    by linearity the same integral, up to rounding.
+
+    ``memo`` is an optional dict kept by a caller that marches over
+    consecutive intervals of one (loads, space, degree): the closure
+    traction vector at ``t_next`` is kept there and reused as the value at
+    the next interval's ``t_prev``, so n steps assemble n + 1 traction
+    vectors instead of 2n, with bit-identical results.
     """
     k = t_next - t_prev
     if k <= 0:
@@ -219,16 +236,34 @@ def load_time_integral(loads, space: FeSpace, t_prev, t_next, degree=None):
     if loads is None:
         return out
     degree = load_degree(space) if degree is None else degree
+    mid = 0.5 * (t_prev + t_next)
+    off = 0.5 * k / np.sqrt(3.0)
+    gauss = (mid - off, mid + off)
     if loads.body_force is not None:
-        mid = 0.5 * (t_prev + t_next)
-        off = 0.5 * k / np.sqrt(3.0)
-        for tg in (mid - off, mid + off):
+        for tg in gauss:
             out += 0.5 * k * assemble_volume_load(space, loads.body_force, tg, degree)
+    for coef, field in loads.body_terms:
+        weight = 0.5 * k * (coef(gauss[0]) + coef(gauss[1]))
+        out += weight * body_term_vector(space, field, degree)
     if loads.traction is not None:
-        for te in (t_prev, t_next):
-            out += 0.5 * k * assemble_traction_load(
-                space, loads.traction, te, degree, loads.traction_labels
+        memo = {} if memo is None else memo
+        prev = memo.pop(t_prev, None)
+        if prev is None:
+            prev = assemble_traction_load(
+                space, loads.traction, t_prev, degree, loads.traction_labels
             )
+        nxt = assemble_traction_load(
+            space, loads.traction, t_next, degree, loads.traction_labels
+        )
+        out += 0.5 * k * prev
+        out += 0.5 * k * nxt
+        memo.clear()
+        memo[t_next] = nxt
+    for coef, field in loads.traction_terms:
+        weight = 0.5 * k * (coef(t_prev) + coef(t_next))
+        out += weight * traction_term_vector(
+            space, field, degree, loads.traction_labels
+        )
     return out
 
 
@@ -259,6 +294,7 @@ class ReducedStepper:
         self.loads = loads
         self.solver = solver or LinearSolver()
         self.quad_degree = quad_degree
+        self._load_memo = {}
         self.coeffs = step_coefficients(operators.material.arms, self.k)
         k2 = self.k
         schur = operators.mass + (k2 * k2 / 4.0) * operators.elastic
@@ -279,7 +315,8 @@ class ReducedStepper:
             b = b + load_integral
         elif self.loads is not None:
             b = b + load_time_integral(
-                self.loads, ops.space, state.t, state.t + k, self.quad_degree
+                self.loads, ops.space, state.t, state.t + k, self.quad_degree,
+                self._load_memo,
             )
         return b
 
@@ -313,6 +350,7 @@ class FullStepper:
         self.k = float(k)
         self.loads = loads
         self.quad_degree = quad_degree
+        self._load_memo = {}
         self.coeffs = step_coefficients(operators.material.arms, self.k)
         arms = operators.material.arms
         m_arms = len(arms)
@@ -355,7 +393,8 @@ class FullStepper:
             r0 -= (k / 2.0) * (K @ uve)
         if self.loads is not None:
             r0 += load_time_integral(
-                self.loads, ops.space, state.t, t_next, self.quad_degree
+                self.loads, ops.space, state.t, t_next, self.quad_degree,
+                self._load_memo,
             )
         r1 = ops.elastic @ (state.u0 + (k / 2.0) * state.u1)
         rhs = [r0, r1]
@@ -403,15 +442,7 @@ def step_full(state, k, operators, loads=None, constraints=None, solver=None):
 def static_solve(operators: OperatorSet, constraints: Constraints, loads=None,
                  t=0.0, solver=None):
     """Elastostatic displacement with the given essential constraints."""
-    space = operators.space
-    rhs = np.zeros(space.n_dofs)
-    if loads is not None:
-        if loads.body_force is not None:
-            rhs += assemble_volume_load(space, loads.body_force, t)
-        if loads.traction is not None:
-            rhs += assemble_traction_load(
-                space, loads.traction, t, labels=loads.traction_labels
-            )
+    rhs = assemble_load(operators.space, loads, t)
     system = constraints.reduce(operators.elastic)
     return system.solve(rhs, constraints.fixed_values(t), solver or LinearSolver())
 

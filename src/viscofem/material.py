@@ -42,6 +42,8 @@ class MaxwellArm:
     tau: float  # relaxation time [s]
 
     def __post_init__(self):
+        if not (np.isfinite(self.kappa) and np.isfinite(self.tau)):
+            raise ValueError("arm modulus and relaxation time must be finite")
         if self.kappa <= 0 or self.tau <= 0:
             raise ValueError("arm modulus and relaxation time must be positive")
 
@@ -56,6 +58,8 @@ class MaterialModel:
     arms: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
+        if not all(np.isfinite(v) for v in (self.rho, self.mu, self.lam)):
+            raise ValueError("density and Lame parameters must be finite")
         if self.rho <= 0:
             raise ValueError("density must be positive")
         if self.mu <= 0 or self.lam < 0:

@@ -167,28 +167,78 @@ class ManufacturedSolution:
             [arm.kappa for arm in mat.arms],
         )
 
-    def stress_divergence(self, t, x):
-        """Row-wise divergence of the stress, analytically."""
+    def _shape_divergences(self, x):
+        """(L_E[V], L_D[V]): row-wise divergences of the elastic stress
+        and of dev eps of the shape V, analytically."""
         hess = self.shape_hessian(x)
         lap = np.einsum("naii->na", hess)
         graddiv = np.einsum("njaj->na", hess)
         mat = self.material
-        out = self.displacement_factor(t) * (
-            mat.mu * lap + (mat.mu + mat.lam) * graddiv
-        )
-        for m, arm in enumerate(mat.arms):
-            out += self.arm_factor(m, t) * arm.kappa * (lap / 2.0 + graddiv / 6.0)
+        return mat.mu * lap + (mat.mu + mat.lam) * graddiv, lap / 2.0 + graddiv / 6.0
+
+    def elastic_divergence(self, x):
+        """L_E[V] = mu lap V + (mu + lam) grad div V."""
+        return self._shape_divergences(x)[0]
+
+    def deviatoric_divergence(self, x):
+        """L_D[V] = div dev eps(V) = lap V / 2 + grad div V / 6."""
+        return self._shape_divergences(x)[1]
+
+    def stress_divergence(self, t, x):
+        """Row-wise divergence of the stress, analytically."""
+        elastic, deviatoric = self._shape_divergences(x)
+        out = self.displacement_factor(t) * elastic
+        for m, arm in enumerate(self.material.arms):
+            out += self.arm_factor(m, t) * arm.kappa * deviatoric
         return out
 
     def body_force(self, x, t):
         return self.material.rho * self.acceleration(t, x) - self.stress_divergence(t, x)
 
-    def traction(self, x, t, normal):
+    @staticmethod
+    def _normal_component(sigma, x, normal):
         normal = np.broadcast_to(np.atleast_2d(normal), (len(np.atleast_2d(x)), 3))
-        return np.einsum("nab,nb->na", self.stress(t, x), normal)
+        return np.einsum("nab,nb->na", sigma, normal)
+
+    def traction(self, x, t, normal):
+        return self._normal_component(self.stress(t, x), x, normal)
+
+    def elastic_traction(self, x, normal):
+        """sigma_E[V] n, the Hooke stress of the shape V on the normal."""
+        grad = self.shape_gradient(x)
+        mat = self.material
+        sigma = stress_from_gradients(grad, (), mat.mu, mat.lam, ())
+        return self._normal_component(sigma, x, normal)
+
+    def deviatoric_traction(self, x, normal):
+        """dev eps(V) n: the stress of a unit-modulus arm whose internal
+        field is V, on the normal."""
+        grad = self.shape_gradient(x)
+        sigma = stress_from_gradients(np.zeros_like(grad), (grad,), 0.0, 0.0, (1.0,))
+        return self._normal_component(sigma, x, normal)
 
     def loads(self):
-        return LoadSpec(body_force=self.body_force, traction=self.traction)
+        """The body force and traction in time-separable form,
+
+            f = rho a'(t) V - A(t) L_E[V] - sum_m kappa_m g_m(t) L_D[V],
+            g = A(t) sigma_E[V] n + sum_m kappa_m g_m(t) dev eps(V) n,
+
+        whose spatial fields are methods, so their assembled vectors are
+        cached per space across calls. All arms share the vectors of
+        L_D[V] and dev eps(V) n."""
+        rho = self.material.rho
+        body = [
+            (lambda t: rho * self.time_factor_rate(t), self.shape),
+            (lambda t: -self.displacement_factor(t), self.elastic_divergence),
+        ]
+        traction = [(self.displacement_factor, self.elastic_traction)]
+        for m, arm in enumerate(self.material.arms):
+            def arm_coef(t, m=m, kappa=arm.kappa):
+                return kappa * self.arm_factor(m, t)
+
+            body.append((lambda t, c=arm_coef: -c(t), self.deviatoric_divergence))
+            traction.append((arm_coef, self.deviatoric_traction))
+        return LoadSpec(body_terms=tuple(body), traction_terms=tuple(traction))
 
     def eval(self, which, t, x, m=0, normal=None):
         """Dispatch on field name: u0, u1, uve, f, g, sigma."""
@@ -395,21 +445,37 @@ def _discrete_error(state, reference, operators):
     return np.sqrt(total), np.sqrt(l2)
 
 
-def _sweep_row(material, case, end_time, solver):
+def _sweep_row(material, case, end_time, solver, reference=None):
+    """One sweep row, measured against the exact solution or, when given,
+    a reference State on the same space."""
     h, k, p = case
     row = SweepRow(h=h, k=k, p=int(p))
     tic = time.perf_counter()
     try:
         final, ops, exact = run_manufactured(material, h, k, p, end_time, solver)
-        row.energy_error, row.l2_error = error_norms(final, exact, ops)
+        if reference is None:
+            row.energy_error, row.l2_error = error_norms(final, exact, ops)
+        else:
+            row.energy_error, row.l2_error = _discrete_error(final, reference, ops)
     except Exception as exc:  # record the failure, keep sweeping
         row.failure = str(exc)
     row.wall_seconds = time.perf_counter() - tic
     return row
 
 
-def _sweep_row_args(args):
-    return _sweep_row(*args)
+def _reference_state(material, h, k, p, end_time, solver):
+    return run_manufactured(material, h, k, p, end_time, solver)[0]
+
+
+def _starmap(fn, jobs, threads):
+    """fn(*job) for every job, in order; over a process pool of
+    ``threads`` workers when threads > 1."""
+    if threads > 1:
+        import multiprocessing
+
+        with multiprocessing.get_context("spawn").Pool(threads) as pool:
+            return pool.starmap(fn, jobs)
+    return [fn(*job) for job in jobs]
 
 
 def convergence_study(material, cases, end_time=1.0, solver=None,
@@ -421,46 +487,24 @@ def convergence_study(material, cases, end_time=1.0, solver=None,
     reference='fine_k' measures against a same-mesh run with the
     smallest case timestep divided by ``refine_reference``, isolating the
     time-integration error. Solver failures are recorded per row and do
-    not abort the sweep. With threads > 1 the independent rows are
-    dispatched to a process pool (exact reference only); row order, and
-    therefore output, is unchanged.
+    not abort the sweep; a failing reference run does. With threads > 1
+    the reference runs, then the rows, are dispatched to a process pool;
+    row order, and therefore output, is unchanged.
     """
-    table = ConvergenceTable()
+    if reference not in ("exact", "fine_k"):
+        raise ValueError(f"unknown reference {reference!r}")
+    refs = {}
     if reference == "fine_k":
-        refs = {}
         k_ref = min(c[1] for c in cases) / refine_reference
-        for h, _, p in cases:
-            key = (h, p)
-            if key not in refs:
-                refs[key] = run_manufactured(
-                    material, h, k_ref, p, end_time, solver
-                )
-        for h, k, p in cases:
-            row = SweepRow(h=h, k=k, p=int(p))
-            tic = time.perf_counter()
-            try:
-                final, ops, _ = run_manufactured(material, h, k, p, end_time, solver)
-                ref_state, ref_ops, _ = refs[(h, p)]
-                row.energy_error, row.l2_error = _discrete_error(
-                    final, ref_state, ref_ops
-                )
-            except Exception as exc:
-                row.failure = str(exc)
-            row.wall_seconds = time.perf_counter() - tic
-            table.rows.append(row)
-        return table
-    if threads > 1:
-        import multiprocessing
-
-        with multiprocessing.Pool(threads) as pool:
-            table.rows = pool.map(
-                _sweep_row_args,
-                [(material, c, end_time, solver) for c in cases],
-            )
-        return table
-    for case in cases:
-        table.rows.append(_sweep_row(material, case, end_time, solver))
-    return table
+        keys = list(dict.fromkeys((h, p) for h, _, p in cases))
+        states = _starmap(
+            _reference_state,
+            [(material, h, k_ref, p, end_time, solver) for h, p in keys],
+            threads,
+        )
+        refs = dict(zip(keys, states))
+    jobs = [(material, c, end_time, solver, refs.get((c[0], c[2]))) for c in cases]
+    return ConvergenceTable(rows=_starmap(_sweep_row, jobs, threads))
 
 
 # -- conservation experiment ----------------------------------------------

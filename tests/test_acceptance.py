@@ -160,11 +160,13 @@ def test_criterion_4_spatial_l2_rate_p1(spatial_tables):
     #
     # The dynamic run measures 1.428 on 1/4 -> 1/8, matching the static
     # projection's 1.42. The asymptotic pair is 1/16 -> 1/32, which the
-    # fast suite cannot afford yet: at h = 1/32, P1 has 107,811 dofs, one
-    # manufactured load time-integral takes 30.7 s and the Schur splu
-    # 293 s. The pair moves there once the loads separate in time (ROADMAP
-    # item 2); until then the test stays on 1/4 -> 1/8 at its stated
-    # tolerance.
+    # fast suite cannot afford yet: at h = 1/32, P1 has 107,811 dofs. The
+    # manufactured loads separate in time, so the row's load vectors are
+    # assembled once (28.9 s) and each step's load integral takes about a
+    # millisecond, but the Schur splu takes 293 s and runs out of memory
+    # under a 4.5 GB cap. The pair moves there once that factorization is
+    # affordable (ROADMAP item 4); until then the test stays on 1/4 -> 1/8
+    # at its stated tolerance.
     table, _ = spatial_tables
     rate = table.rates("h", "l2_error")[-1][0]
     assert report(

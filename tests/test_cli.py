@@ -349,3 +349,35 @@ def test_run_entry_point(tmp_path):
     cfg = parse_config(write_cfg(tmp_path, BASE_CONSERVE))
     assert run(cfg, tmp_path / "out") == 0
     assert (tmp_path / "out" / "energy_ledger.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "key, value", [("rho", "-1"), ("rho", "nan"), ("arms", "nan:1")]
+)
+def test_invalid_material_value_exit_code(tmp_path, capsys, key, value):
+    lines = [
+        f"{key} = {value}" if line.startswith(f"{key} =") else line
+        for line in BASE_CONSERVE.splitlines()
+    ]
+    path = write_cfg(tmp_path, "\n".join(lines) + "\n")
+    code = main(["conserve", "--config", path, "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "[material]" in capsys.readouterr().err
+
+
+def test_unknown_convergence_reference_exit_code(tmp_path):
+    body = """
+[run]
+scenario = convergence
+[material]
+rho = 100
+E = 1e5
+nu = 0.3
+[convergence]
+h = 0.5
+k = 0.25
+p = 1
+reference = fine
+"""
+    path = write_cfg(tmp_path, body)
+    assert main(["convergence", "--config", path, "--out", str(tmp_path / "o")]) == 2

@@ -307,3 +307,59 @@ def test_dissipation_increment_matches_energy_loss():
     after = energy(nxt, ops).total
     inc = dissipation_increment(state, nxt, ops, k)
     assert abs((before - after) - inc) < 1e-11 * before
+
+
+def test_closure_traction_endpoint_reused_bit_identically(monkeypatch):
+    from viscofem import dynamics
+
+    ops, con = make_problem(n=2, p=1)
+    loads = LoadSpec(
+        body_force=lambda x, t: np.outer(np.sin(3 * t + x[:, 0]), [1.0, 0.5, -1.0]),
+        traction=lambda x, t, n: (1.0 + np.cos(2.0 * t)) * n,
+    )
+    k, steps = 0.05, 5
+    stepper = ReducedStepper(ops, con, k, loads=loads, solver=DIRECT)
+    state = admissible_random_state(ops, con, 7)
+    # the same march with a fresh stepper, so no endpoint reuse, per step
+    ref_state = state
+    for _ in range(steps):
+        fresh = ReducedStepper(ops, con, k, loads=loads, solver=DIRECT)
+        ref_state = fresh.step(ref_state)
+    calls = [0]
+    original = dynamics.assemble_traction_load
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "assemble_traction_load", counting)
+    for _ in range(steps):
+        state = stepper.step(state)
+    assert calls[0] == steps + 1
+    for a, b in [(state.u1, ref_state.u1), (state.u0, ref_state.u0),
+                 *zip(state.uve, ref_state.uve)]:
+        assert np.array_equal(a, b)
+
+
+def test_static_solve_honours_separable_loads():
+    from viscofem.dynamics import static_solve
+
+    ops, con = make_problem(n=2, p=2)
+    shape = lambda x: np.stack([x[:, 2], x[:, 0] * x[:, 1], np.sin(x[:, 2])], axis=1)
+    push = lambda x, n: np.cos(x[:, :1]) * n
+    closure = LoadSpec(body_force=lambda x, t: 3.0 * shape(x),
+                       traction=lambda x, t, n: -2.0 * push(x, n))
+    separable = LoadSpec(body_terms=((lambda t: 3.0, shape),),
+                         traction_terms=((lambda t: -2.0, push),))
+    want = static_solve(ops, con, closure, solver=DIRECT)
+    got = static_solve(ops, con, separable, solver=DIRECT)
+    assert np.abs(want).max() > 0
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_direct_factorization_failure_is_solver_error():
+    import scipy.sparse as sp
+
+    singular = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
+    with pytest.raises(SolverError):
+        LinearSolver(method="direct").prepare(singular)

@@ -143,3 +143,17 @@ def test_stress_equivalence_internal_variable_vs_convolution():
     for n, tol in ((40, 3e-3), (80, 8e-4)):
         disc = kappa * _iterate_update(u1, tau, t_end, n)
         assert abs(disc - conv) < tol * max(abs(conv), 1e-12)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_material_values_rejected(bad):
+    with pytest.raises(ValueError):
+        MaterialModel(rho=bad, mu=1.0, lam=0.0)
+    with pytest.raises(ValueError):
+        MaterialModel(rho=1.0, mu=bad, lam=0.0)
+    with pytest.raises(ValueError):
+        MaterialModel(rho=1.0, mu=1.0, lam=bad)
+    with pytest.raises(ValueError):
+        MaxwellArm(bad, 1.0)
+    with pytest.raises(ValueError):
+        MaxwellArm(1.0, bad)

@@ -220,3 +220,122 @@ def test_conservation_release_must_be_time_node():
     cfg = ConserveConfig(n=2, p=1, k=0.03, release_time=0.1, material=MATERIAL)
     with pytest.raises(ValueError):
         conservation_experiment(cfg)
+
+
+# -- time-separable manufactured loads -----------------------------------------
+
+
+def _arms(n_arms):
+    return tuple((1e5 / (m + 1), 10.0 ** (m - 2)) for m in range(n_arms))
+
+
+def _closure_loads(exact):
+    from viscofem.assembly import LoadSpec
+
+    return LoadSpec(body_force=exact.body_force, traction=exact.traction)
+
+
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("n_arms", [1, 3])
+def test_separable_loads_match_closures(p, n_arms):
+    from viscofem.assembly import assemble_load
+    from viscofem.dynamics import load_time_integral
+
+    material = MaterialModel.from_engineering(100.0, 1e5, 0.3, arms=_arms(n_arms))
+    ops, _ = unit_cube_problem(material, 2, p)
+    exact = ManufacturedSolution(material, 0.3, -0.1)
+    separable, closure = exact.loads(), _closure_loads(exact)
+    assert separable.body_force is None and separable.traction is None
+    space = ops.space
+    for t0, t1 in ((0.0, 0.125), (0.3, 0.35), (0.9, 1.0)):
+        want = load_time_integral(closure, space, t0, t1)
+        got = load_time_integral(separable, space, t0, t1)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        want = assemble_load(space, closure, t1)
+        got = assemble_load(space, separable, t1)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_run_manufactured_separable_matches_closures(p):
+    from viscofem.dynamics import TimeGrid, simulate
+    from viscofem.verify import run_manufactured
+
+    final, ops, exact = run_manufactured(MATERIAL, 0.5, 0.125, p, solver=DIRECT)
+    ops_c, con_c = unit_cube_problem(MATERIAL, 2, p)
+    res = simulate(ops_c, con_c, TimeGrid.uniform(0.0, 1.0, 8),
+                   loads=_closure_loads(exact), solver=DIRECT)
+    got = error_norms(final, exact, ops)
+    want = error_norms(res.final, exact, ops_c)
+    for a, b in zip(got, want):
+        assert abs(a - b) <= 1e-12 * b
+
+
+@pytest.mark.parametrize("n_arms", [1, 3])
+def test_separable_loads_assemble_spatial_vectors_once(n_arms, monkeypatch):
+    from viscofem import assembly
+    from viscofem.dynamics import TimeGrid, simulate
+
+    calls = {"volume": 0, "traction": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(assembly, "assemble_volume_load",
+                        counting("volume", assembly.assemble_volume_load))
+    monkeypatch.setattr(assembly, "assemble_traction_load",
+                        counting("traction", assembly.assemble_traction_load))
+    material = MaterialModel.from_engineering(100.0, 1e5, 0.3, arms=_arms(n_arms))
+    ops, con = unit_cube_problem(material, 2, 1)
+    exact = ManufacturedSolution(material)
+    steps = 6
+    simulate(ops, con, TimeGrid.uniform(0.0, 0.5, steps), loads=exact.loads(),
+             solver=DIRECT)
+    # rho V, L_E[V] and L_D[V] (shared by every arm); sigma_E[V]n and
+    # dev eps(V)n: independent of the step and arm counts
+    assert calls == {"volume": 3, "traction": 2}
+    # a second march on the same space reuses the cached vectors
+    simulate(ops, con, TimeGrid.uniform(0.0, 0.5, steps), loads=exact.loads(),
+             solver=DIRECT)
+    assert calls == {"volume": 3, "traction": 2}
+
+
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("n_arms", [1, 3])
+def test_reduced_full_equivalence_separable_loads(p, n_arms):
+    from viscofem.dynamics import FullStepper, ReducedStepper
+
+    material = MaterialModel.from_engineering(100.0, 1e5, 0.3, arms=_arms(n_arms))
+    ops, con = unit_cube_problem(material, 2, p)
+    loads = ManufacturedSolution(material).loads()
+    red = ReducedStepper(ops, con, 0.05, loads=loads, solver=DIRECT)
+    ful = FullStepper(ops, con, 0.05, loads=loads)
+    sr = sf = State.zero(ops.space, n_arms)
+    for _ in range(5):
+        sr, sf = red.step(sr), ful.step(sf)
+    for a, b in [(sr.u1, sf.u1), (sr.u0, sf.u0), *zip(sr.uve, sf.uve)]:
+        assert np.abs(a - b).max() <= 1e-9 * np.abs(b).max()
+
+
+def test_convergence_fine_k_threads_match_sequential():
+    cases = [(0.5, 0.25, 1), (0.5, 0.125, 1)]
+    kw = dict(end_time=0.5, solver=DIRECT, reference="fine_k", refine_reference=2)
+    seq = convergence_study(MATERIAL, cases, **kw)
+    par = convergence_study(MATERIAL, cases, threads=2, **kw)
+    # errors are distances to the same-mesh run at k_min / 2
+    from viscofem.verify import _discrete_error, run_manufactured
+
+    ref = run_manufactured(MATERIAL, 0.5, 0.0625, 1, 0.5, DIRECT)[0]
+    final, ops, _ = run_manufactured(MATERIAL, 0.5, 0.25, 1, 0.5, DIRECT)
+    assert (seq.rows[0].energy_error, seq.rows[0].l2_error) == _discrete_error(
+        final, ref, ops
+    )
+    for a, b in zip(seq.rows, par.rows):
+        assert (a.energy_error, a.l2_error) == (b.energy_error, b.l2_error)
+        assert a.failure is None and b.failure is None
+    with pytest.raises(ValueError):
+        convergence_study(MATERIAL, cases, reference="fine")
