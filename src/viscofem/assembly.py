@@ -26,6 +26,11 @@ from .mesh import BoundaryKind
 
 _space_caches = weakref.WeakKeyDictionary()
 
+# elements per batch of a volume load's field evaluation: at 27 quadrature
+# points per element (P1 loads) a batch evaluates the field on 110,592
+# points, where a whole h = 1/32 cube (196,608 elements) needs 5.3 million
+VOLUME_LOAD_CHUNK = 4096
+
 
 def form_degree(space):
     return 2 * space.p
@@ -248,14 +253,20 @@ def _eval_traction(fn, x, t, normals):
 
 
 def assemble_volume_load(space: FeSpace, body_force, t, degree=None):
+    """(f(., t), v): the body force is evaluated and scattered
+    ``VOLUME_LOAD_CHUNK`` elements at a time, so the memory its
+    evaluation takes stays bounded on fine meshes."""
     vd = volume_data(space, degree if degree is not None else load_degree(space))
     out = np.zeros(space.n_dofs)
     if body_force is None:
         return out
-    f = np.asarray(body_force(vd.points.reshape(-1, 3), t), dtype=float)
-    f = f.reshape(vd.points.shape)
-    contrib = np.einsum("eq,qn,eqa->ena", vd.wdet, vd.N, f)
-    np.add.at(out, vd.vdofs, contrib.reshape(len(contrib), -1))
+    for start in range(0, len(vd.points), VOLUME_LOAD_CHUNK):
+        chunk = slice(start, start + VOLUME_LOAD_CHUNK)
+        points = vd.points[chunk]
+        f = np.asarray(body_force(points.reshape(-1, 3), t), dtype=float)
+        f = f.reshape(points.shape)
+        contrib = np.einsum("eq,qn,eqa->ena", vd.wdet[chunk], vd.N, f)
+        np.add.at(out, vd.vdofs[chunk], contrib.reshape(len(contrib), -1))
     return out
 
 

@@ -67,14 +67,19 @@ class Section:
 
     def get_float(self, key, default=None):
         raw = self._raw(key, default)
-        if raw is None or isinstance(raw, (int, float)):
+        if raw is None:
             return raw
         try:
-            return float(raw)
+            val = float(raw)
         except ValueError:
             raise ConfigError(
                 f"key '{key}' in [{self.name}] must be a number, got {raw!r}"
             ) from None
+        if not np.isfinite(val):
+            raise ConfigError(
+                f"key '{key}' in [{self.name}] must be finite, got {raw!r}"
+            )
+        return val
 
     def get_int(self, key, default=None):
         val = self.get_float(key, default)
@@ -104,11 +109,16 @@ class Section:
         if raw is None or isinstance(raw, (tuple, list)):
             return raw
         try:
-            return tuple(float(tok) for tok in str(raw).replace(",", " ").split())
+            vals = tuple(float(tok) for tok in str(raw).replace(",", " ").split())
         except ValueError:
             raise ConfigError(
                 f"key '{key}' in [{self.name}] must be a list of numbers"
             ) from None
+        if not np.all(np.isfinite(vals)):
+            raise ConfigError(
+                f"key '{key}' in [{self.name}] must hold finite numbers"
+            )
+        return vals
 
     def get_ints(self, key, default=None):
         vals = self.get_floats(key, default)
@@ -181,12 +191,14 @@ def material_from_config(cfg: RunConfig) -> MaterialModel:
 
 def solver_from_config(cfg: RunConfig) -> LinearSolver:
     sec = cfg.section("solver")
-    return LinearSolver(
-        method=sec.get_str("method", "auto"),
-        rtol=sec.get_float("tolerance", 1e-12),
-        cap_factor=sec.get_float("cap_factor", 10),
-        direct_threshold=sec.get_int("direct_threshold", 3000),
-    )
+    method = sec.get_str("method", "auto")
+    rtol = sec.get_float("tolerance", 1e-12)
+    cap_factor = sec.get_float("cap_factor", 10)
+    direct_threshold = sec.get_int("direct_threshold", 3000)
+    try:
+        return LinearSolver(method, rtol, cap_factor, direct_threshold)
+    except ValueError as exc:
+        raise ConfigError(f"[solver]: {exc}") from None
 
 
 # -- contact pressure -------------------------------------------------------

@@ -52,11 +52,11 @@ class LinearSolver:
     """Sparse symmetric solver: direct (sparse LU) below a size
     threshold, Jacobi-preconditioned CG above it.
 
-    method: 'auto' (default), 'direct', 'cg', or 'dense'.
+    method: 'auto' (default), 'direct' or 'cg'.
     """
 
     def __init__(self, method="auto", rtol=1e-12, cap_factor=10, direct_threshold=3000):
-        if method not in ("auto", "direct", "cg", "dense"):
+        if method not in ("auto", "direct", "cg"):
             raise ValueError(f"unknown solver method {method!r}")
         self.method = method
         self.rtol = rtol
@@ -74,11 +74,6 @@ class LinearSolver:
         method = self._resolve(n)
         if n == 0:
             return lambda b: np.zeros(0)
-        if method == "dense":
-            from scipy.linalg import lu_factor, lu_solve
-
-            lu = lu_factor(matrix.toarray())
-            return lambda b: lu_solve(lu, b)
         if method == "direct":
             try:
                 factor = spla.splu(matrix.tocsc())
@@ -137,6 +132,8 @@ class TimeGrid:
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
+        if not np.all(np.isfinite(nodes)):
+            raise ValueError("time nodes must be finite")
         if len(nodes) < 2 or np.any(np.diff(nodes) <= 0):
             raise ValueError("time nodes must be strictly increasing")
         object.__setattr__(self, "nodes", nodes)
@@ -246,19 +243,14 @@ def load_time_integral(loads, space: FeSpace, t_prev, t_next, degree=None,
         weight = 0.5 * k * (coef(gauss[0]) + coef(gauss[1]))
         out += weight * body_term_vector(space, field, degree)
     if loads.traction is not None:
-        memo = {} if memo is None else memo
-        prev = memo.pop(t_prev, None)
-        if prev is None:
-            prev = assemble_traction_load(
-                space, loads.traction, t_prev, degree, loads.traction_labels
-            )
-        nxt = assemble_traction_load(
-            space, loads.traction, t_next, degree, loads.traction_labels
+        prev, nxt = _endpoint_values(
+            {} if memo is None else memo, t_prev, t_next,
+            lambda t: assemble_traction_load(
+                space, loads.traction, t, degree, loads.traction_labels
+            ),
         )
         out += 0.5 * k * prev
         out += 0.5 * k * nxt
-        memo.clear()
-        memo[t_next] = nxt
     for coef, field in loads.traction_terms:
         weight = 0.5 * k * (coef(t_prev) + coef(t_next))
         out += weight * traction_term_vector(
@@ -267,13 +259,26 @@ def load_time_integral(loads, space: FeSpace, t_prev, t_next, degree=None,
     return out
 
 
-def _constraint_velocities(con: Constraints, state: State, t_next, k):
+def _endpoint_values(memo, t_prev, t_next, evaluate):
+    """(evaluate(t_prev), evaluate(t_next)) for one interval of a march.
+
+    ``memo`` is a dict kept by the caller across consecutive intervals:
+    it holds the value at the last interval's end, which serves as this
+    interval's start value when the times match exactly, and then the
+    value at ``t_next``. The values must not be modified in place.
+    """
+    prev = memo.pop(t_prev, None)
+    if prev is None:
+        prev = evaluate(t_prev)
+    nxt = evaluate(t_next)
+    memo.clear()
+    memo[t_next] = nxt
+    return prev, nxt
+
+
+def _constraint_velocities(con: Constraints, state: State, d_prev, d_next, k):
     """Velocity values at the fixed frame dofs, chosen so the trapezoidal
     displacement update reproduces the prescribed displacement exactly."""
-    if len(con.fixed) == 0:
-        return np.zeros(0)
-    d_prev = con.fixed_values(state.t)
-    d_next = con.fixed_values(t_next)
     u1_prev = con.to_frame(state.u1)[con.fixed]
     return 2.0 * (d_next - d_prev) / k - u1_prev
 
@@ -284,6 +289,13 @@ class ReducedStepper:
     The Schur operator is assembled and factorized once per (k,
     constraint set); stepping costs one back-substitution plus sparse
     matrix-vector products.
+
+    ``step(state, t_next)`` advances by the stepper's own ``k``: the Schur
+    matrix, the rhs, the constraint velocities and the displacement update
+    all use it, so the discrete energy identity holds exactly. ``t_next``
+    (default ``state.t + k``) only stamps the new state and bounds the
+    load and prescribed-value time interval, so a march lands on the nodes
+    of its grid even where they differ from ``state.t + k`` by rounding.
     """
 
     def __init__(self, operators: OperatorSet, constraints: Constraints, k,
@@ -295,6 +307,7 @@ class ReducedStepper:
         self.solver = solver or LinearSolver()
         self.quad_degree = quad_degree
         self._load_memo = {}
+        self._fixed_memo = {}
         self.coeffs = step_coefficients(operators.material.arms, self.k)
         k2 = self.k
         schur = operators.mass + (k2 * k2 / 4.0) * operators.elastic
@@ -303,7 +316,7 @@ class ReducedStepper:
         self.system = constraints.reduce(schur.tocsr())
         self._solve_free = self.solver.prepare(self.system.matrix)
 
-    def rhs(self, state: State, load_integral=None):
+    def rhs(self, state: State, t_next=None):
         ops, k = self.ops, self.k
         b = ops.mass @ state.u1 - (k * k / 4.0) * (ops.elastic @ state.u1)
         b -= k * (ops.elastic @ state.u0)
@@ -311,20 +324,22 @@ class ReducedStepper:
             self.coeffs.alpha, self.coeffs.beta, ops.deviatoric, state.uve
         ):
             b -= (k / 2.0) * (a * (K @ state.u1) + (1.0 + beta) * (K @ uve))
-        if load_integral is not None:
-            b = b + load_integral
-        elif self.loads is not None:
+        if self.loads is not None:
             b = b + load_time_integral(
-                self.loads, ops.space, state.t, state.t + k, self.quad_degree,
+                self.loads, ops.space, state.t,
+                state.t + k if t_next is None else t_next, self.quad_degree,
                 self._load_memo,
             )
         return b
 
-    def step(self, state: State) -> State:
+    def step(self, state: State, t_next=None) -> State:
         con, k = self.con, self.k
-        t_next = state.t + k
-        b = self.rhs(state)
-        w_fixed = _constraint_velocities(con, state, t_next, k)
+        t_next = state.t + k if t_next is None else float(t_next)
+        b = self.rhs(state, t_next)
+        d_prev, d_next = _endpoint_values(
+            self._fixed_memo, state.t, t_next, con.fixed_values
+        )
+        w_fixed = _constraint_velocities(con, state, d_prev, d_next, k)
         w = np.zeros(con.space.n_dofs)
         w[con.free] = self._solve_free(self.system.reduced_rhs(b, w_fixed))
         w[con.fixed] = w_fixed
@@ -340,7 +355,8 @@ class FullStepper:
     Solves velocities, displacements, and every internal field
     simultaneously with a sparse direct factorization. Requires a
     nonempty Dirichlet set so the displacement and internal blocks are
-    definite.
+    definite. ``step(state, t_next)`` treats ``k`` and ``t_next`` as
+    ``ReducedStepper.step`` does.
     """
 
     def __init__(self, operators: OperatorSet, constraints: Constraints, k,
@@ -351,6 +367,7 @@ class FullStepper:
         self.loads = loads
         self.quad_degree = quad_degree
         self._load_memo = {}
+        self._fixed_memo = {}
         self.coeffs = step_coefficients(operators.material.arms, self.k)
         arms = operators.material.arms
         m_arms = len(arms)
@@ -384,9 +401,9 @@ class FullStepper:
             self._lu = spla.splu(self._a_ff)
         self._n_blocks = n_blocks
 
-    def step(self, state: State) -> State:
+    def step(self, state: State, t_next=None) -> State:
         ops, con, k = self.ops, self.con, self.k
-        t_next = state.t + k
+        t_next = state.t + k if t_next is None else float(t_next)
         n = ops.space.n_dofs
         r0 = ops.mass @ state.u1 - (k / 2.0) * (ops.elastic @ state.u0)
         for K, uve in zip(ops.deviatoric, state.uve):
@@ -404,8 +421,10 @@ class FullStepper:
 
         # prescribed values per block: trapezoidal velocities, prescribed
         # displacements at t_next, and the internal-field recursion
-        v_fix = _constraint_velocities(con, state, t_next, k)
-        d_fix = con.fixed_values(t_next)
+        d_prev, d_fix = _endpoint_values(
+            self._fixed_memo, state.t, t_next, con.fixed_values
+        )
+        v_fix = _constraint_velocities(con, state, d_prev, d_fix, k)
         u1_prev = con.to_frame(state.u1)[con.fixed]
         fixed_vals = [v_fix, d_fix]
         for a, b, uve in zip(self.coeffs.alpha, self.coeffs.beta, state.uve):
@@ -481,9 +500,16 @@ def simulate(operators: OperatorSet, constraints: Constraints, grid: TimeGrid,
              quad_degree=None, callback=None, stepper="reduced"):
     """March the dynamics over a time grid, tracking the energy ledger.
 
-    The stepper is rebuilt only when the step size changes. ``callback``
-    (if given) is invoked with each new State. Returns the ledger and,
-    when ``keep_states``, every state; otherwise first and final only.
+    One stepper, and so one Schur build and factorization, serves every
+    step of the same size. It is rebuilt only when a step differs from the
+    stepper's ``k`` by more than the rounding of the grid's node values,
+    4 eps max(|t_prev|, |t_next|): the steps of a ``TimeGrid.uniform``
+    (``np.linspace``) grid vary by that much, and a truly non-uniform grid
+    rebuilds at every real change of step. Each step advances by the
+    stepper's ``k`` and lands on the grid node ``t_next``, so every state
+    and ledger time equals a node. ``callback`` (if given) is invoked with
+    each new State. Returns the ledger and, when ``keep_states``, every
+    state; otherwise first and final only.
     """
     space = operators.space
     if state0 is None:
@@ -495,17 +521,20 @@ def simulate(operators: OperatorSet, constraints: Constraints, grid: TimeGrid,
     state = state0
     ledger = [energy(state, operators, 0.0)]
     states = [state]
-    current = None
     stepper_obj = None
     dissipated = 0.0
-    for k in np.diff(grid.nodes):
-        if current is None or abs(k - current) > 1e-14 * max(k, current):
+    eps = np.finfo(float).eps
+    for t_prev, t_next in zip(grid.nodes[:-1], grid.nodes[1:]):
+        k = t_next - t_prev
+        if stepper_obj is None or (
+            abs(k - stepper_obj.k) > 4.0 * eps * max(abs(t_prev), abs(t_next))
+        ):
+            stepper_obj = None  # release the old factorization first
             stepper_obj = cls(
                 operators, constraints, k, loads, solver, quad_degree
             )
-            current = k
-        nxt = stepper_obj.step(state)
-        dissipated += dissipation_increment(state, nxt, operators, k)
+        nxt = stepper_obj.step(state, t_next)
+        dissipated += dissipation_increment(state, nxt, operators, stepper_obj.k)
         ledger.append(energy(nxt, operators, dissipated))
         if keep_states:
             states.append(nxt)

@@ -359,6 +359,7 @@ class Constraints:
         self._build_frames()
         self._build_rotation()
         self._build_fixed()
+        self._build_targets()
 
     def _build_frames(self):
         space = self.space
@@ -426,35 +427,33 @@ class Constraints:
 
     # -- values ---------------------------------------------------------
 
+    def _build_targets(self):
+        """Per BC object, the nodes it prescribes and the positions of
+        their values in ``fixed``: (bc, nodes, slots) with slots (n, 3)
+        for Dirichlet nodes and (n,) for the normal slot of slip nodes."""
+        self._targets = []
+        for table, offsets in ((self.dirichlet_nodes, np.arange(3)),
+                               (self.slip_nodes, 0)):
+            groups = {}
+            for nd in sorted(table):
+                groups.setdefault(id(table[nd]), (table[nd], []))[1].append(nd)
+            for bc, nodes in groups.values():
+                nodes = np.array(nodes, dtype=np.int64)
+                first = np.searchsorted(self.fixed, 3 * nodes)
+                self._targets.append((bc, nodes, np.add.outer(first, offsets)))
+
     def fixed_values(self, t=0.0):
         """Prescribed displacement values at the fixed frame dofs."""
         coords = self.space.dof_coords
         out = np.zeros(len(self.fixed))
-        pos = {dof: i for i, dof in enumerate(self.fixed)}
-        d_nodes = np.array(sorted(self.dirichlet_nodes), dtype=np.int64)
-        if len(d_nodes):
-            bcs = [self.dirichlet_nodes[int(nd)] for nd in d_nodes]
-            # group nodes by bc object to evaluate vectorized
-            for bc in set(bcs):
-                sel = np.array([b is bc for b in bcs])
-                nds = d_nodes[sel]
-                vals = np.asarray(bc.value(coords[nds], t), dtype=float)
-                vals = np.broadcast_to(vals, (len(nds), 3))
-                for nd, val in zip(nds, vals):
-                    for a in range(3):
-                        out[pos[3 * nd + a]] = val[a]
-        s_nodes = np.array(sorted(self.slip_nodes), dtype=np.int64)
-        if len(s_nodes):
-            bcs = [self.slip_nodes[int(nd)] for nd in s_nodes]
-            for bc in set(bcs):
-                sel = np.array([b is bc for b in bcs])
-                nds = s_nodes[sel]
+        for bc, nodes, slots in self._targets:
+            if isinstance(bc, DirichletBC):
+                vals = np.asarray(bc.value(coords[nodes], t), dtype=float)
+            else:
                 vals = np.atleast_1d(
-                    np.asarray(bc.normal_value(coords[nds], t), dtype=float)
+                    np.asarray(bc.normal_value(coords[nodes], t), dtype=float)
                 )
-                vals = np.broadcast_to(vals, (len(nds),))
-                for nd, val in zip(nds, vals):
-                    out[pos[3 * nd]] = val
+            out[slots] = np.broadcast_to(vals, slots.shape)
         return out
 
     def to_frame(self, u):

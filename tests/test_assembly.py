@@ -213,3 +213,24 @@ def test_von_mises_uniaxial():
     assert np.allclose(von_mises(sigma), abs(s))
     hydro = -2.0 * np.eye(3)[None]
     assert np.allclose(von_mises(hydro), 0.0)
+
+
+def test_volume_load_chunks_match_one_chunk(monkeypatch, space):
+    from viscofem import assembly
+
+    calls = []
+
+    def body(x, t):
+        calls.append(len(x))
+        return np.stack([np.sin(3 * x[:, 0]) + t, x[:, 1] * x[:, 2], np.cos(x[:, 2])],
+                        axis=1)
+
+    n_elem = len(space.mesh.tets)
+    assert n_elem <= assembly.VOLUME_LOAD_CHUNK
+    whole = assemble_volume_load(space, body, 0.4)
+    assert calls == [n_elem * len(volume_data(space, 2 * space.p + 2).rule.weights)]
+    calls.clear()
+    monkeypatch.setattr(assembly, "VOLUME_LOAD_CHUNK", 7)
+    chunked = assemble_volume_load(space, body, 0.4)
+    assert len(calls) == -(-n_elem // 7)
+    assert np.abs(chunked - whole).max() <= 1e-14 * np.abs(whole).max()

@@ -381,3 +381,67 @@ reference = fine
 """
     path = write_cfg(tmp_path, body)
     assert main(["convergence", "--config", path, "--out", str(tmp_path / "o")]) == 2
+
+
+BASE_SINGLE = """
+[run]
+scenario = single
+[geometry]
+n = 1
+[material]
+rho = 100
+E = 1e5
+nu = 0.3
+arms = 1e5:1e-2
+[time]
+t = 0.25
+k = 0.125
+[discretization]
+p = 1
+[solver]
+method = direct
+[output]
+csv = false
+"""
+
+
+def _with(body, section, key, value):
+    """``body`` with ``key = value`` in place of that key's line in
+    ``[section]``."""
+    out, current = [], None
+    for line in body.splitlines():
+        if line.startswith("["):
+            current = line.strip("[]")
+        elif current == section and line.split("=")[0].strip() == key:
+            line = f"{key} = {value}"
+        out.append(line)
+    return "\n".join(out) + "\n"
+
+
+def test_single_base_config_runs(tmp_path):
+    path = write_cfg(tmp_path, BASE_SINGLE)
+    assert main(["single", "--config", path, "--out", str(tmp_path / "o")]) == 0
+
+
+@pytest.mark.parametrize(
+    "key, value", [("t", "nan"), ("k", "nan"), ("t", "inf"), ("k", "-inf")]
+)
+def test_non_finite_time_value_exit_code(tmp_path, capsys, key, value):
+    path = write_cfg(tmp_path, _with(BASE_SINGLE, "time", key, value))
+    code = main(["single", "--config", path, "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert f"'{key}' in [time] must be finite" in capsys.readouterr().err
+
+
+def test_non_finite_number_list_exit_code(tmp_path):
+    body = BASE_CONSERVE.replace("[conserve]", "[conserve]\ndisplacement = 0 0 nan")
+    path = write_cfg(tmp_path, body)
+    assert main(["conserve", "--config", path, "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("method", ["bogus", "dense"])
+def test_unknown_solver_method_exit_code(tmp_path, capsys, method):
+    path = write_cfg(tmp_path, _with(BASE_SINGLE, "solver", "method", method))
+    code = main(["single", "--config", path, "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "[solver]" in capsys.readouterr().err

@@ -363,3 +363,146 @@ def test_direct_factorization_failure_is_solver_error():
     singular = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
     with pytest.raises(SolverError):
         LinearSolver(method="direct").prepare(singular)
+
+
+def _count_builds(monkeypatch, cls):
+    """Patch ``cls.__init__`` to count constructions; returns the counter."""
+    builds = [0]
+    original = cls.__init__
+
+    def counting(self, *args, **kwargs):
+        builds[0] += 1
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "__init__", counting)
+    return builds
+
+
+@pytest.mark.parametrize("t_start, t_end, n_steps", [(0.0, 1.0, 8), (0.0, 1.0, 300),
+                                                      (0.1, 0.5, 80)])
+def test_uniform_grid_builds_one_stepper(monkeypatch, t_start, t_end, n_steps):
+    ops, con = make_problem(n=1, p=1)
+    grid = TimeGrid.uniform(t_start, t_end, n_steps)
+    steps = grid.steps
+    if n_steps >= 80:
+        # the rounding jitter of the linspace steps exceeds 1e-14 relative
+        assert np.ptp(steps) > 1e-14 * steps.max()
+    builds = _count_builds(monkeypatch, ReducedStepper)
+    state = admissible_random_state(ops, con, 17)
+    state = State(t_start, state.u1, state.u0, state.uve)
+    res = simulate(ops, con, grid, state0=state, solver=DIRECT, keep_states=True)
+    assert builds[0] == 1
+    assert np.array_equal([rec.t for rec in res.ledger], grid.nodes)
+    assert np.array_equal([s.t for s in res.states], grid.nodes)
+    total0 = res.ledger[0].total
+    for rec in res.ledger:
+        assert abs(rec.total + rec.dissipated - total0) < 1e-11 * total0
+
+
+def test_conservation_experiment_builds_one_stepper_per_phase(monkeypatch):
+    from viscofem.verify import ConserveConfig, conservation_experiment
+
+    builds = _count_builds(monkeypatch, ReducedStepper)
+    cfg = ConserveConfig(n=2, p=1, k=0.005, solver=DIRECT)
+    result = conservation_experiment(cfg)
+    assert builds[0] == 2
+    hold = TimeGrid.uniform(0.0, cfg.release_time, 20).nodes
+    free = TimeGrid.uniform(cfg.release_time, cfg.end_time, 80).nodes
+    assert np.array_equal(result.times, np.concatenate([hold, free[1:]]))
+
+
+def test_non_uniform_grid_builds_one_stepper_per_step_size(monkeypatch):
+    ops, con = make_problem(n=1, p=1)
+    # three runs of equal steps, each with linspace rounding jitter
+    nodes = np.concatenate([
+        np.linspace(0.0, 0.2, 41),
+        np.linspace(0.2, 0.3, 201)[1:],
+        np.linspace(0.3, 0.5, 81)[1:],
+    ])
+    grid = TimeGrid(nodes)
+    builds = _count_builds(monkeypatch, ReducedStepper)
+    state = admissible_random_state(ops, con, 19)
+    res = simulate(ops, con, grid, state0=state, solver=DIRECT)
+    assert builds[0] == 3
+    assert np.array_equal([rec.t for rec in res.ledger], grid.nodes)
+    total0 = res.ledger[0].total
+    for rec in res.ledger:
+        assert abs(rec.total + rec.dissipated - total0) < 1e-11 * total0
+
+
+def _moving_bottom_problem(n=2, p=1, material=MATERIAL):
+    """Box with a time-dependent Dirichlet displacement on its bottom."""
+    tagger = box_face_tagger(
+        faces={"z-": BoundaryTag(BoundaryKind.DIRICHLET, "bottom")}
+    )
+    space = FeSpace(build_box_mesh(n, tagger=tagger), p)
+    ops = OperatorSet(space, material)
+    shake = DirichletBC(
+        lambda x, t: np.outer(np.sin(7.0 * t) * (1.0 + x[:, 0]), [1e-3, -2e-3, 5e-4])
+    )
+    return ops, Constraints(space, {"bottom": shake})
+
+
+def test_reduced_full_simulate_agree_on_jittered_grid(monkeypatch):
+    ops, con = _moving_bottom_problem()
+    loads = LoadSpec(
+        body_force=lambda x, t: np.outer(np.cos(3 * t + x[:, 1]), [1.0, 0.5, -1.0]),
+        traction=lambda x, t, n: (1.0 + np.sin(2.0 * t)) * n,
+    )
+    grid = TimeGrid.uniform(0.0, 0.3, 90)
+    assert np.ptp(grid.steps) > 1e-14 * grid.steps.max()
+    full_builds = _count_builds(monkeypatch, FullStepper)
+    red = simulate(ops, con, grid, loads=loads, solver=DIRECT)
+    ful = simulate(ops, con, grid, loads=loads, stepper="full")
+    assert full_builds[0] == 1
+    sr, sf = red.final, ful.final
+    assert sr.t == sf.t == grid.nodes[-1]
+    for a, b in [(sr.u1, sf.u1), (sr.u0, sf.u0), *zip(sr.uve, sf.uve)]:
+        scale = max(np.abs(b).max(), 1e-30)
+        assert np.abs(a - b).max() <= 1e-9 * scale
+
+
+@pytest.mark.parametrize("cls", [ReducedStepper, FullStepper])
+def test_fixed_values_endpoint_reused_bit_identically(monkeypatch, cls):
+    ops, con = _moving_bottom_problem()
+    k, steps = 0.02, 6
+    state = State.zero(ops.space, 1)
+    ref_state = state
+    for _ in range(steps):
+        ref_state = cls(ops, con, k, solver=DIRECT).step(ref_state)
+    calls = [0]
+    original = Constraints.fixed_values
+
+    def counting(self, t=0.0):
+        calls[0] += 1
+        return original(self, t)
+
+    monkeypatch.setattr(Constraints, "fixed_values", counting)
+    stepper = cls(ops, con, k, solver=DIRECT)
+    for _ in range(steps):
+        state = stepper.step(state)
+    assert calls[0] == steps + 1
+    assert np.abs(ref_state.u0).max() > 0
+    for a, b in [(state.u1, ref_state.u1), (state.u0, ref_state.u0),
+                 *zip(state.uve, ref_state.uve)]:
+        assert np.array_equal(a, b)
+
+
+def test_step_lands_on_given_time_and_keeps_its_own_k():
+    ops, con = make_problem(n=1, p=1)
+    state = admissible_random_state(ops, con, 29)
+    k = 0.05
+    stepper = ReducedStepper(ops, con, k, solver=DIRECT)
+    plain = stepper.step(state)
+    stamped = stepper.step(state, k * (1.0 + 4e-16))
+    assert plain.t == k and stamped.t == k * (1.0 + 4e-16)
+    for a, b in [(plain.u1, stamped.u1), (plain.u0, stamped.u0)]:
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_time_grid_rejects_non_finite_nodes(bad):
+    with pytest.raises(ValueError, match="finite"):
+        TimeGrid(np.array([0.0, 0.5, bad]))
+    with pytest.raises(ValueError, match="finite"), np.errstate(invalid="ignore"):
+        TimeGrid.uniform(0.0, bad, 4)

@@ -7,7 +7,10 @@ import scipy.sparse as sp
 
 from viscofem.dynamics import LinearSolver
 from viscofem.fespace import (
+    Constraints,
+    DirichletBC,
     FeSpace,
+    SlipBC,
     apply_dirichlet,
     apply_slip,
     quadrature,
@@ -150,14 +153,14 @@ def test_dirichlet_identity_prescribed_value():
 
 
 def test_dirichlet_matches_dense_reduced_solve():
-    space = _bottom_space(1, 1)  # 24 dofs, within the dense-oracle range
+    space = _bottom_space(1, 1)  # 24 dofs: small enough for a dense oracle
     rng = np.random.default_rng(11)
     raw = rng.standard_normal((space.n_dofs, space.n_dofs))
     dense = raw @ raw.T + space.n_dofs * np.eye(space.n_dofs)
     rhs = rng.standard_normal(space.n_dofs)
     system = apply_dirichlet(space, sp.csr_matrix(dense), rhs, {"bottom": 0.0})
     con = system.constraints
-    u = system.solve(rhs, con.fixed_values(0.0), LinearSolver(method="dense"))
+    u = system.solve(rhs, con.fixed_values(0.0), LinearSolver(method="direct"))
     free = con.free
     expect = np.linalg.solve(dense[np.ix_(free, free)], rhs[free])
     assert np.abs(u[free] - expect).max() < 1e-10 * np.abs(expect).max()
@@ -194,9 +197,38 @@ def test_slip_constrained_solve_tangential_free():
     rhs = rng.standard_normal(space.n_dofs)
     system = apply_slip(space, sp.csr_matrix(dense), rhs, {"top": 0.25})
     con = system.constraints
-    u = system.solve(rhs, con.fixed_values(0.0), LinearSolver(method="dense"))
+    u = system.solve(rhs, con.fixed_values(0.0), LinearSolver(method="direct"))
     top = space.label_nodes("top")
     assert np.abs(u.reshape(-1, 3)[top, 2] - 0.25).max() < 1e-12
     # residual orthogonal to the free subspace
     resid = con.to_frame(dense @ u - rhs)
     assert np.abs(resid[con.free]).max() < 1e-9
+
+
+def test_fixed_values_match_per_node_evaluation():
+    tagger = box_face_tagger(faces={
+        "z-": BoundaryTag(BoundaryKind.DIRICHLET, "bottom"),
+        "x-": BoundaryTag(BoundaryKind.DIRICHLET, "side"),
+        "z+": BoundaryTag(BoundaryKind.SLIP, "top"),
+    })
+    space = FeSpace(build_box_mesh(2, tagger=tagger), 2)
+    spec = {
+        "bottom": DirichletBC(
+            lambda x, t: np.stack([x[:, 0] * t, x[:, 1] - t, x[:, 0] * x[:, 1] + t], axis=1)
+        ),
+        "side": DirichletBC((0.1, -0.2, 0.3)),
+        "top": SlipBC(lambda x, t: x[:, 0] * x[:, 1] - 2.0 * t),
+    }
+    con = Constraints(space, spec)
+    assert con.dirichlet_nodes and con.slip_nodes
+    coords = space.dof_coords
+    pos = {dof: i for i, dof in enumerate(con.fixed)}
+    for t in (0.0, 0.37):
+        want = np.full(len(con.fixed), np.nan)
+        for nd, bc in con.dirichlet_nodes.items():
+            val = np.broadcast_to(bc.value(coords[[nd]], t), (1, 3))[0]
+            for a in range(3):
+                want[pos[3 * nd + a]] = val[a]
+        for nd, bc in con.slip_nodes.items():
+            want[pos[3 * nd]] = np.atleast_1d(bc.normal_value(coords[[nd]], t))[0]
+        assert np.array_equal(con.fixed_values(t), want)
