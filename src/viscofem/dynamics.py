@@ -276,10 +276,10 @@ def _endpoint_values(memo, t_prev, t_next, evaluate):
     return prev, nxt
 
 
-def _constraint_velocities(con: Constraints, state: State, d_prev, d_next, k):
+def _constraint_velocities(d_prev, d_next, u1_prev, k):
     """Velocity values at the fixed frame dofs, chosen so the trapezoidal
-    displacement update reproduces the prescribed displacement exactly."""
-    u1_prev = con.to_frame(state.u1)[con.fixed]
+    displacement update reproduces the prescribed displacement exactly;
+    ``u1_prev`` holds the previous velocity at those dofs."""
     return 2.0 * (d_next - d_prev) / k - u1_prev
 
 
@@ -339,7 +339,9 @@ class ReducedStepper:
         d_prev, d_next = _endpoint_values(
             self._fixed_memo, state.t, t_next, con.fixed_values
         )
-        w_fixed = _constraint_velocities(con, state, d_prev, d_next, k)
+        w_fixed = _constraint_velocities(
+            d_prev, d_next, con.to_frame(state.u1)[con.fixed], k
+        )
         w = np.zeros(con.space.n_dofs)
         w[con.free] = self._solve_free(self.system.reduced_rhs(b, w_fixed))
         w[con.fixed] = w_fixed
@@ -424,8 +426,8 @@ class FullStepper:
         d_prev, d_fix = _endpoint_values(
             self._fixed_memo, state.t, t_next, con.fixed_values
         )
-        v_fix = _constraint_velocities(con, state, d_prev, d_fix, k)
         u1_prev = con.to_frame(state.u1)[con.fixed]
+        v_fix = _constraint_velocities(d_prev, d_fix, u1_prev, k)
         fixed_vals = [v_fix, d_fix]
         for a, b, uve in zip(self.coeffs.alpha, self.coeffs.beta, state.uve):
             uve_prev = con.to_frame(uve)[con.fixed]
