@@ -5,10 +5,9 @@ manufactured-solution verification harness."""
 
 from .assembly import (
     LoadSpec,
-    assemble_deviatoric,
-    assemble_elastic,
     assemble_load,
     assemble_mass,
+    assemble_strain_operators,
     von_mises,
 )
 from .dynamics import (
@@ -27,8 +26,6 @@ from .dynamics import (
     reconstruct_ve,
     simulate,
     static_solve,
-    step_full,
-    step_reduced,
 )
 from .fespace import (
     Constraints,

@@ -5,8 +5,12 @@ Operators are scipy CSR matrices over interleaved vector dofs
 
 * mass         M  : w'Mv  = rho * integral(w . v)
 * elastic      K_E: w'Kv  = integral(2*mu*eps(w):eps(v) + lam*div(w)*div(v))
-* deviatoric   K_V: w'Kv  = kappa * integral(dev(w):dev(v))
-                  = kappa * integral(eps:eps - div*div/3)
+* deviatoric   D  : w'Dv  = integral(dev(w):dev(v))
+                  = integral(eps:eps - div*div/3)
+
+K_E = mu*S + lam*V and D = S/2 - V/3 combine the unit kernels
+S = integral(2*eps:eps) and V = integral(div*div); arm m acts through
+kappa_m*D. All three matrices share the sparsity pattern of M.
 
 Element loops are vectorized over all tets at once; reference basis
 tables and element geometry are cached per (space, quadrature degree).
@@ -212,34 +216,25 @@ def assemble_mass(space: FeSpace, rho, degree=None):
     return _scatter(space, vd.vdofs, dense.reshape(-1, nld, nld))
 
 
-def assemble_elastic(space: FeSpace, mu, lam, degree=None):
-    """Hooke stiffness: 2*mu*eps:eps + lam*div*div."""
-    if mu <= 0 or lam < 0:
-        raise ValueError("need mu > 0 and lam >= 0")
+def assemble_strain_operators(space: FeSpace, mu, lam, degree=None):
+    """(K_E, D) = (mu*S + lam*V, S/2 - V/3) on the pattern of
+    ``assemble_mass``, from the unit kernels S = integral(2*eps:eps) and
+    V = integral(div*div) of one pass over the element gradients.
+
+    The kernels are combined per element, before the scatter, so that an
+    entry whose element contributions cancel sums to an exact zero, which a
+    sparse sum of the operators drops; combining the scattered kernels
+    instead leaves rounding residues there that grow the LU factor."""
     vd = volume_data(space, degree)
     gw = vd.G * vd.wdet[:, :, None, None]
     gg = np.einsum("eqik,eqjk->eij", gw, vd.G)
-    cross = np.einsum("eqja,eqib->eiajb", gw, vd.G)
+    strain = np.einsum("eqja,eqib->eiajb", gw, vd.G)
+    strain += np.einsum("eij,ab->eiajb", gg, np.eye(3))
     div = np.einsum("eqia,eqjb->eiajb", gw, vd.G)
-    dense = mu * (np.einsum("eij,ab->eiajb", gg, np.eye(3)) + cross) + lam * div
-    nld = 3 * gg.shape[1]
-    return _scatter(space, vd.vdofs, dense.reshape(-1, nld, nld))
-
-
-def assemble_deviatoric(space: FeSpace, kappa, degree=None):
-    """Deviatoric-strain stiffness: kappa * (eps:eps - div*div/3)."""
-    if kappa <= 0:
-        raise ValueError("arm modulus must be positive")
-    vd = volume_data(space, degree)
-    gw = vd.G * vd.wdet[:, :, None, None]
-    gg = np.einsum("eqik,eqjk->eij", gw, vd.G)
-    cross = np.einsum("eqja,eqib->eiajb", gw, vd.G)
-    div = np.einsum("eqia,eqjb->eiajb", gw, vd.G)
-    dense = kappa * (
-        0.5 * (np.einsum("eij,ab->eiajb", gg, np.eye(3)) + cross) - div / 3.0
-    )
-    nld = 3 * gg.shape[1]
-    return _scatter(space, vd.vdofs, dense.reshape(-1, nld, nld))
+    shape = (len(gg), 3 * gg.shape[1], 3 * gg.shape[1])
+    elastic = _scatter(space, vd.vdofs, (mu * strain + lam * div).reshape(shape))
+    deviatoric = _scatter(space, vd.vdofs, (0.5 * strain - div / 3.0).reshape(shape))
+    return elastic, deviatoric
 
 
 def _eval_traction(fn, x, t, normals):
@@ -337,23 +332,32 @@ def assemble_load(space: FeSpace, loads: LoadSpec, t, degree=None):
 # -- stress evaluation ----------------------------------------------------
 
 
-def stress_from_gradients(grad_u0, grads_uve, mu, lam, kappas):
-    """Total stress from displacement and per-arm internal-field gradients.
-
-    grad arrays have layout [..., a, i] = d u_a / d x_i.
-    """
+def stress_from_gradients(grad_u0, grad_ve, mu, lam):
+    """Total stress sigma_E(u0) + dev eps(w) from the gradients, laid out
+    [..., a, i] = d u_a / d x_i, of the displacement u0 and of the field
+    w = sum_m kappa_m uve_m: dev eps(w) = sum_m kappa_m dev eps(uve_m)."""
     eps = 0.5 * (grad_u0 + np.swapaxes(grad_u0, -1, -2))
     tr = np.trace(eps, axis1=-2, axis2=-1)
     sigma = 2.0 * mu * eps
     idx = np.arange(3)
     sigma[..., idx, idx] += lam * tr[..., None]
-    for kappa, g in zip(kappas, grads_uve):
-        e = 0.5 * (g + np.swapaxes(g, -1, -2))
-        trv = np.trace(e, axis1=-2, axis2=-1)
-        dev = e.copy()
-        dev[..., idx, idx] -= trv[..., None] / 3.0
-        sigma += kappa * dev
-    return sigma
+    dev = 0.5 * (grad_ve + np.swapaxes(grad_ve, -1, -2))
+    dev[..., idx, idx] -= np.trace(dev, axis1=-2, axis2=-1)[..., None] / 3.0
+    return sigma + dev
+
+
+def arm_weighted_sum(space: FeSpace, material, uve):
+    """sum_m kappa_m uve_m (zero without arms): the one internal field whose
+    deviatoric strain is the stress of all arms together."""
+    terms = (arm.kappa * u for arm, u in zip(material.arms, uve))
+    return sum(terms, np.zeros(space.n_dofs))
+
+
+def state_stress(gradient, space: FeSpace, material, u0, uve):
+    """Total stress where ``gradient`` (u -> grad u) evaluates, from one
+    displacement and one arm-weighted internal-field gradient."""
+    grad_ve = gradient(arm_weighted_sum(space, material, uve))
+    return stress_from_gradients(gradient(u0), grad_ve, material.mu, material.lam)
 
 
 def recover_nodal_stress(space: FeSpace, material, u0, uve):
@@ -368,13 +372,7 @@ def recover_nodal_stress(space: FeSpace, material, u0, uve):
         ue = u.reshape(-1, 3)[space.cell_dofs]
         return np.einsum("eqni,ena->eqai", G, ue)
 
-    sigma = stress_from_gradients(
-        grad_at_nodes(u0),
-        [grad_at_nodes(u) for u in uve],
-        material.mu,
-        material.lam,
-        [arm.kappa for arm in material.arms],
-    )
+    sigma = state_stress(grad_at_nodes, space, material, u0, uve)
     out = np.zeros((space.n_scalar_dofs, 3, 3))
     count = np.zeros(space.n_scalar_dofs)
     np.add.at(out, space.cell_dofs, sigma)

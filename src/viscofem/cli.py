@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .assembly import facet_data, recover_nodal_stress, stress_from_gradients, von_mises
+from .assembly import facet_data, recover_nodal_stress, state_stress, von_mises
 from .dynamics import (
     LinearSolver,
     OperatorSet,
@@ -42,6 +42,7 @@ from .verify import (
     conservation_experiment,
     convergence_study,
     error_norms,
+    write_ledger_csv,
 )
 from .vtkio import write_vtk
 
@@ -208,7 +209,7 @@ def compute_contact_pressure(state: State, space: FeSpace, slip_label,
                              material: MaterialModel):
     """Nodal contact pressure on a slip surface, compression positive.
 
-    The stress sigma = sigma_E(u0) + sum_m kappa_m dev(u_ve_m) is
+    The stress sigma = sigma_E(u0) + dev eps(sum_m kappa_m u_ve_m) is
     evaluated from element gradients at facet quadrature points; the
     quadrature average of -n.sigma.n per facet is area-averaged onto the
     surface nodes.
@@ -222,13 +223,7 @@ def compute_contact_pressure(state: State, space: FeSpace, slip_label,
     if len(facets) == 0:
         raise ValueError(f"no facets labelled {slip_label!r}")
     fd = facet_data(space, degree=2 * space.p, labels=slip_label)
-    sigma = stress_from_gradients(
-        fd.gradient(state.u0),
-        [fd.gradient(u) for u in state.uve],
-        material.mu,
-        material.lam,
-        [arm.kappa for arm in material.arms],
-    )
+    sigma = state_stress(fd.gradient, space, material, state.u0, state.uve)
     traction_n = np.einsum("fqab,fa,fb->fq", sigma, fd.normals, fd.normals)
     areas = fd.warea.sum(axis=1)
     facet_mean = -(fd.warea * traction_n).sum(axis=1) / areas
@@ -462,17 +457,20 @@ def run_conserve(cfg: RunConfig, out_dir: Path, threads=1, long_run=False):
     sec = cfg.section("conserve")
     geo = cfg.section("geometry")
     time_sec = cfg.section("time")
-    config = ConserveConfig(
-        n=geo.get_int("n", 5),
-        p=cfg.section("discretization").get_int("p", 2),
-        k=time_sec.get_float("k", 0.01),
-        end_time=time_sec.get_float("t", 0.5),
-        release_time=sec.get_float("release_time", 0.1),
-        hold_span=sec.get_float("hold_span", 0.4),
-        displacement=sec.get_floats("displacement", (0.0, 0.0, 0.2)),
-        material=material_from_config(cfg),
-        solver=solver_from_config(cfg),
-    )
+    try:
+        config = ConserveConfig(
+            n=geo.get_int("n", 5),
+            p=cfg.section("discretization").get_int("p", 2),
+            k=time_sec.get_float("k", 0.01),
+            end_time=time_sec.get_float("t", 0.5),
+            release_time=sec.get_float("release_time", 0.1),
+            hold_span=sec.get_float("hold_span", 0.4),
+            displacement=sec.get_floats("displacement", (0.0, 0.0, 0.2)),
+            material=material_from_config(cfg),
+            solver=solver_from_config(cfg),
+        )
+    except ValueError as exc:  # a ConfigError, or ConserveConfig's check
+        raise ConfigError(str(exc)) from None
     result = conservation_experiment(config)
     if cfg.section("output").get_bool("csv", True):
         path = out_dir / "energy_ledger.csv"
@@ -520,6 +518,8 @@ def run_single(cfg: RunConfig, out_dir: Path, threads=1, long_run=False):
     p = cfg.section("discretization").get_int("p", 1)
     k = time_sec.get_float("k", 0.125)
     end_time = time_sec.get_float("t", 1.0)
+    if not (k > 0 and end_time > 0):
+        raise ConfigError("[time] k and t must be positive")
     material = material_from_config(cfg)
     solver = solver_from_config(cfg)
     n_steps = int(round(end_time / k))
@@ -537,14 +537,7 @@ def run_single(cfg: RunConfig, out_dir: Path, threads=1, long_run=False):
     out = cfg.section("output")
     if out.get_bool("csv", True):
         path = out_dir / "energy_ledger.csv"
-        with open(path, "w") as fh:
-            fh.write("t,kinetic,elastic,viscoelastic_total,dissipated,total\n")
-            for rec in result.ledger:
-                fh.write(
-                    f"{float(rec.t)!r},{float(rec.kinetic)!r},"
-                    f"{float(rec.elastic)!r},{float(rec.viscoelastic_total)!r},"
-                    f"{float(rec.dissipated)!r},{float(rec.total)!r}\n"
-                )
+        write_ledger_csv(result.ledger, path)
         print(f"wrote {path}")
     if out.get_int("vtk_stride", 0):
         vectors, scalars = _vtk_fields(ops.space, result.final, material)

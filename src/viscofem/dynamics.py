@@ -5,7 +5,8 @@ piecewise constant, so each step is algebraically a midpoint rule. The
 primary path eliminates all internal fields before the solve:
 
 * one SPD Schur solve per step for the new velocity,
-      (M + k^2/4 K_E + sum_m k/2 alpha_m K_m) u1_new = rhs,
+      (M + k^2/4 K_E + (k/2) (sum_m alpha_m kappa_m) D) u1_new = rhs,
+  where D is the unit deviatoric operator that every arm shares,
 * the displacement update u0_new = u0 + k/2 (u1_new + u1),
 * the per-arm reconstruction
       uve_new = alpha (u1_new + u1) + beta uve.
@@ -17,7 +18,7 @@ both paths produce identical states up to solver tolerance.
 With zero loads the step satisfies an exact energy identity: the change
 of kinetic + elastic + viscoelastic energy equals minus the dissipation
 increment sum_m (2 k / tau_m) * |||midpoint uve_m|||^2, which the energy
-ledger tracks.
+ledger tracks; arm m's energy norm is |||u|||^2 = kappa_m u'Du.
 """
 from __future__ import annotations
 
@@ -28,10 +29,10 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .assembly import (
-    assemble_deviatoric,
-    assemble_elastic,
+    arm_weighted_sum,
     assemble_load,
     assemble_mass,
+    assemble_strain_operators,
     assemble_traction_load,
     assemble_volume_load,
     body_term_vector,
@@ -167,15 +168,16 @@ class EnergyReport:
 
 
 class OperatorSet:
-    """Assembled mass, elastic, and per-arm deviatoric operators."""
+    """Mass M, elastic K_E and the unit deviatoric operator D, through
+    which arm m acts as kappa_m D: three matrices for any arm count, all on
+    the sparsity pattern of M (exact zeros kept)."""
 
     def __init__(self, space: FeSpace, material: MaterialModel, degree=None):
         self.space = space
         self.material = material
         self.mass = assemble_mass(space, material.rho, degree)
-        self.elastic = assemble_elastic(space, material.mu, material.lam, degree)
-        self.deviatoric = tuple(
-            assemble_deviatoric(space, arm.kappa, degree) for arm in material.arms
+        self.elastic, self.deviatoric = assemble_strain_operators(
+            space, material.mu, material.lam, degree
         )
 
 
@@ -183,21 +185,20 @@ def energy(state: State, operators: OperatorSet, dissipated=0.0) -> EnergyReport
     """Kinetic, elastic and per-arm viscoelastic squared energy norms."""
     kin = float(state.u1 @ (operators.mass @ state.u1))
     ela = float(state.u0 @ (operators.elastic @ state.u0))
-    ve = tuple(
-        float(u @ (K @ u)) for u, K in zip(state.uve, operators.deviatoric)
-    )
+    D = operators.deviatoric
+    ve = tuple(arm.kappa * float(u @ (D @ u))
+               for arm, u in zip(operators.material.arms, state.uve))
     return EnergyReport(state.t, kin, ela, ve, dissipated)
 
 
 def dissipation_increment(prev: State, nxt: State, operators: OperatorSet, k):
     """Dissipated work of one step: sum_m (2 k / tau_m) |||mid uve_m|||^2
     where the midpoint is the interval average of the linear-in-time field."""
+    D = operators.deviatoric
     out = 0.0
-    for arm, K, a, b in zip(
-        operators.material.arms, operators.deviatoric, prev.uve, nxt.uve
-    ):
+    for arm, a, b in zip(operators.material.arms, prev.uve, nxt.uve):
         mid = 0.5 * (a + b)
-        out += (2.0 / arm.tau) * float(k) * float(mid @ (K @ mid))
+        out += (2.0 / arm.tau) * float(k) * arm.kappa * float(mid @ (D @ mid))
     return out
 
 
@@ -308,22 +309,28 @@ class ReducedStepper:
         self.quad_degree = quad_degree
         self._load_memo = {}
         self._fixed_memo = {}
-        self.coeffs = step_coefficients(operators.material.arms, self.k)
-        k2 = self.k
-        schur = operators.mass + (k2 * k2 / 4.0) * operators.elastic
-        for a, K in zip(self.coeffs.alpha, operators.deviatoric):
-            schur = schur + (k2 / 2.0) * a * K
-        self.system = constraints.reduce(schur.tocsr())
+        arms = operators.material.arms
+        self.coeffs = step_coefficients(arms, self.k)
+        # the arms enter the Schur matrix and the rhs only through D times
+        # sum_m kappa_m alpha_m and kappa_m (1 + beta_m)
+        self._alpha_kappa = sum(m.kappa * a for m, a in zip(arms, self.coeffs.alpha))
+        self._beta_kappa = [m.kappa * (1.0 + b) for m, b in zip(arms, self.coeffs.beta)]
+        # a sparse sum drops exact zeros, as the per-arm sum did: the zeros
+        # stored in the operators' shared pattern would only grow the factor
+        k = self.k
+        schur = (operators.mass + (k * k / 4.0) * operators.elastic
+                 + ((k / 2.0) * self._alpha_kappa) * operators.deviatoric)
+        self.system = constraints.reduce(schur)
         self._solve_free = self.solver.prepare(self.system.matrix)
 
     def rhs(self, state: State, t_next=None):
         ops, k = self.ops, self.k
-        b = ops.mass @ state.u1 - (k * k / 4.0) * (ops.elastic @ state.u1)
-        b -= k * (ops.elastic @ state.u0)
-        for a, beta, K, uve in zip(
-            self.coeffs.alpha, self.coeffs.beta, ops.deviatoric, state.uve
-        ):
-            b -= (k / 2.0) * (a * (K @ state.u1) + (1.0 + beta) * (K @ uve))
+        b = ops.mass @ state.u1
+        b -= ops.elastic @ ((k * k / 4.0) * state.u1 + k * state.u0)
+        ve = self._alpha_kappa * state.u1
+        for c, uve in zip(self._beta_kappa, state.uve):
+            ve += c * uve
+        b -= (k / 2.0) * (ops.deviatoric @ ve)
         if self.loads is not None:
             b = b + load_time_integral(
                 self.loads, ops.space, state.t,
@@ -380,7 +387,8 @@ class FullStepper:
         blocks[0][1] = (kk / 2.0) * operators.elastic
         blocks[1][0] = (-kk / 2.0) * operators.elastic
         blocks[1][1] = operators.elastic
-        for m, (arm, K) in enumerate(zip(arms, operators.deviatoric)):
+        for m, arm in enumerate(arms):
+            K = arm.kappa * operators.deviatoric
             blocks[0][2 + m] = (kk / 2.0) * K
             blocks[2 + m][0] = (-kk / 2.0) * K
             blocks[2 + m][2 + m] = (1.0 + kk / (2.0 * arm.tau)) * K
@@ -407,9 +415,9 @@ class FullStepper:
         ops, con, k = self.ops, self.con, self.k
         t_next = state.t + k if t_next is None else float(t_next)
         n = ops.space.n_dofs
+        arms, D = ops.material.arms, ops.deviatoric
         r0 = ops.mass @ state.u1 - (k / 2.0) * (ops.elastic @ state.u0)
-        for K, uve in zip(ops.deviatoric, state.uve):
-            r0 -= (k / 2.0) * (K @ uve)
+        r0 -= (k / 2.0) * (D @ arm_weighted_sum(ops.space, ops.material, state.uve))
         if self.loads is not None:
             r0 += load_time_integral(
                 self.loads, ops.space, state.t, t_next, self.quad_degree,
@@ -417,8 +425,9 @@ class FullStepper:
             )
         r1 = ops.elastic @ (state.u0 + (k / 2.0) * state.u1)
         rhs = [r0, r1]
-        for arm, K, uve in zip(ops.material.arms, ops.deviatoric, state.uve):
-            rhs.append(K @ ((k / 2.0) * state.u1 + (1.0 - k / (2.0 * arm.tau)) * uve))
+        for arm, uve in zip(arms, state.uve):
+            w = (k / 2.0) * state.u1 + (1.0 - k / (2.0 * arm.tau)) * uve
+            rhs.append(arm.kappa * (D @ w))
         rhs = np.concatenate(rhs)
 
         # prescribed values per block: trapezoidal velocities, prescribed
@@ -444,20 +453,8 @@ class FullStepper:
         x = self._rot_big @ w
         u1 = x[:n]
         u0 = x[n : 2 * n]
-        uve = tuple(x[(2 + m) * n : (3 + m) * n] for m in range(len(ops.deviatoric)))
+        uve = tuple(x[(2 + m) * n : (3 + m) * n] for m in range(len(arms)))
         return State(t_next, u1, u0, uve)
-
-
-def step_reduced(state, k, operators, loads=None, constraints=None, solver=None):
-    """Advance one timestep with the reduced method (one-off wrapper)."""
-    constraints = constraints or Constraints(operators.space, {})
-    return ReducedStepper(operators, constraints, k, loads, solver).step(state)
-
-
-def step_full(state, k, operators, loads=None, constraints=None, solver=None):
-    """Advance one timestep with the full coupled method (oracle path)."""
-    constraints = constraints or Constraints(operators.space, {})
-    return FullStepper(operators, constraints, k, loads, solver).step(state)
 
 
 def static_solve(operators: OperatorSet, constraints: Constraints, loads=None,
@@ -515,7 +512,7 @@ def simulate(operators: OperatorSet, constraints: Constraints, grid: TimeGrid,
     """
     space = operators.space
     if state0 is None:
-        state0 = State.zero(space, len(operators.deviatoric))
+        state0 = State.zero(space, operators.material.n_arms)
         state0 = State(
             float(grid.nodes[0]), state0.u1, state0.u0, state0.uve
         )

@@ -159,12 +159,9 @@ class ManufacturedSolution:
     def stress(self, t, x):
         grad = self.shape_gradient(x)
         mat = self.material
+        arms = sum(a.kappa * self.arm_factor(m, t) for m, a in enumerate(mat.arms))
         return stress_from_gradients(
-            self.displacement_factor(t) * grad,
-            [self.arm_factor(m, t) * grad for m in range(mat.n_arms)],
-            mat.mu,
-            mat.lam,
-            [arm.kappa for arm in mat.arms],
+            self.displacement_factor(t) * grad, arms * grad, mat.mu, mat.lam
         )
 
     def _shape_divergences(self, x):
@@ -207,14 +204,14 @@ class ManufacturedSolution:
         """sigma_E[V] n, the Hooke stress of the shape V on the normal."""
         grad = self.shape_gradient(x)
         mat = self.material
-        sigma = stress_from_gradients(grad, (), mat.mu, mat.lam, ())
+        sigma = stress_from_gradients(grad, np.zeros_like(grad), mat.mu, mat.lam)
         return self._normal_component(sigma, x, normal)
 
     def deviatoric_traction(self, x, normal):
         """dev eps(V) n: the stress of a unit-modulus arm whose internal
         field is V, on the normal."""
         grad = self.shape_gradient(x)
-        sigma = stress_from_gradients(np.zeros_like(grad), (grad,), 0.0, 0.0, (1.0,))
+        sigma = stress_from_gradients(np.zeros_like(grad), grad, 0.0, 0.0)
         return self._normal_component(sigma, x, normal)
 
     def loads(self):
@@ -438,9 +435,9 @@ def _discrete_error(state, reference, operators):
     du0 = state.u0 - reference.u0
     total = float(du1 @ (operators.mass @ du1))
     total += float(du0 @ (operators.elastic @ du0))
-    for a, b, K in zip(state.uve, reference.uve, operators.deviatoric):
+    for arm, a, b in zip(operators.material.arms, state.uve, reference.uve):
         d = a - b
-        total += float(d @ (K @ d))
+        total += arm.kappa * float(d @ (operators.deviatoric @ d))
     l2 = float(du0 @ (operators.mass @ du0)) / operators.material.rho
     return np.sqrt(total), np.sqrt(l2)
 
@@ -525,6 +522,12 @@ class ConserveConfig:
     material: MaterialModel = None
     solver: LinearSolver = None
 
+    def __post_init__(self):
+        if not (self.k > 0 and 0 < self.release_time < self.end_time):
+            raise ValueError("need k > 0 and 0 < release time < end time")
+        if abs(round(self.release_time / self.k) * self.k - self.release_time) > 1e-10:
+            raise ValueError("release time must be a time node")
+
     def resolved_material(self):
         if self.material is not None:
             return self.material
@@ -539,14 +542,19 @@ class ConservationResult:
     final: State
 
     def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("t,kinetic,elastic,viscoelastic_total,dissipated,total\n")
-            for rec in self.ledger:
-                fh.write(
-                    f"{float(rec.t)!r},{float(rec.kinetic)!r},{float(rec.elastic)!r},"
-                    f"{float(rec.viscoelastic_total)!r},{float(rec.dissipated)!r},"
-                    f"{float(rec.total)!r}\n"
-                )
+        write_ledger_csv(self.ledger, path)
+
+
+def write_ledger_csv(ledger, path):
+    """The energy ledger, one EnergyReport per row, as CSV."""
+    with open(path, "w") as fh:
+        fh.write("t,kinetic,elastic,viscoelastic_total,dissipated,total\n")
+        for rec in ledger:
+            fh.write(
+                f"{float(rec.t)!r},{float(rec.kinetic)!r},{float(rec.elastic)!r},"
+                f"{float(rec.viscoelastic_total)!r},{float(rec.dissipated)!r},"
+                f"{float(rec.total)!r}\n"
+            )
 
 
 def conservation_experiment(config: ConserveConfig = None) -> ConservationResult:
@@ -583,8 +591,6 @@ def conservation_experiment(config: ConserveConfig = None) -> ConservationResult
 
     n_hold = int(round(cfg.release_time / cfg.k))
     n_free = int(round((cfg.end_time - cfg.release_time) / cfg.k))
-    if abs(n_hold * cfg.k - cfg.release_time) > 1e-10:
-        raise ValueError("release time must be a time node")
     ledger = []
     res_a = simulate(
         ops, held, TimeGrid.uniform(0.0, cfg.release_time, n_hold),

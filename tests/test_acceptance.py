@@ -252,11 +252,10 @@ def test_criterion_6_quadrature_exactness():
 
 
 def test_criterion_6_nullspaces():
-    from viscofem.assembly import assemble_deviatoric, assemble_elastic
-
     space = FeSpace(build_box_mesh(2), 2)
-    KE = assemble_elastic(space, 0.4, 0.6)
-    KV = assemble_deviatoric(space, 2.5)
+    material = MaterialModel(rho=1.0, mu=0.4, lam=0.6, arms=((2.5, 1.0),))
+    ops = OperatorSet(space, material)
+    KE, KV = ops.elastic, 2.5 * ops.deviatoric
     worst = 0.0
     for w in (
         space.interpolate(lambda x: np.array([1.0, -2.0, 0.5]) + 0 * x),

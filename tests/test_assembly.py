@@ -3,8 +3,6 @@ import numpy as np
 import pytest
 
 from viscofem.assembly import (
-    assemble_deviatoric,
-    assemble_elastic,
     assemble_load,
     assemble_mass,
     assemble_traction_load,
@@ -13,7 +11,9 @@ from viscofem.assembly import (
     volume_data,
     von_mises,
 )
+from viscofem.dynamics import OperatorSet
 from viscofem.fespace import FeSpace
+from viscofem.material import MaterialModel
 from viscofem.mesh import BoundaryKind, BoundaryTag, box_face_tagger, build_box_mesh
 
 MU, LAM, RHO, KAPPA = 0.4, 0.6, 100.0, 2.5
@@ -22,6 +22,11 @@ MU, LAM, RHO, KAPPA = 0.4, 0.6, 100.0, 2.5
 @pytest.fixture(scope="module", params=[1, 2])
 def space(request):
     return FeSpace(build_box_mesh(2), request.param)
+
+
+def operators(space, lam=LAM):
+    """Mass, elastic (MU, lam) and unit deviatoric operators of one set."""
+    return OperatorSet(space, MaterialModel(RHO, MU, lam, arms=((KAPPA, 1.0),)))
 
 
 def _rand_field(space, seed=0):
@@ -53,7 +58,7 @@ def test_mass_quadratic_form_vs_quadrature(space):
 
 
 def test_elastic_nullspace_and_dilation(space):
-    K = assemble_elastic(space, MU, LAM)
+    K = operators(space).elastic
     scale = np.abs(K.data).max()
     c = space.interpolate(lambda x: np.array([1.0, -2.0, 0.5]) + 0 * x)
     rot = space.interpolate(lambda x: np.cross(np.array([0.3, -1.2, 2.0]), x))
@@ -64,7 +69,7 @@ def test_elastic_nullspace_and_dilation(space):
 
 
 def test_deviatoric_nullspace_and_shear(space):
-    K = assemble_deviatoric(space, KAPPA)
+    K = KAPPA * operators(space).deviatoric
     scale = np.abs(K.data).max()
     dil = space.interpolate(lambda x: x)
     assert np.abs(K @ dil).max() < 1e-12 * scale * np.abs(dil).max()
@@ -77,7 +82,7 @@ def test_deviatoric_nullspace_and_shear(space):
 def test_deviatoric_identity_vs_pieces(space):
     # a_VE(w,w) = kappa*(int eps:eps - int div^2 / 3), both sides via
     # independent evaluations
-    K = assemble_deviatoric(space, KAPPA)
+    K = KAPPA * operators(space).deviatoric
     w = _rand_field(space, 7)
     vd = volume_data(space, 2 * space.p + 2)
     g = vd.gradient(w)
@@ -90,18 +95,14 @@ def test_deviatoric_identity_vs_pieces(space):
 
 
 def test_operator_symmetry(space):
-    for build in (
-        lambda: assemble_mass(space, RHO),
-        lambda: assemble_elastic(space, MU, LAM),
-        lambda: assemble_deviatoric(space, KAPPA),
-    ):
-        K = build()
+    ops = operators(space)
+    for K in (assemble_mass(space, RHO), ops.elastic, KAPPA * ops.deviatoric):
         assert abs(K - K.T).max() < 1e-12 * np.abs(K.data).max()
 
 
 def test_energy_norms_nonnegative(space):
-    KE = assemble_elastic(space, MU, LAM)
-    KV = assemble_deviatoric(space, KAPPA)
+    ops = operators(space)
+    KE, KV = ops.elastic, KAPPA * ops.deviatoric
     rng = np.random.default_rng(9)
     for _ in range(10):
         w = rng.standard_normal(space.n_dofs)
@@ -111,12 +112,48 @@ def test_energy_norms_nonnegative(space):
 
 def test_pointwise_deviatoric_bound(space):
     # kappa*e:e <= kappa*eps:eps implies w'KVw <= (kappa/2mu) w'KEw at lam=0
-    KE = assemble_elastic(space, MU, 0.0)
-    KV = assemble_deviatoric(space, KAPPA)
+    ops = operators(space, lam=0.0)
+    KE, KV = ops.elastic, KAPPA * ops.deviatoric
     rng = np.random.default_rng(17)
     for _ in range(10):
         w = rng.standard_normal(space.n_dofs)
         assert w @ (KV @ w) <= (KAPPA / (2 * MU)) * (w @ (KE @ w)) * (1 + 1e-12)
+
+
+def test_operators_share_one_sparsity_pattern(space):
+    ops = OperatorSet(space, MaterialModel(RHO, MU, LAM, arms=((KAPPA, 1.0),) * 3))
+    for K in (ops.elastic, ops.deviatoric):
+        assert np.array_equal(K.indptr, ops.mass.indptr)
+        assert np.array_equal(K.indices, ops.mass.indices)
+
+
+def test_stress_of_weighted_field_equals_per_arm_sum():
+    # dev eps(sum_m kappa_m uve_m) = sum_m kappa_m dev eps(uve_m)
+    from viscofem.assembly import arm_weighted_sum, stress_from_gradients
+
+    material = MaterialModel(RHO, MU, LAM, arms=((3.0, 0.1), (0.5, 1.0), (7.0, 9.0)))
+    space = FeSpace(build_box_mesh(1), 2)
+    rng = np.random.default_rng(11)
+    vd = volume_data(space)
+    u0 = rng.standard_normal(space.n_dofs)
+    uve = tuple(rng.standard_normal(space.n_dofs) for _ in material.arms)
+    got = stress_from_gradients(
+        vd.gradient(u0), vd.gradient(arm_weighted_sum(space, material, uve)), MU, LAM
+    )
+
+    def strain(u):
+        g = vd.gradient(u)
+        return 0.5 * (g + np.swapaxes(g, -1, -2))
+
+    def trace_id(e):
+        return np.trace(e, axis1=-2, axis2=-1)[..., None, None] * np.eye(3)
+
+    eps = strain(u0)
+    want = 2 * MU * eps + LAM * trace_id(eps)
+    for arm, u in zip(material.arms, uve):
+        e = strain(u)
+        want += arm.kappa * (e - trace_id(e) / 3)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_load_constant_body_force(space):

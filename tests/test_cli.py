@@ -433,6 +433,18 @@ def test_non_finite_time_value_exit_code(tmp_path, capsys, key, value):
     assert f"'{key}' in [time] must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scenario", ["single", "conserve"])
+@pytest.mark.parametrize("key, value", [("k", "0"), ("k", "-0.125"), ("t", "0")])
+def test_out_of_range_time_value_exit_code(tmp_path, capsys, scenario, key, value):
+    base = {"single": BASE_SINGLE, "conserve": BASE_CONSERVE}[scenario]
+    body = _with(base.replace("T = ", "t = "), "time", key, value)
+    assert f"{key} = {value}" in body
+    code = main([scenario, "--config", write_cfg(tmp_path, body),
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_non_finite_number_list_exit_code(tmp_path):
     body = BASE_CONSERVE.replace("[conserve]", "[conserve]\ndisplacement = 0 0 nan")
     path = write_cfg(tmp_path, body)

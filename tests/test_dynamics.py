@@ -15,8 +15,6 @@ from viscofem.dynamics import (
     load_time_integral,
     reconstruct_ve,
     simulate,
-    step_full,
-    step_reduced,
 )
 from viscofem.assembly import LoadSpec
 from viscofem.fespace import Constraints, DirichletBC, FeSpace
@@ -42,14 +40,87 @@ def admissible_random_state(ops, con, seed, amp=0.01):
     rng = np.random.default_rng(seed)
     n = ops.space.n_dofs
     fields = [con.apply_values(rng.standard_normal(n) * amp, 0.0) for _ in range(3)]
-    return State(0.0, fields[0], fields[1], (fields[2],) * len(ops.deviatoric))
+    return State(0.0, fields[0], fields[1], (fields[2],) * ops.material.n_arms)
+
+
+THREE_ARMS = MaterialModel.from_engineering(
+    100.0, 1e5, 0.3, arms=((1e5, 1e-2), (3e4, 0.3), (2e3, 5.0))
+)
+
+
+def distinct_arm_state(ops, con, seed, amp=0.01):
+    """Admissible random state with a different internal field per arm."""
+    rng = np.random.default_rng(seed)
+    n = ops.space.n_dofs
+    u1, u0, *uve = [con.apply_values(rng.standard_normal(n) * amp, 0.0)
+                    for _ in range(2 + ops.material.n_arms)]
+    return State(0.0, u1, u0, tuple(uve))
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_schur_matrix_is_sparse_sum_of_operators(monkeypatch, p):
+    ops, con = make_problem(n=2, p=p, material=THREE_ARMS)
+    k = 0.01
+    seen = []
+    original = Constraints.reduce
+
+    def recording(self, matrix):
+        seen.append(matrix)
+        return original(self, matrix)
+
+    monkeypatch.setattr(Constraints, "reduce", recording)
+    stepper = ReducedStepper(ops, con, k, solver=DIRECT)
+    schur, = seen
+    want = ops.mass + (k * k / 4.0) * ops.elastic
+    for arm, a in zip(ops.material.arms, stepper.coeffs.alpha):
+        want = want + (k / 2.0) * a * arm.kappa * ops.deviatoric
+    assert np.array_equal(schur.indptr, want.indptr)
+    assert np.array_equal(schur.indices, want.indices)
+    assert np.abs(schur.data - want.data).max() <= 1e-14 * np.abs(want.data).max()
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_reduced_rhs_matches_per_arm_formula(p):
+    ops, con = make_problem(n=2, p=p, material=THREE_ARMS)
+    k = 0.01
+    stepper = ReducedStepper(ops, con, k, solver=DIRECT)
+    state = distinct_arm_state(ops, con, 37)
+    M, KE = ops.mass, ops.elastic
+    want = M @ state.u1 - (k * k / 4.0) * (KE @ state.u1) - k * (KE @ state.u0)
+    for arm, a, beta, uve in zip(ops.material.arms, stepper.coeffs.alpha,
+                                 stepper.coeffs.beta, state.uve):
+        K = arm.kappa * ops.deviatoric
+        want -= (k / 2.0) * (a * (K @ state.u1) + (1.0 + beta) * (K @ uve))
+    got = stepper.rhs(state)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("n_arms", [1, 5])
+def test_operator_set_assembles_kernels_once(monkeypatch, n_arms):
+    import scipy.sparse as sp
+
+    from viscofem import dynamics
+
+    calls = [0]
+    original = dynamics.assemble_strain_operators
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "assemble_strain_operators", counting)
+    arms = tuple((1e5 / (m + 1), 10.0 ** (m - 2)) for m in range(n_arms))
+    material = MaterialModel.from_engineering(100.0, 1e5, 0.3, arms=arms)
+    ops, _ = make_problem(n=1, p=1, material=material)
+    assert calls[0] == 1
+    assert sum(sp.issparse(v) for v in vars(ops).values()) == 3
 
 
 def test_zero_state_stays_zero():
     ops, con = make_problem()
     state = State.zero(ops.space, 1)
     for _ in range(3):
-        state = step_reduced(state, 0.05, ops, constraints=con, solver=DIRECT)
+        state = ReducedStepper(ops, con, 0.05, solver=DIRECT).step(state)
     assert np.abs(state.u1).max() == 0.0
     assert np.abs(state.u0).max() == 0.0
 
@@ -93,12 +164,12 @@ def test_step_full_against_dense_block_solve():
     k = 0.07
     arm = MATERIAL.arms[0]
     state = admissible_random_state(ops, con, 21)
-    nxt = step_full(state, k, ops, constraints=con)
+    nxt = FullStepper(ops, con, k).step(state)
 
     n = ops.space.n_dofs
     M = ops.mass.toarray()
     KE = ops.elastic.toarray()
-    KV = ops.deviatoric[0].toarray()
+    KV = arm.kappa * ops.deviatoric.toarray()
     big = np.block([
         [M, (k / 2) * KE, (k / 2) * KV],
         [-(k / 2) * KE, KE, np.zeros((n, n))],
@@ -240,14 +311,14 @@ def test_cg_solver_matches_direct_and_reports_failure():
     ops, con = make_problem(n=2, p=1)
     state = admissible_random_state(ops, con, 23)
     k = 0.02
-    s_cg = step_reduced(
-        state, k, ops, constraints=con, solver=LinearSolver(method="cg", rtol=1e-13)
-    )
-    s_dir = step_reduced(state, k, ops, constraints=con, solver=DIRECT)
+    s_cg = ReducedStepper(
+        ops, con, k, solver=LinearSolver(method="cg", rtol=1e-13)
+    ).step(state)
+    s_dir = ReducedStepper(ops, con, k, solver=DIRECT).step(state)
     assert np.abs(s_cg.u1 - s_dir.u1).max() < 1e-9 * max(np.abs(s_dir.u1).max(), 1e-30)
     starved = LinearSolver(method="cg", rtol=1e-16, cap_factor=1e-9)
     with pytest.raises(SolverError) as err:
-        step_reduced(state, k, ops, constraints=con, solver=starved)
+        ReducedStepper(ops, con, k, solver=starved).step(state)
     assert err.value.residual is not None
 
 
@@ -284,7 +355,7 @@ def test_state_checkpoint_round_trip(tmp_path):
 
     ops, con = make_problem(n=1, p=1)
     state = admissible_random_state(ops, con, 41)
-    nxt = step_reduced(state, 0.03, ops, constraints=con, solver=DIRECT)
+    nxt = ReducedStepper(ops, con, 0.03, solver=DIRECT).step(state)
     path = tmp_path / "checkpoint.npz"
     save_state(nxt, path)
     back = load_state(path)
@@ -293,8 +364,8 @@ def test_state_checkpoint_round_trip(tmp_path):
     assert np.array_equal(back.u0, nxt.u0)
     assert all(np.array_equal(a, b) for a, b in zip(back.uve, nxt.uve))
     # a restarted run continues identically (nonzero initial internal state)
-    cont_a = step_reduced(nxt, 0.03, ops, constraints=con, solver=DIRECT)
-    cont_b = step_reduced(back, 0.03, ops, constraints=con, solver=DIRECT)
+    cont_a = ReducedStepper(ops, con, 0.03, solver=DIRECT).step(nxt)
+    cont_b = ReducedStepper(ops, con, 0.03, solver=DIRECT).step(back)
     assert np.array_equal(cont_a.u1, cont_b.u1)
 
 
@@ -302,7 +373,7 @@ def test_dissipation_increment_matches_energy_loss():
     ops, con = make_problem(n=2, p=1)
     state = admissible_random_state(ops, con, 31)
     k = 0.01
-    nxt = step_reduced(state, k, ops, constraints=con, solver=DIRECT)
+    nxt = ReducedStepper(ops, con, k, solver=DIRECT).step(state)
     before = energy(state, ops).total
     after = energy(nxt, ops).total
     inc = dissipation_increment(state, nxt, ops, k)

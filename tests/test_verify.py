@@ -217,9 +217,10 @@ def test_cubic_elements_end_to_end():
 
 
 def test_conservation_release_must_be_time_node():
-    cfg = ConserveConfig(n=2, p=1, k=0.03, release_time=0.1, material=MATERIAL)
-    with pytest.raises(ValueError):
-        conservation_experiment(cfg)
+    with pytest.raises(ValueError, match="time node"):
+        conservation_experiment(
+            ConserveConfig(n=2, p=1, k=0.03, release_time=0.1, material=MATERIAL)
+        )
 
 
 # -- time-separable manufactured loads -----------------------------------------
