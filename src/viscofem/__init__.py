@@ -33,8 +33,6 @@ from .fespace import (
     FeSpace,
     QuadratureRule,
     SlipBC,
-    apply_dirichlet,
-    apply_slip,
     quadrature,
     reference_basis,
     triangle_quadrature,
@@ -55,7 +53,6 @@ from .mesh import (
     box_face_tagger,
     build_annulus_mesh,
     build_box_mesh,
-    facet_normal,
 )
 
 __version__ = "0.1.0"

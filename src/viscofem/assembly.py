@@ -47,22 +47,19 @@ def load_degree(space):
 @dataclass
 class LoadSpec:
     """Time-dependent body force [N/m^3] and boundary traction [Pa]
-    applied on the given tag labels (default: all Neumann-tagged facets).
-
-    Each part may be given as a closure, f(x,t)->(n,3) and
-    g(x,t,normal)->(n,3), re-evaluated at every time it is needed, and/or
-    as time-separable terms: ``body_terms`` of pairs (c(t), F(x)) and
+    applied on the given tag labels (default: all Neumann-tagged facets),
+    in time-separable form: ``body_terms`` of pairs (c(t), F(x)) and
     ``traction_terms`` of pairs (c(t), G(x, normal)), meaning
-    f = sum_j c_j(t) F_j(x) and g = sum_j c_j(t) G_j(x, normal). The
-    spatial vector of each F_j and G_j is assembled once per (space,
+    f = sum_j c_j(t) F_j(x) and g = sum_j c_j(t) G_j(x, normal).
+
+    The spatial vector of each F_j and G_j is assembled once per (space,
     quadrature degree, labels) and cached under the field object, so a
     field should keep its identity across calls (a function or a bound
     method, not a fresh lambda); only the scalars c_j are evaluated per
-    time. Both forms may be combined; their contributions add.
+    time. A load that is not a finite sum of such terms cannot be
+    expressed.
     """
 
-    body_force: object = None
-    traction: object = None
     traction_labels: tuple = None
     body_terms: tuple = ()
     traction_terms: tuple = ()
@@ -237,43 +234,32 @@ def assemble_strain_operators(space: FeSpace, mu, lam, degree=None):
     return elastic, deviatoric
 
 
-def _eval_traction(fn, x, t, normals):
-    flat = x.reshape(-1, 3)
-    nrm = np.repeat(normals, x.shape[1], axis=0)
-    try:
-        vals = fn(flat, t, nrm)
-    except TypeError:
-        vals = fn(flat, t)
-    return np.asarray(vals, dtype=float).reshape(x.shape)
-
-
-def assemble_volume_load(space: FeSpace, body_force, t, degree=None):
-    """(f(., t), v): the body force is evaluated and scattered
-    ``VOLUME_LOAD_CHUNK`` elements at a time, so the memory its
-    evaluation takes stays bounded on fine meshes."""
+def assemble_volume_load(space: FeSpace, field, degree=None):
+    """(F, v) of a body-force field F(x)->(n,3): the field is evaluated
+    and scattered ``VOLUME_LOAD_CHUNK`` elements at a time, so the memory
+    its evaluation takes stays bounded on fine meshes."""
     vd = volume_data(space, degree if degree is not None else load_degree(space))
     out = np.zeros(space.n_dofs)
-    if body_force is None:
-        return out
     for start in range(0, len(vd.points), VOLUME_LOAD_CHUNK):
         chunk = slice(start, start + VOLUME_LOAD_CHUNK)
         points = vd.points[chunk]
-        f = np.asarray(body_force(points.reshape(-1, 3), t), dtype=float)
+        f = np.asarray(field(points.reshape(-1, 3)), dtype=float)
         f = f.reshape(points.shape)
         contrib = np.einsum("eq,qn,eqa->ena", vd.wdet[chunk], vd.N, f)
         np.add.at(out, vd.vdofs[chunk], contrib.reshape(len(contrib), -1))
     return out
 
 
-def assemble_traction_load(space: FeSpace, traction, t, degree=None, labels=None):
+def assemble_traction_load(space: FeSpace, field, degree=None, labels=None):
+    """(G, v)_Gamma of a traction field G(x, normal)->(n,3) on the
+    labelled facets (default: every Neumann-tagged facet)."""
     out = np.zeros(space.n_dofs)
-    if traction is None:
-        return out
     fd = facet_data(space, degree, labels)
     if len(fd.facets) == 0:
         return out
-    g = _eval_traction(traction, fd.points, t, fd.normals)
-    contrib = np.einsum("fq,fqn,fqa->fna", fd.warea, fd.N, g)
+    nrm = np.repeat(fd.normals, fd.points.shape[1], axis=0)
+    g = np.asarray(field(fd.points.reshape(-1, 3), nrm), dtype=float)
+    contrib = np.einsum("fq,fqn,fqa->fna", fd.warea, fd.N, g.reshape(fd.points.shape))
     np.add.at(out, fd.vdofs, contrib.reshape(len(contrib), -1))
     return out
 
@@ -289,9 +275,7 @@ def body_term_vector(space: FeSpace, field, degree=None):
     degree = load_degree(space) if degree is None else int(degree)
     return _cached(
         space, ("body_term", degree, field),
-        lambda: _read_only(
-            assemble_volume_load(space, lambda x, _t: field(x), 0.0, degree)
-        ),
+        lambda: _read_only(assemble_volume_load(space, field, degree)),
     )
 
 
@@ -302,26 +286,18 @@ def traction_term_vector(space: FeSpace, field, degree=None, labels=None):
     degree = load_degree(space) if degree is None else int(degree)
     return _cached(
         space, ("traction_term", degree, _label_key(labels), field),
-        lambda: _read_only(assemble_traction_load(
-            space, lambda x, _t, n: field(x, n), 0.0, degree, labels
-        )),
+        lambda: _read_only(assemble_traction_load(space, field, degree, labels)),
     )
 
 
 def assemble_load(space: FeSpace, loads: LoadSpec, t, degree=None):
     """Load vector (f, v) + (g, v)_Gamma_N at a fixed time, from the
-    closures and the separable terms of ``loads`` (zero for None)."""
+    separable terms of ``loads`` (zero for None)."""
     out = np.zeros(space.n_dofs)
     if loads is None:
         return out
-    if loads.body_force is not None:
-        out += assemble_volume_load(space, loads.body_force, t, degree)
     for coef, field in loads.body_terms:
         out += coef(t) * body_term_vector(space, field, degree)
-    if loads.traction is not None:
-        out += assemble_traction_load(
-            space, loads.traction, t, degree, loads.traction_labels
-        )
     for coef, field in loads.traction_terms:
         out += coef(t) * traction_term_vector(
             space, field, degree, loads.traction_labels

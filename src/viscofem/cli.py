@@ -457,20 +457,17 @@ def run_conserve(cfg: RunConfig, out_dir: Path, threads=1, long_run=False):
     sec = cfg.section("conserve")
     geo = cfg.section("geometry")
     time_sec = cfg.section("time")
-    try:
-        config = ConserveConfig(
-            n=geo.get_int("n", 5),
-            p=cfg.section("discretization").get_int("p", 2),
-            k=time_sec.get_float("k", 0.01),
-            end_time=time_sec.get_float("t", 0.5),
-            release_time=sec.get_float("release_time", 0.1),
-            hold_span=sec.get_float("hold_span", 0.4),
-            displacement=sec.get_floats("displacement", (0.0, 0.0, 0.2)),
-            material=material_from_config(cfg),
-            solver=solver_from_config(cfg),
-        )
-    except ValueError as exc:  # a ConfigError, or ConserveConfig's check
-        raise ConfigError(str(exc)) from None
+    config = ConserveConfig(
+        n=geo.get_int("n", 5),
+        p=cfg.section("discretization").get_int("p", 2),
+        k=time_sec.get_float("k", 0.01),
+        end_time=time_sec.get_float("t", 0.5),
+        release_time=sec.get_float("release_time", 0.1),
+        hold_span=sec.get_float("hold_span", 0.4),
+        displacement=sec.get_floats("displacement", (0.0, 0.0, 0.2)),
+        material=material_from_config(cfg),
+        solver=solver_from_config(cfg),
+    )
     result = conservation_experiment(config)
     if cfg.section("output").get_bool("csv", True):
         path = out_dir / "energy_ledger.csv"
@@ -555,17 +552,6 @@ _SCENARIOS = {
 }
 
 
-def run(cfg: RunConfig, out_dir, threads=1, long_run=False):
-    """Execute the configured scenario; returns the process exit status.
-
-    Outputs are deterministic for a fixed config and thread count."""
-    if cfg.scenario not in _SCENARIOS:
-        raise ConfigError(f"config must declare a scenario, got {cfg.scenario!r}")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return _SCENARIOS[cfg.scenario](cfg, out, threads=threads, long_run=long_run)
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="viscofem",
@@ -594,7 +580,7 @@ def main(argv=None):
         return _SCENARIOS[args.scenario](
             cfg, out_dir, threads=args.threads, long_run=args.long
         )
-    except ConfigError as exc:
+    except ValueError as exc:  # a ConfigError, or a library input check
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except SolverError as exc:

@@ -33,8 +33,6 @@ from .assembly import (
     assemble_load,
     assemble_mass,
     assemble_strain_operators,
-    assemble_traction_load,
-    assemble_volume_load,
     body_term_vector,
     load_degree,
     traction_term_vector,
@@ -210,22 +208,14 @@ def reconstruct_ve(u1_prev, u1_next, uve_prev, coeffs):
     )
 
 
-def load_time_integral(loads, space: FeSpace, t_prev, t_next, degree=None,
-                       memo=None):
+def load_time_integral(loads, space: FeSpace, t_prev, t_next, degree=None):
     """Integral of the load functional over one time interval.
 
-    The body force is integrated with 2-point Gauss in time (exact for
-    quadratic-in-time f); the traction uses the trapezoidal rule on its
-    endpoint values, which integrates the piecewise-linear-in-time
-    interpolant of g exactly. Separable terms c_j(t) F_j(x) apply the same
-    rules to the scalar c_j only, times the cached spatial vector of F_j:
-    by linearity the same integral, up to rounding.
-
-    ``memo`` is an optional dict kept by a caller that marches over
-    consecutive intervals of one (loads, space, degree): the closure
-    traction vector at ``t_next`` is kept there and reused as the value at
-    the next interval's ``t_prev``, so n steps assemble n + 1 traction
-    vectors instead of 2n, with bit-identical results.
+    Each term c_j(t) F_j(x) integrates its scalar c_j only, times the
+    cached spatial vector of F_j. Body-force coefficients use 2-point
+    Gauss in time (exact for quadratic-in-time f); traction coefficients
+    use the trapezoidal rule on their endpoint values, which integrates
+    the piecewise-linear-in-time interpolant of g exactly.
     """
     k = t_next - t_prev
     if k <= 0:
@@ -237,21 +227,9 @@ def load_time_integral(loads, space: FeSpace, t_prev, t_next, degree=None,
     mid = 0.5 * (t_prev + t_next)
     off = 0.5 * k / np.sqrt(3.0)
     gauss = (mid - off, mid + off)
-    if loads.body_force is not None:
-        for tg in gauss:
-            out += 0.5 * k * assemble_volume_load(space, loads.body_force, tg, degree)
     for coef, field in loads.body_terms:
         weight = 0.5 * k * (coef(gauss[0]) + coef(gauss[1]))
         out += weight * body_term_vector(space, field, degree)
-    if loads.traction is not None:
-        prev, nxt = _endpoint_values(
-            {} if memo is None else memo, t_prev, t_next,
-            lambda t: assemble_traction_load(
-                space, loads.traction, t, degree, loads.traction_labels
-            ),
-        )
-        out += 0.5 * k * prev
-        out += 0.5 * k * nxt
     for coef, field in loads.traction_terms:
         weight = 0.5 * k * (coef(t_prev) + coef(t_next))
         out += weight * traction_term_vector(
@@ -307,7 +285,6 @@ class ReducedStepper:
         self.loads = loads
         self.solver = solver or LinearSolver()
         self.quad_degree = quad_degree
-        self._load_memo = {}
         self._fixed_memo = {}
         arms = operators.material.arms
         self.coeffs = step_coefficients(arms, self.k)
@@ -335,7 +312,6 @@ class ReducedStepper:
             b = b + load_time_integral(
                 self.loads, ops.space, state.t,
                 state.t + k if t_next is None else t_next, self.quad_degree,
-                self._load_memo,
             )
         return b
 
@@ -375,7 +351,6 @@ class FullStepper:
         self.k = float(k)
         self.loads = loads
         self.quad_degree = quad_degree
-        self._load_memo = {}
         self._fixed_memo = {}
         self.coeffs = step_coefficients(operators.material.arms, self.k)
         arms = operators.material.arms
@@ -420,8 +395,7 @@ class FullStepper:
         r0 -= (k / 2.0) * (D @ arm_weighted_sum(ops.space, ops.material, state.uve))
         if self.loads is not None:
             r0 += load_time_integral(
-                self.loads, ops.space, state.t, t_next, self.quad_degree,
-                self._load_memo,
+                self.loads, ops.space, state.t, t_next, self.quad_degree
             )
         r1 = ops.elastic @ (state.u0 + (k / 2.0) * state.u1)
         rhs = [r0, r1]
@@ -465,25 +439,6 @@ def static_solve(operators: OperatorSet, constraints: Constraints, loads=None,
     return system.solve(rhs, constraints.fixed_values(t), solver or LinearSolver())
 
 
-def save_state(state: State, path):
-    """Checkpoint a State (time plus all coefficient vectors) to .npz."""
-    arrays = {"t": np.array(state.t), "u1": state.u1, "u0": state.u0}
-    for m, u in enumerate(state.uve):
-        arrays[f"uve{m}"] = u
-    np.savez(path, n_arms=np.array(len(state.uve)), **arrays)
-
-
-def load_state(path) -> State:
-    with np.load(path) as data:
-        n_arms = int(data["n_arms"])
-        return State(
-            float(data["t"]),
-            data["u1"].copy(),
-            data["u0"].copy(),
-            tuple(data[f"uve{m}"].copy() for m in range(n_arms)),
-        )
-
-
 @dataclass
 class SimulationResult:
     states: list
@@ -508,7 +463,9 @@ def simulate(operators: OperatorSet, constraints: Constraints, grid: TimeGrid,
     stepper's ``k`` and lands on the grid node ``t_next``, so every state
     and ledger time equals a node. ``callback`` (if given) is invoked with
     each new State. Returns the ledger and, when ``keep_states``, every
-    state; otherwise first and final only.
+    state; otherwise first and final only. The scheme is unconditionally
+    stable, so a step whose ledger energy is not finite (bad input or a
+    solver fault) raises ``SolverError``.
     """
     space = operators.space
     if state0 is None:
@@ -535,6 +492,8 @@ def simulate(operators: OperatorSet, constraints: Constraints, grid: TimeGrid,
         nxt = stepper_obj.step(state, t_next)
         dissipated += dissipation_increment(state, nxt, operators, stepper_obj.k)
         ledger.append(energy(nxt, operators, dissipated))
+        if not np.isfinite(ledger[-1].total + dissipated):
+            raise SolverError(f"non-finite energy at t = {t_next!r}")
         if keep_states:
             states.append(nxt)
         if callback is not None:

@@ -509,25 +509,3 @@ class ConstrainedSystem:
         w[con.fixed] = fixed_values
         return con.from_frame(w)
 
-
-def apply_dirichlet(space, matrix, rhs, values):
-    """Symmetric Dirichlet elimination for a one-off solve.
-
-    ``values`` maps tag labels to a constant 3-vector or callable
-    ``f(points, t) -> (n,3)``. Returns a ConstrainedSystem; combine with
-    ``.solve(rhs, system.constraints.fixed_values(t))``.
-    """
-    spec = {label: DirichletBC(v) for label, v in values.items()}
-    con = Constraints(space, spec)
-    return con.reduce(matrix)
-
-
-def apply_slip(space, matrix, rhs, normal_values):
-    """Symmetric slip-constraint reduction for a one-off solve.
-
-    ``normal_values`` maps tag labels to the prescribed displacement along
-    the stored outward nodal normal (constant or callable).
-    """
-    spec = {label: SlipBC(v) for label, v in normal_values.items()}
-    con = Constraints(space, spec)
-    return con.reduce(matrix)

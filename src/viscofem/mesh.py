@@ -107,27 +107,22 @@ class Mesh:
         return np.nonzero(sel[self.facet_tags])[0]
 
 
-def facet_normal(mesh: Mesh, facet):
-    """Outward unit normal of a boundary facet.
-
-    ``facet`` is either an index into ``mesh.boundary_facets`` or a
-    3-tuple of vertex indices. An interior (or unknown) facet raises.
-    """
-    if np.isscalar(facet):
-        idx = int(facet)
-        if not 0 <= idx < len(mesh.boundary_facets):
-            raise ValueError(f"facet index {idx} out of range")
-    else:
-        key = frozenset(int(v) for v in facet)
-        if len(key) != 3:
-            raise ValueError("facet must consist of three distinct vertices")
-        lookup = {frozenset(f): i for i, f in enumerate(mesh.boundary_facets.tolist())}
-        if key not in lookup:
-            raise ValueError("not a boundary facet (interior or nonexistent)")
-        idx = lookup[key]
-    tri = mesh.vertices[mesh.boundary_facets[idx]]
-    cr = np.cross(tri[1] - tri[0], tri[2] - tri[0])
-    return cr / np.linalg.norm(cr)
+def _kuhn_tets(cells, vid):
+    """(6 * prod(cells), 4) tets of a structured grid of ``cells`` hexahedra
+    per axis, six per cell by Kuhn subdivision; ``vid(i, j, k)`` gives the
+    vertex index of grid point (i, j, k) for index arrays."""
+    grid = np.meshgrid(*(np.arange(c) for c in cells), indexing="ij")
+    ci, cj, ck = (g.ravel() for g in grid)
+    tets = np.empty((6 * len(ci), 4), dtype=np.int64)
+    for t, perm in enumerate(_KUHN_PERMUTATIONS):
+        steps = np.zeros((4, 3), dtype=np.int64)
+        for s, axis in enumerate(perm):
+            steps[s + 1] = steps[s]
+            steps[s + 1, axis] += 1
+        for v in range(4):
+            di, dj, dk = steps[v]
+            tets[t::6, v] = vid(ci + di, cj + dj, ck + dk)
+    return tets
 
 
 def _fix_orientation(vertices, tets):
@@ -206,20 +201,7 @@ def build_box_mesh(n, extent=(1.0, 1.0, 1.0), tagger=None):
     def vid(i, j, k):
         return (i * (ny + 1) + j) * (nz + 1) + k
 
-    cells_i, cells_j, cells_k = np.meshgrid(
-        np.arange(nx), np.arange(ny), np.arange(nz), indexing="ij"
-    )
-    ci, cj, ck = cells_i.ravel(), cells_j.ravel(), cells_k.ravel()
-    tets = np.empty((6 * len(ci), 4), dtype=np.int64)
-    for t, perm in enumerate(_KUHN_PERMUTATIONS):
-        steps = np.zeros((4, 3), dtype=np.int64)
-        for s, axis in enumerate(perm):
-            steps[s + 1] = steps[s]
-            steps[s + 1, axis] += 1
-        for v in range(4):
-            di, dj, dk = steps[v]
-            tets[t::6, v] = vid(ci + di, cj + dj, ck + dk)
-    tets = _fix_orientation(vertices, tets)
+    tets = _fix_orientation(vertices, _kuhn_tets((nx, ny, nz), vid))
 
     facets, owners = _extract_boundary(vertices, tets)
     default = BoundaryTag(BoundaryKind.NEUMANN, "boundary")
@@ -289,20 +271,7 @@ def build_annulus_mesh(r_in, r_out, length_z, divisions):
     def vid(i, j, k):
         return (i * n_t + (j % n_t)) * (n_z + 1) + k
 
-    cells_i, cells_j, cells_k = np.meshgrid(
-        np.arange(n_r), np.arange(n_t), np.arange(n_z), indexing="ij"
-    )
-    ci, cj, ck = cells_i.ravel(), cells_j.ravel(), cells_k.ravel()
-    tets = np.empty((6 * len(ci), 4), dtype=np.int64)
-    for t, perm in enumerate(_KUHN_PERMUTATIONS):
-        steps = np.zeros((4, 3), dtype=np.int64)
-        for s, axis in enumerate(perm):
-            steps[s + 1] = steps[s]
-            steps[s + 1, axis] += 1
-        for v in range(4):
-            di, dj, dk = steps[v]
-            tets[t::6, v] = vid(ci + di, cj + dj, ck + dk)
-    tets = _fix_orientation(vertices, tets)
+    tets = _fix_orientation(vertices, _kuhn_tets((n_r, n_t, n_z), vid))
 
     facets, owners = _extract_boundary(vertices, tets)
     tol = 1e-10 * (2 * r_out + length_z)

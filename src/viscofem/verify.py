@@ -237,24 +237,6 @@ class ManufacturedSolution:
             traction.append((arm_coef, self.deviatoric_traction))
         return LoadSpec(body_terms=tuple(body), traction_terms=tuple(traction))
 
-    def eval(self, which, t, x, m=0, normal=None):
-        """Dispatch on field name: u0, u1, uve, f, g, sigma."""
-        if which == "u0":
-            return self.displacement(t, x)
-        if which == "u1":
-            return self.velocity(t, x)
-        if which == "uve":
-            return self.ve_field(m, t, x)
-        if which == "f":
-            return self.body_force(x, t)
-        if which == "g":
-            if normal is None:
-                raise ValueError("traction evaluation needs a normal")
-            return self.traction(x, t, normal)
-        if which == "sigma":
-            return self.stress(t, x)
-        raise ValueError(f"unknown field {which!r}")
-
     def strong_residual(self, t, x, dt=1e-6, dx=1e-6):
         """Finite-difference check of the strong equations; returns the
         worst residual relative to the magnitude of the equation terms."""
@@ -405,9 +387,6 @@ class ConvergenceTable:
                 out.append((float(rate), bool(saturated)))
         return out
 
-    def finest_rate(self, axis, column="energy_error"):
-        return self.rates(axis, column)[-1][0]
-
     def lsq_rate(self, axis, column="energy_error"):
         """Least-squares slope of log error vs log axis over all
         successful rows; the numerical analogue of reading a straight
@@ -525,8 +504,10 @@ class ConserveConfig:
     def __post_init__(self):
         if not (self.k > 0 and 0 < self.release_time < self.end_time):
             raise ValueError("need k > 0 and 0 < release time < end time")
-        if abs(round(self.release_time / self.k) * self.k - self.release_time) > 1e-10:
-            raise ValueError("release time must be a time node")
+        for name, span in (("release time", self.release_time),
+                           ("end time", self.end_time - self.release_time)):
+            if abs(round(span / self.k) * self.k - span) > 1e-10:
+                raise ValueError(f"{name} must be a time node")
 
     def resolved_material(self):
         if self.material is not None:

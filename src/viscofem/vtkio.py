@@ -60,14 +60,3 @@ def write_vtk(mesh: Mesh, path, point_vectors=None, point_scalars=None,
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
-
-def read_vtk_counts(path):
-    """Parse point/cell counts back from a legacy VTK file (validation)."""
-    n_points = n_cells = None
-    with open(path) as fh:
-        for line in fh:
-            if line.startswith("POINTS"):
-                n_points = int(line.split()[1])
-            elif line.startswith("CELLS"):
-                n_cells = int(line.split()[1])
-    return n_points, n_cells

@@ -53,24 +53,22 @@ def test_criterion_1_discrete_conservation(k):
 
 
 def _smooth_random_loads(seed):
+    """Smooth random loads in separable form: each body wave
+    sin(f.x + f3 t) a = cos(f3 t) sin(f.x) a + sin(f3 t) cos(f.x) a, and
+    the traction cos(2t) 1e2 n."""
     rng = np.random.default_rng(seed)
     amps = rng.standard_normal((4, 3))
     freqs = rng.uniform(0.5, 3.0, size=(4, 4))
 
-    def body(x, t):
-        out = np.zeros((len(x), 3))
-        for a_vec, f_row in zip(amps, freqs):
-            phase = (
-                f_row[0] * x[:, 0] + f_row[1] * x[:, 1] + f_row[2] * x[:, 2]
-                + f_row[3] * t
-            )
-            out += np.sin(phase)[:, None] * a_vec
-        return 1e3 * out
+    def term(time_wave, space_wave, a_vec, f_row):
+        return (lambda t: time_wave(f_row[3] * t),
+                lambda x: 1e3 * space_wave(x @ f_row[:3])[:, None] * a_vec)
 
-    def traction(x, t, n):
-        return 1e2 * np.cos(2.0 * t) * n
-
-    return LoadSpec(body_force=body, traction=traction)
+    body = []
+    for a_vec, f_row in zip(amps, freqs):
+        body += [term(np.cos, np.sin, a_vec, f_row), term(np.sin, np.cos, a_vec, f_row)]
+    traction = ((lambda t: np.cos(2.0 * t), lambda x, n: 1e2 * n),)
+    return LoadSpec(body_terms=tuple(body), traction_terms=traction)
 
 
 @pytest.mark.parametrize("p", [1, 2])
@@ -291,7 +289,7 @@ def test_criterion_6_static_affine_patch():
         con = Constraints(
             space, {"bottom": DirichletBC(lambda x, t: a0 + x @ B.T)}
         )
-        rhs = assemble_traction_load(space, lambda x, t, n: n @ sig.T, 0.0)
+        rhs = assemble_traction_load(space, lambda x, n: n @ sig.T)
         system = con.reduce(ops.elastic)
         u = system.solve(rhs, con.fixed_values(0.0), DIRECT)
         exact = space.interpolate(lambda x: a0 + x @ B.T)

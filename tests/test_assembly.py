@@ -159,7 +159,9 @@ def test_stress_of_weighted_field_equals_per_arm_sum():
 def test_load_constant_body_force(space):
     c = np.array([2.0, -1.0, 0.5])
     d_vec = np.array([1.0, 3.0, -2.0])
-    loads = LoadSpec(body_force=lambda x, t: np.broadcast_to(c, (len(x), 3)))
+    loads = LoadSpec(body_terms=(
+        (lambda t: 1.0, lambda x: np.broadcast_to(c, (len(x), 3))),
+    ))
     F = assemble_load(space, loads, 0.0)
     d = space.interpolate(lambda x: d_vec + 0 * x)
     assert abs(d @ F - c @ d_vec) < 1e-12  # |Omega| = 1
@@ -180,8 +182,8 @@ def test_load_traction_single_face():
         space = make(p)
         pressure = 3.5
         n_hat = np.array([0.0, 0.0, 1.0])
-        g = lambda x, t, n: pressure * n
-        F = assemble_traction_load(space, g, 0.0, labels="lid")
+        g = lambda x, n: pressure * n
+        F = assemble_traction_load(space, g, labels="lid")
         d_vec = np.array([0.2, -0.4, 1.0])
         d = space.interpolate(lambda x: d_vec + 0 * x)
         assert abs(d @ F - pressure * (n_hat @ d_vec)) < 1e-12
@@ -236,10 +238,11 @@ def test_manufactured_load_vs_refined_quadrature():
     t = 0.7
     w = space.interpolate(lambda x: ms.velocity(t, x))
     oracle = _subdivided_load_functional(space, ms.body_force, w, t)
-    full = w @ assemble_volume_load(space, ms.body_force, t, degree=8)
+    body = lambda x: ms.body_force(x, t)
+    full = w @ assemble_volume_load(space, body, degree=8)
     assert abs(full - oracle) < 1e-10 * abs(oracle)
     # the configured default order is converged well past discretization needs
-    default = w @ assemble_volume_load(space, ms.body_force, t)
+    default = w @ assemble_volume_load(space, body)
     assert abs(default - oracle) < 1e-7 * abs(oracle)
 
 
@@ -257,17 +260,17 @@ def test_volume_load_chunks_match_one_chunk(monkeypatch, space):
 
     calls = []
 
-    def body(x, t):
+    def body(x):
         calls.append(len(x))
-        return np.stack([np.sin(3 * x[:, 0]) + t, x[:, 1] * x[:, 2], np.cos(x[:, 2])],
+        return np.stack([np.sin(3 * x[:, 0]) + 0.4, x[:, 1] * x[:, 2], np.cos(x[:, 2])],
                         axis=1)
 
     n_elem = len(space.mesh.tets)
     assert n_elem <= assembly.VOLUME_LOAD_CHUNK
-    whole = assemble_volume_load(space, body, 0.4)
+    whole = assemble_volume_load(space, body)
     assert calls == [n_elem * len(volume_data(space, 2 * space.p + 2).rule.weights)]
     calls.clear()
     monkeypatch.setattr(assembly, "VOLUME_LOAD_CHUNK", 7)
-    chunked = assemble_volume_load(space, body, 0.4)
+    chunked = assemble_volume_load(space, body)
     assert len(calls) == -(-n_elem // 7)
     assert np.abs(chunked - whole).max() <= 1e-14 * np.abs(whole).max()

@@ -15,7 +15,7 @@ from viscofem.dynamics import LinearSolver, OperatorSet, State, static_solve
 from viscofem.fespace import Constraints, DirichletBC, FeSpace, SlipBC
 from viscofem.material import MaterialModel
 from viscofem.mesh import build_annulus_mesh, build_box_mesh
-from viscofem.vtkio import read_vtk_counts, write_vtk
+from viscofem.vtkio import write_vtk
 
 DIRECT = LinearSolver(method="direct")
 
@@ -24,6 +24,17 @@ def write_cfg(tmp_path, body, name="run.cfg"):
     path = tmp_path / name
     path.write_text(body)
     return str(path)
+
+
+def vtk_counts(path):
+    """(points, cells) from the POINTS and CELLS header lines of a legacy
+    VTK file."""
+    counts = {}
+    for line in path.read_text().splitlines():
+        key, _, rest = line.partition(" ")
+        if key in ("POINTS", "CELLS"):
+            counts[key] = int(rest.split()[0])
+    return counts["POINTS"], counts["CELLS"]
 
 
 BASE_CONSERVE = """
@@ -152,7 +163,7 @@ vtk_stride = 1
     path = write_cfg(tmp_path, body)
     out = tmp_path / "o"
     assert main(["single", "--config", path, "--out", str(out)]) == 0
-    n_pts, n_cells = read_vtk_counts(out / "single_final.vtk")
+    n_pts, n_cells = vtk_counts(out / "single_final.vtk")
     assert n_pts == 27 and n_cells == 48
 
 
@@ -161,7 +172,7 @@ def test_write_vtk_roundtrip_and_zero_fields(tmp_path):
     path = tmp_path / "m.vtk"
     zeros = np.zeros((mesh.n_vertices, 3))
     write_vtk(mesh, path, {"displacement": zeros}, {"von_mises": zeros[:, 0]})
-    n_pts, n_cells = read_vtk_counts(path)
+    n_pts, n_cells = vtk_counts(path)
     assert n_pts == mesh.n_vertices and n_cells == mesh.n_tets
     text = path.read_text()
     assert "VECTORS displacement double" in text
@@ -276,8 +287,7 @@ def test_seal_sweep_config_validation():
         SealSweepConfig(cycles=1, measure_cycles=2)
 
 
-def test_seal_scenario_tiny(tmp_path):
-    body = """
+BASE_SEAL = """
 [run]
 scenario = seal
 [geometry]
@@ -302,7 +312,10 @@ cycles = 1
 measure_cycles = 1
 steps_per_cycle = 8
 """
-    path = write_cfg(tmp_path, body)
+
+
+def test_seal_scenario_tiny(tmp_path):
+    path = write_cfg(tmp_path, BASE_SEAL)
     out = tmp_path / "o"
     assert main(["seal", "--config", path, "--out", str(out)]) == 0
     lines = (out / "seal_pressure.csv").read_text().strip().splitlines()
@@ -341,14 +354,6 @@ p = 1
     # identical up to wall-clock timing in the last column
     strip = lambda lines: [",".join(l.split(",")[:-1]) for l in lines]
     assert strip(seq) == strip(par)
-
-
-def test_run_entry_point(tmp_path):
-    from viscofem.cli import run
-
-    cfg = parse_config(write_cfg(tmp_path, BASE_CONSERVE))
-    assert run(cfg, tmp_path / "out") == 0
-    assert (tmp_path / "out" / "energy_ledger.csv").exists()
 
 
 @pytest.mark.parametrize(
@@ -406,15 +411,17 @@ csv = false
 
 
 def _with(body, section, key, value):
-    """``body`` with ``key = value`` in place of that key's line in
-    ``[section]``."""
-    out, current = [], None
+    """``body`` with ``key = value`` in ``[section]``: in place of that
+    key's line, or right after the section header when it has none."""
+    out, current, replaced = [], None, False
     for line in body.splitlines():
         if line.startswith("["):
             current = line.strip("[]")
         elif current == section and line.split("=")[0].strip() == key:
-            line = f"{key} = {value}"
+            line, replaced = f"{key} = {value}", True
         out.append(line)
+    if not replaced:
+        out.insert(out.index(f"[{section}]") + 1, f"{key} = {value}")
     return "\n".join(out) + "\n"
 
 
@@ -434,7 +441,10 @@ def test_non_finite_time_value_exit_code(tmp_path, capsys, key, value):
 
 
 @pytest.mark.parametrize("scenario", ["single", "conserve"])
-@pytest.mark.parametrize("key, value", [("k", "0"), ("k", "-0.125"), ("t", "0")])
+# t = 0.12 and 0.33 are off the time grid: with k = 0.05 and a release at
+# 0.1 s, conserve's free phase would not end on a node
+@pytest.mark.parametrize("key, value", [("k", "0"), ("k", "-0.125"), ("t", "0"),
+                                        ("t", "0.12"), ("t", "0.33")])
 def test_out_of_range_time_value_exit_code(tmp_path, capsys, scenario, key, value):
     base = {"single": BASE_SINGLE, "conserve": BASE_CONSERVE}[scenario]
     body = _with(base.replace("T = ", "t = "), "time", key, value)
@@ -457,3 +467,30 @@ def test_unknown_solver_method_exit_code(tmp_path, capsys, method):
     code = main(["single", "--config", path, "--out", str(tmp_path / "o")])
     assert code == 2
     assert "[solver]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scenario, edits", [
+    ("single", [("geometry", "n", "0")]),
+    ("single", [("discretization", "p", "4")]),
+    ("seal", [("geometry", "r_inner", "0.02"), ("geometry", "r_outer", "0.01")]),
+    ("seal", [("geometry", "divisions", "1 2 1")]),
+    ("seal", [("seal", "steps_per_cycle", "0")]),
+], ids=["n-zero", "p-four", "radii-swapped", "theta-two", "no-steps"])
+def test_library_input_error_exit_code(tmp_path, capsys, scenario, edits):
+    body = {"single": BASE_SINGLE, "seal": BASE_SEAL}[scenario]
+    for section, key, value in edits:
+        body = _with(body, section, key, value)
+    code = main([scenario, "--config", write_cfg(tmp_path, body),
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_non_finite_state_exit_code(tmp_path, capsys):
+    # E = 1e308 overflows the manufactured load
+    path = write_cfg(tmp_path, _with(BASE_SINGLE, "material", "E", "1e308"))
+    code = main(["single", "--config", path, "--out", str(tmp_path / "o")])
+    assert code == 3
+    assert "non-finite energy" in capsys.readouterr().err

@@ -194,17 +194,19 @@ def test_reduced_full_equivalence(p, n_arms):
     material = MaterialModel.from_engineering(100.0, 1e5, 0.3, arms=arms)
     ops, con = make_problem(n=2, p=p, material=material)
 
-    def body(x, t):
+    # f = F0(x) + t F1(x) = (sin(3x)(1 + t), y^2 - 2tz, cos(xy) t)
+    def constant_part(x):
         return np.stack(
-            [
-                np.sin(3 * x[:, 0]) * (1 + t),
-                x[:, 1] ** 2 - 2 * t * x[:, 2],
-                np.cos(x[:, 0] * x[:, 1]) * t,
-            ],
-            axis=1,
+            [np.sin(3 * x[:, 0]), x[:, 1] ** 2, np.zeros(len(x))], axis=1
         )
 
-    loads = LoadSpec(body_force=body)
+    def linear_part(x):
+        return np.stack(
+            [np.sin(3 * x[:, 0]), -2 * x[:, 2], np.cos(x[:, 0] * x[:, 1])], axis=1
+        )
+
+    loads = LoadSpec(body_terms=((lambda t: 1.0, constant_part),
+                                 (lambda t: t, linear_part)))
     red = ReducedStepper(ops, con, 0.05, loads=loads, solver=DIRECT)
     ful = FullStepper(ops, con, 0.05, loads=loads)
     sr = sf = State.zero(ops.space, n_arms)
@@ -244,11 +246,19 @@ def test_elastic_limit_exact_conservation():
         assert rec.dissipated == 0.0
 
 
+def _constant(c):
+    return lambda x: np.broadcast_to(c, (len(x), 3))
+
+
+def _normal(x, n):
+    return n
+
+
 def test_load_time_integral_constant_and_linear():
     ops, con = make_problem(n=1, p=1)
     space = ops.space
     c = np.array([1.0, -2.0, 0.5])
-    loads = LoadSpec(body_force=lambda x, t: np.broadcast_to(c, (len(x), 3)))
+    loads = LoadSpec(body_terms=((lambda t: 1.0, _constant(c)),))
     k = 0.3
     vec = load_time_integral(loads, space, 0.2, 0.2 + k)
     from viscofem.assembly import assemble_load
@@ -257,30 +267,26 @@ def test_load_time_integral_constant_and_linear():
     assert np.abs(vec - k * single).max() < 1e-12 * np.abs(single).max()
 
     # traction linear in time: trapezoid is exact
-    g = lambda x, t, n: (1.0 + 2.0 * t) * n
-    tr = LoadSpec(traction=g)
+    tr = LoadSpec(traction_terms=((lambda t: 1.0 + 2.0 * t, _normal),))
     vec2 = load_time_integral(tr, space, 0.0, k)
     mid_val = 1.0 + 2.0 * (k / 2)
-    ref = assemble_load(space, LoadSpec(traction=lambda x, t, n: mid_val * n), 0.0)
+    mid = LoadSpec(traction_terms=((lambda t: mid_val, _normal),))
+    ref = assemble_load(space, mid, 0.0)
     assert np.abs(vec2 - k * ref).max() < 1e-12 * np.abs(k * ref).max()
 
 
 def test_load_time_integral_quadratic_gauss_exact():
     ops, con = make_problem(n=1, p=1)
     space = ops.space
-    c = np.array([1.0, 0.0, 0.0])
-    loads = LoadSpec(
-        body_force=lambda x, t: (3 * t * t - t + 2) * np.broadcast_to(c, (len(x), 3))
-    )
+    unit = _constant(np.array([1.0, 0.0, 0.0]))
+    loads = LoadSpec(body_terms=((lambda t: 3 * t * t - t + 2, unit),))
     t0, t1 = 0.4, 0.9
     vec = load_time_integral(loads, space, t0, t1)
     # integral of (3t^2 - t + 2) over [t0, t1], computed symbolically
     anti = lambda t: t**3 - t**2 / 2 + 2 * t
     from viscofem.assembly import assemble_load
 
-    base = assemble_load(
-        space, LoadSpec(body_force=lambda x, t: np.broadcast_to(c, (len(x), 3))), 0.0
-    )
+    base = assemble_load(space, LoadSpec(body_terms=((lambda t: 1.0, unit),)), 0.0)
     expect = (anti(t1) - anti(t0)) * base
     assert np.abs(vec - expect).max() < 1e-12 * np.abs(expect).max()
 
@@ -350,25 +356,6 @@ def test_reduced_full_equivalence_with_slip():
         assert np.abs(a - b).max() < 1e-10 * scale
 
 
-def test_state_checkpoint_round_trip(tmp_path):
-    from viscofem.dynamics import load_state, save_state
-
-    ops, con = make_problem(n=1, p=1)
-    state = admissible_random_state(ops, con, 41)
-    nxt = ReducedStepper(ops, con, 0.03, solver=DIRECT).step(state)
-    path = tmp_path / "checkpoint.npz"
-    save_state(nxt, path)
-    back = load_state(path)
-    assert back.t == nxt.t
-    assert np.array_equal(back.u1, nxt.u1)
-    assert np.array_equal(back.u0, nxt.u0)
-    assert all(np.array_equal(a, b) for a, b in zip(back.uve, nxt.uve))
-    # a restarted run continues identically (nonzero initial internal state)
-    cont_a = ReducedStepper(ops, con, 0.03, solver=DIRECT).step(nxt)
-    cont_b = ReducedStepper(ops, con, 0.03, solver=DIRECT).step(back)
-    assert np.array_equal(cont_a.u1, cont_b.u1)
-
-
 def test_dissipation_increment_matches_energy_loss():
     ops, con = make_problem(n=2, p=1)
     state = admissible_random_state(ops, con, 31)
@@ -380,49 +367,19 @@ def test_dissipation_increment_matches_energy_loss():
     assert abs((before - after) - inc) < 1e-11 * before
 
 
-def test_closure_traction_endpoint_reused_bit_identically(monkeypatch):
-    from viscofem import dynamics
-
-    ops, con = make_problem(n=2, p=1)
-    loads = LoadSpec(
-        body_force=lambda x, t: np.outer(np.sin(3 * t + x[:, 0]), [1.0, 0.5, -1.0]),
-        traction=lambda x, t, n: (1.0 + np.cos(2.0 * t)) * n,
-    )
-    k, steps = 0.05, 5
-    stepper = ReducedStepper(ops, con, k, loads=loads, solver=DIRECT)
-    state = admissible_random_state(ops, con, 7)
-    # the same march with a fresh stepper, so no endpoint reuse, per step
-    ref_state = state
-    for _ in range(steps):
-        fresh = ReducedStepper(ops, con, k, loads=loads, solver=DIRECT)
-        ref_state = fresh.step(ref_state)
-    calls = [0]
-    original = dynamics.assemble_traction_load
-
-    def counting(*args, **kwargs):
-        calls[0] += 1
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(dynamics, "assemble_traction_load", counting)
-    for _ in range(steps):
-        state = stepper.step(state)
-    assert calls[0] == steps + 1
-    for a, b in [(state.u1, ref_state.u1), (state.u0, ref_state.u0),
-                 *zip(state.uve, ref_state.uve)]:
-        assert np.array_equal(a, b)
-
-
 def test_static_solve_honours_separable_loads():
     from viscofem.dynamics import static_solve
+
+    from viscofem.assembly import assemble_traction_load, assemble_volume_load
 
     ops, con = make_problem(n=2, p=2)
     shape = lambda x: np.stack([x[:, 2], x[:, 0] * x[:, 1], np.sin(x[:, 2])], axis=1)
     push = lambda x, n: np.cos(x[:, :1]) * n
-    closure = LoadSpec(body_force=lambda x, t: 3.0 * shape(x),
-                       traction=lambda x, t, n: -2.0 * push(x, n))
     separable = LoadSpec(body_terms=((lambda t: 3.0, shape),),
                          traction_terms=((lambda t: -2.0, push),))
-    want = static_solve(ops, con, closure, solver=DIRECT)
+    rhs = (assemble_volume_load(ops.space, lambda x: 3.0 * shape(x))
+           + assemble_traction_load(ops.space, lambda x, n: -2.0 * push(x, n)))
+    want = con.reduce(ops.elastic).solve(rhs, con.fixed_values(0.0), DIRECT)
     got = static_solve(ops, con, separable, solver=DIRECT)
     assert np.abs(want).max() > 0
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
@@ -516,9 +473,15 @@ def _moving_bottom_problem(n=2, p=1, material=MATERIAL):
 
 def test_reduced_full_simulate_agree_on_jittered_grid(monkeypatch):
     ops, con = _moving_bottom_problem()
+    # f = cos(3t + y) a = cos(3t) cos(y) a - sin(3t) sin(y) a and
+    # g = (1 + sin 2t) n
+    a_vec = np.array([1.0, 0.5, -1.0])
     loads = LoadSpec(
-        body_force=lambda x, t: np.outer(np.cos(3 * t + x[:, 1]), [1.0, 0.5, -1.0]),
-        traction=lambda x, t, n: (1.0 + np.sin(2.0 * t)) * n,
+        body_terms=(
+            (lambda t: np.cos(3 * t), lambda x: np.outer(np.cos(x[:, 1]), a_vec)),
+            (lambda t: -np.sin(3 * t), lambda x: np.outer(np.sin(x[:, 1]), a_vec)),
+        ),
+        traction_terms=((lambda t: 1.0 + np.sin(2.0 * t), _normal),),
     )
     grid = TimeGrid.uniform(0.0, 0.3, 90)
     assert np.ptp(grid.steps) > 1e-14 * grid.steps.max()

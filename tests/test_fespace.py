@@ -11,8 +11,6 @@ from viscofem.fespace import (
     DirichletBC,
     FeSpace,
     SlipBC,
-    apply_dirichlet,
-    apply_slip,
     quadrature,
     reference_basis,
     reference_nodes,
@@ -136,7 +134,7 @@ def test_dirichlet_zero_values():
     raw = rng.standard_normal((space.n_dofs, space.n_dofs))
     mat = sp.csr_matrix(raw @ raw.T + space.n_dofs * np.eye(space.n_dofs))
     rhs = rng.standard_normal(space.n_dofs)
-    system = apply_dirichlet(space, mat, rhs, {"bottom": (0.0, 0.0, 0.0)})
+    system = Constraints(space, {"bottom": DirichletBC((0.0, 0.0, 0.0))}).reduce(mat)
     u = system.solve(rhs, system.constraints.fixed_values(0.0))
     fixed = system.constraints.fixed
     assert np.abs(u[fixed]).max() == 0.0
@@ -146,7 +144,7 @@ def test_dirichlet_identity_prescribed_value():
     space = _bottom_space(1, 1)
     mat = sp.identity(space.n_dofs, format="csr")
     rhs = np.zeros(space.n_dofs)
-    system = apply_dirichlet(space, mat, rhs, {"bottom": (1.0, 2.0, 3.0)})
+    system = Constraints(space, {"bottom": DirichletBC((1.0, 2.0, 3.0))}).reduce(mat)
     u = system.solve(rhs, system.constraints.fixed_values(0.0))
     bottom = space.label_nodes("bottom")
     assert np.allclose(u.reshape(-1, 3)[bottom], [1.0, 2.0, 3.0])
@@ -158,7 +156,7 @@ def test_dirichlet_matches_dense_reduced_solve():
     raw = rng.standard_normal((space.n_dofs, space.n_dofs))
     dense = raw @ raw.T + space.n_dofs * np.eye(space.n_dofs)
     rhs = rng.standard_normal(space.n_dofs)
-    system = apply_dirichlet(space, sp.csr_matrix(dense), rhs, {"bottom": 0.0})
+    system = Constraints(space, {"bottom": DirichletBC(0.0)}).reduce(sp.csr_matrix(dense))
     con = system.constraints
     u = system.solve(rhs, con.fixed_values(0.0), LinearSolver(method="direct"))
     free = con.free
@@ -171,7 +169,7 @@ def test_slip_flat_face():
     space = FeSpace(build_box_mesh(2, tagger=tagger), 1)
     mat = sp.identity(space.n_dofs, format="csr")
     c = 0.3
-    system = apply_slip(space, mat, np.zeros(space.n_dofs), {"top": c})
+    system = Constraints(space, {"top": SlipBC(c)}).reduce(mat)
     con = system.constraints
     for frame in con.slip_frames.values():
         assert np.abs(frame.T @ frame - np.eye(3)).max() < 1e-14
@@ -181,7 +179,7 @@ def test_slip_flat_face():
     uz = u.reshape(-1, 3)[top, 2]
     assert np.abs(uz - c).max() < 1e-12
     # u.n = 0 everywhere when nothing is prescribed
-    system0 = apply_slip(space, mat, np.zeros(space.n_dofs), {"top": 0.0})
+    system0 = Constraints(space, {"top": SlipBC(0.0)}).reduce(mat)
     u0 = system0.solve(np.zeros(space.n_dofs), np.zeros(len(con.fixed)))
     assert np.abs(u0.reshape(-1, 3)[top, 2]).max() < 1e-12
 
@@ -195,7 +193,7 @@ def test_slip_constrained_solve_tangential_free():
     raw = rng.standard_normal((space.n_dofs, space.n_dofs))
     dense = raw @ raw.T + space.n_dofs * np.eye(space.n_dofs)
     rhs = rng.standard_normal(space.n_dofs)
-    system = apply_slip(space, sp.csr_matrix(dense), rhs, {"top": 0.25})
+    system = Constraints(space, {"top": SlipBC(0.25)}).reduce(sp.csr_matrix(dense))
     con = system.constraints
     u = system.solve(rhs, con.fixed_values(0.0), LinearSolver(method="direct"))
     top = space.label_nodes("top")

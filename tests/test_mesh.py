@@ -8,7 +8,6 @@ from viscofem.mesh import (
     box_face_tagger,
     build_annulus_mesh,
     build_box_mesh,
-    facet_normal,
 )
 
 
@@ -79,31 +78,13 @@ def test_interior_facets_shared_conformity():
 def test_box_facet_normals():
     mesh = build_box_mesh(1)
     centroids = mesh.facet_centroids()
+    normals = mesh.facet_normals()
     bottom = np.nonzero(np.abs(centroids[:, 2]) < 1e-12)[0]
     for idx in bottom:
-        assert np.allclose(facet_normal(mesh, idx), [0, 0, -1])
+        assert np.allclose(normals[idx], [0, 0, -1])
     right = np.nonzero(np.abs(centroids[:, 0] - 1.0) < 1e-12)[0]
     for idx in right:
-        assert np.allclose(facet_normal(mesh, idx), [1, 0, 0])
-
-
-def test_facet_normal_by_triple_and_interior_error():
-    mesh = build_box_mesh(1)
-    tri = tuple(int(v) for v in mesh.boundary_facets[0])
-    n = facet_normal(mesh, tri)
-    assert abs(np.linalg.norm(n) - 1.0) < 1e-14
-    # the main diagonal facets are interior
-    interior = None
-    faces = ((1, 2, 3), (0, 3, 2), (0, 1, 3), (0, 2, 1))
-    boundary = {frozenset(f) for f in mesh.boundary_facets.tolist()}
-    for tet in mesh.tets:
-        for loc in faces:
-            key = frozenset(int(tet[i]) for i in loc)
-            if key not in boundary:
-                interior = tuple(key)
-                break
-    with pytest.raises(ValueError):
-        facet_normal(mesh, interior)
+        assert np.allclose(normals[idx], [1, 0, 0])
 
 
 def test_tagger_assigns_labels():

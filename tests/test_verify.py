@@ -93,16 +93,6 @@ def test_shape_derivatives_vs_finite_differences(ms):
         assert np.abs(hfd - hess[:, :, :, i]).max() < 1e-6
 
 
-def test_eval_dispatch(ms):
-    x = np.array([[0.3, 0.4, 0.5]])
-    assert np.allclose(ms.eval("u1", 0.5, x), ms.velocity(0.5, x))
-    assert np.allclose(ms.eval("uve", 0.5, x, m=0), ms.ve_field(0, 0.5, x))
-    n = np.array([[0.0, 0.0, 1.0]])
-    assert np.allclose(ms.eval("g", 0.5, x, normal=n), ms.traction(x, 0.5, n))
-    with pytest.raises(ValueError):
-        ms.eval("nope", 0.5, x)
-
-
 def test_error_norms_interpolated_exact(ms):
     # injecting the interpolated exact solution leaves only interpolation
     # error: small, but clearly nonzero
@@ -230,10 +220,32 @@ def _arms(n_arms):
     return tuple((1e5 / (m + 1), 10.0 ** (m - 2)) for m in range(n_arms))
 
 
-def _closure_loads(exact):
-    from viscofem.assembly import LoadSpec
+def _pointwise_body(space, exact, t):
+    """(f(t), v) with the body force evaluated pointwise at time t."""
+    from viscofem.assembly import assemble_volume_load
 
-    return LoadSpec(body_force=exact.body_force, traction=exact.traction)
+    return assemble_volume_load(space, lambda x: exact.body_force(x, t))
+
+
+def _pointwise_traction(space, exact, t):
+    """(g(t), v)_Gamma_N with the traction evaluated pointwise at time t."""
+    from viscofem.assembly import assemble_traction_load
+
+    return assemble_traction_load(space, lambda x, n: exact.traction(x, t, n))
+
+
+def _pointwise_time_integral(space, exact, t0, t1):
+    """The load integral over [t0, t1] by the rules of
+    ``load_time_integral``, from pointwise-evaluated loads: 2-point Gauss
+    for the body force, the trapezoidal rule for the traction."""
+    k = t1 - t0
+    mid, off = 0.5 * (t0 + t1), 0.5 * k / np.sqrt(3.0)
+    out = np.zeros(space.n_dofs)
+    for tg in (mid - off, mid + off):
+        out += 0.5 * k * _pointwise_body(space, exact, tg)
+    for tt in (t0, t1):
+        out += 0.5 * k * _pointwise_traction(space, exact, tt)
+    return out
 
 
 @pytest.mark.parametrize("p", [1, 2])
@@ -245,29 +257,40 @@ def test_separable_loads_match_closures(p, n_arms):
     material = MaterialModel.from_engineering(100.0, 1e5, 0.3, arms=_arms(n_arms))
     ops, _ = unit_cube_problem(material, 2, p)
     exact = ManufacturedSolution(material, 0.3, -0.1)
-    separable, closure = exact.loads(), _closure_loads(exact)
-    assert separable.body_force is None and separable.traction is None
+    separable = exact.loads()
     space = ops.space
     for t0, t1 in ((0.0, 0.125), (0.3, 0.35), (0.9, 1.0)):
-        want = load_time_integral(closure, space, t0, t1)
+        want = _pointwise_time_integral(space, exact, t0, t1)
         got = load_time_integral(separable, space, t0, t1)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
-        want = assemble_load(space, closure, t1)
+        want = _pointwise_body(space, exact, t1) + _pointwise_traction(space, exact, t1)
         got = assemble_load(space, separable, t1)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("p", [1, 2])
 def test_run_manufactured_separable_matches_closures(p):
-    from viscofem.dynamics import TimeGrid, simulate
+    from viscofem.dynamics import ReducedStepper, TimeGrid
     from viscofem.verify import run_manufactured
 
     final, ops, exact = run_manufactured(MATERIAL, 0.5, 0.125, p, solver=DIRECT)
+
+    class PointwiseLoadStepper(ReducedStepper):
+        """Adds the load integral of the pointwise-evaluated loads."""
+
+        def rhs(self, state, t_next=None):
+            return super().rhs(state, t_next) + _pointwise_time_integral(
+                self.ops.space, exact, state.t, t_next
+            )
+
     ops_c, con_c = unit_cube_problem(MATERIAL, 2, p)
-    res = simulate(ops_c, con_c, TimeGrid.uniform(0.0, 1.0, 8),
-                   loads=_closure_loads(exact), solver=DIRECT)
+    nodes = TimeGrid.uniform(0.0, 1.0, 8).nodes
+    stepper = PointwiseLoadStepper(ops_c, con_c, nodes[1] - nodes[0], solver=DIRECT)
+    state = State.zero(ops_c.space, MATERIAL.n_arms)
+    for t_next in nodes[1:]:
+        state = stepper.step(state, t_next)
     got = error_norms(final, exact, ops)
-    want = error_norms(res.final, exact, ops_c)
+    want = error_norms(state, exact, ops_c)
     for a, b in zip(got, want):
         assert abs(a - b) <= 1e-12 * b
 
