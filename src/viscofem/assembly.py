@@ -10,7 +10,9 @@ Operators are scipy CSR matrices over interleaved vector dofs
 
 K_E = mu*S + lam*V and D = S/2 - V/3 combine the unit kernels
 S = integral(2*eps:eps) and V = integral(div*div); arm m acts through
-kappa_m*D. All three matrices share the sparsity pattern of M.
+kappa_m*D. All three matrices share one CSR sparsity pattern, built once
+per space with a map from element-matrix entries to data slots, so each
+operator is one ``np.bincount`` of its element matrices.
 
 Element loops are vectorized over all tets at once; reference basis
 tables and element geometry are cached per (space, quadrature degree).
@@ -191,15 +193,40 @@ def facet_data(space: FeSpace, degree=None, labels=None) -> FacetData:
     return _cached(space, ("facet", degree, key_labels), build)
 
 
-def _scatter(space, vdofs, dense):
-    ne, nld = dense.shape[:2]
-    rows = np.repeat(vdofs, nld, axis=1).ravel()
-    cols = np.tile(vdofs, (1, nld)).ravel()
-    mat = sp.coo_matrix(
-        (dense.reshape(ne, nld * nld).ravel(), (rows, cols)),
-        shape=(space.n_dofs, space.n_dofs),
-    )
-    return mat.tocsr()
+def _read_only(vec):
+    vec.flags.writeable = False
+    return vec
+
+
+class Pattern:
+    """CSR sparsity pattern of the element-to-element dof couplings of a
+    space, with ``slot`` mapping each entry of an (ne, nld, nld) element
+    matrix array, in C order, to its data slot: an operator's data is
+    ``np.bincount(slot, weights)``. Built once per space; every operator
+    shares its read-only ``indptr`` and ``indices``."""
+
+    def __init__(self, space: FeSpace):
+        cd = space.cell_dofs
+        vdofs = (3 * cd[:, :, None] + np.arange(3)).reshape(len(cd), -1)
+        n, nld = space.n_dofs, vdofs.shape[1]
+        keys = (np.repeat(vdofs, nld, axis=1) * n + np.tile(vdofs, (1, nld))).ravel()
+        keys, self.slot = np.unique(keys, return_inverse=True)
+        index = np.int32 if max(n, len(keys)) < 2**31 else np.int64
+        self.indices = _read_only((keys % n).astype(index))
+        self.indptr = _read_only(
+            np.searchsorted(keys, np.arange(n + 1) * n).astype(index)
+        )
+        self.shape = (n, n)
+
+    def scatter(self, dense):
+        """CSR matrix of the element matrices ``dense`` (ne, nld, nld),
+        duplicates summed in element order."""
+        data = np.bincount(self.slot, weights=dense.ravel(), minlength=len(self.indices))
+        return sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
+
+
+def pattern(space: FeSpace) -> Pattern:
+    return _cached(space, ("pattern",), lambda: Pattern(space))
 
 
 def assemble_mass(space: FeSpace, rho, degree=None):
@@ -210,12 +237,12 @@ def assemble_mass(space: FeSpace, rho, degree=None):
     nn = np.einsum("eq,qi,qj->eij", vd.wdet, vd.N, vd.N)
     dense = rho * np.einsum("eij,ab->eiajb", nn, np.eye(3))
     nld = 3 * nn.shape[1]
-    return _scatter(space, vd.vdofs, dense.reshape(-1, nld, nld))
+    return pattern(space).scatter(dense.reshape(-1, nld, nld))
 
 
 def assemble_strain_operators(space: FeSpace, mu, lam, degree=None):
-    """(K_E, D) = (mu*S + lam*V, S/2 - V/3) on the pattern of
-    ``assemble_mass``, from the unit kernels S = integral(2*eps:eps) and
+    """(K_E, D) = (mu*S + lam*V, S/2 - V/3) on the space's ``pattern``,
+    from the unit kernels S = integral(2*eps:eps) and
     V = integral(div*div) of one pass over the element gradients.
 
     The kernels are combined per element, before the scatter, so that an
@@ -229,8 +256,9 @@ def assemble_strain_operators(space: FeSpace, mu, lam, degree=None):
     strain += np.einsum("eij,ab->eiajb", gg, np.eye(3))
     div = np.einsum("eqia,eqjb->eiajb", gw, vd.G)
     shape = (len(gg), 3 * gg.shape[1], 3 * gg.shape[1])
-    elastic = _scatter(space, vd.vdofs, (mu * strain + lam * div).reshape(shape))
-    deviatoric = _scatter(space, vd.vdofs, (0.5 * strain - div / 3.0).reshape(shape))
+    scatter = pattern(space).scatter
+    elastic = scatter((mu * strain + lam * div).reshape(shape))
+    deviatoric = scatter((0.5 * strain - div / 3.0).reshape(shape))
     return elastic, deviatoric
 
 
@@ -262,11 +290,6 @@ def assemble_traction_load(space: FeSpace, field, degree=None, labels=None):
     contrib = np.einsum("fq,fqn,fqa->fna", fd.warea, fd.N, g.reshape(fd.points.shape))
     np.add.at(out, fd.vdofs, contrib.reshape(len(contrib), -1))
     return out
-
-
-def _read_only(vec):
-    vec.flags.writeable = False
-    return vec
 
 
 def body_term_vector(space: FeSpace, field, degree=None):

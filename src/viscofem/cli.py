@@ -41,7 +41,9 @@ from .verify import (
     ConserveConfig,
     conservation_experiment,
     convergence_study,
+    cube_cells,
     error_norms,
+    step_count,
     write_ledger_csv,
 )
 from .vtkio import write_vtk
@@ -216,10 +218,7 @@ def compute_contact_pressure(state: State, space: FeSpace, slip_label,
 
     Returns (node_indices, pressures).
     """
-    try:
-        facets = space.mesh.facets_with_label(slip_label)
-    except KeyError as exc:
-        raise ValueError(str(exc)) from None
+    facets = space.mesh.facets_with_label(slip_label)
     if len(facets) == 0:
         raise ValueError(f"no facets labelled {slip_label!r}")
     fd = facet_data(space, degree=2 * space.p, labels=slip_label)
@@ -428,6 +427,12 @@ def run_convergence(cfg: RunConfig, out_dir: Path, threads=1, long_run=False):
     end_time = cfg.section("time").get_float("t", 1.0)
     material = material_from_config(cfg)
     solver = solver_from_config(cfg)
+    # a sweep row records its failure and the sweep goes on, so sizes that
+    # cannot run are config errors found before any row starts
+    for h in hs:
+        cube_cells(h)
+    for k in ks:
+        step_count(k, end_time)
     cases = [(h, k, p) for p in ps for h in hs for k in ks]
     table = convergence_study(
         material, cases, end_time=end_time, solver=solver, reference=reference,

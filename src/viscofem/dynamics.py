@@ -47,11 +47,31 @@ class SolverError(RuntimeError):
         self.residual = residual
 
 
-class LinearSolver:
-    """Sparse symmetric solver: direct (sparse LU) below a size
-    threshold, Jacobi-preconditioned CG above it.
+# free dofs up to which ``auto`` factorizes a matrix whose solver is reused
+# over a march (``prepare``); above it, Jacobi-CG. From the sweep of
+# symmetric-mode factor time and fill against free dofs in BENCH_7.json
+# (scripts/factor_sweep.py, one thread): the largest meshes below it, box
+# and annulus at 25,024-26,460 free dofs, factor in 6-18 s to 29-40 M
+# nonzeros (330-450 MB); the next, 45,000, takes 23 s and 73 M (840 MB),
+# and fill grows faster than the dof count
+FACTOR_DOF_BOUND = 30000
 
-    method: 'auto' (default), 'direct' or 'cg'.
+
+class LinearSolver:
+    """Sparse solver for the SPD systems of the steppers and static solves.
+
+    method: 'auto' (default), 'direct' or 'cg'. 'direct' is SuperLU in
+    symmetric mode: minimum degree ordering on A'+A and diagonal pivots,
+    so its fill and solve cost follow the symmetric structure of the
+    matrix. 'cg' is Jacobi-preconditioned CG to relative residual
+    ``rtol``, at most ``cap_factor * n`` iterations, warm-started from the
+    previous solution of the same ``prepare``.
+
+    'auto' chooses by how a matrix is used. A solver from ``prepare``
+    serves every step of a march, so its factorization is paid once: it
+    is direct up to ``FACTOR_DOF_BOUND`` free dofs. A one-shot ``solve``
+    pays the factorization for a single right-hand side, so it is direct
+    only up to ``direct_threshold``.
     """
 
     def __init__(self, method="auto", rtol=1e-12, cap_factor=10, direct_threshold=3000):
@@ -62,20 +82,32 @@ class LinearSolver:
         self.cap_factor = cap_factor
         self.direct_threshold = direct_threshold
 
-    def _resolve(self, n):
-        if self.method == "auto":
-            return "direct" if n <= self.direct_threshold else "cg"
-        return self.method
+    def _resolve(self, n, reused):
+        """The path ('direct' or 'cg') for an n x n matrix, solved for many
+        right-hand sides when ``reused``, else for one."""
+        if self.method != "auto":
+            return self.method
+        bound = FACTOR_DOF_BOUND if reused else self.direct_threshold
+        return "direct" if n <= bound else "cg"
 
     def prepare(self, matrix):
         """Factorize once; returns solve(b) reusable across timesteps."""
+        return self._prepare(matrix, reused=True)
+
+    def solve(self, matrix, b):
+        """Solve for one right-hand side."""
+        return self._prepare(matrix, reused=False)(b)
+
+    def _prepare(self, matrix, reused):
         n = matrix.shape[0]
-        method = self._resolve(n)
         if n == 0:
             return lambda b: np.zeros(0)
-        if method == "direct":
+        if self._resolve(n, reused) == "direct":
             try:
-                factor = spla.splu(matrix.tocsc())
+                factor = spla.splu(
+                    matrix.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                    options={"SymmetricMode": True},
+                )
             except (RuntimeError, MemoryError) as exc:  # singular, or fill too large
                 raise SolverError(
                     f"sparse LU factorization failed: {exc!r}"
@@ -104,9 +136,6 @@ class LinearSolver:
             return x
 
         return solve
-
-    def solve(self, matrix, b):
-        return self.prepare(matrix)(b)
 
 
 @dataclass(frozen=True)

@@ -486,7 +486,6 @@ class ConstrainedSystem:
         self.constraints = constraints
         self.matrix = a_ff
         self.coupling = a_fx
-        self._solve = None
 
     def reduced_rhs(self, rhs, fixed_values):
         b = self.constraints.to_frame(rhs)[self.constraints.free]

@@ -96,7 +96,7 @@ class Mesh:
         for i, tag in enumerate(self.tags):
             if tag.label == label:
                 return i
-        raise KeyError(f"no boundary tag labelled {label!r}")
+        raise ValueError(f"no boundary tag labelled {label!r}")
 
     def facets_with_label(self, label):
         """Indices of boundary facets carrying the given tag label."""

@@ -322,17 +322,30 @@ def error_norms(state: State, exact: ManufacturedSolution, operators: OperatorSe
     return float(np.sqrt(kin + ela + ve)), float(np.sqrt(l2))
 
 
+def cube_cells(h):
+    """Cells per axis of the unit cube at mesh size h; a ValueError unless
+    h divides the cube."""
+    n = int(round(1.0 / h)) if h > 0 else 0
+    if n < 1 or abs(n * h - 1.0) > 1e-12:
+        raise ValueError(f"mesh size {h} must divide the unit cube")
+    return n
+
+
+def step_count(k, end_time):
+    """Steps of size k up to ``end_time``; a ValueError unless k divides
+    it."""
+    n = int(round(end_time / k)) if k > 0 else 0
+    if n < 1 or abs(n * k - end_time) > 1e-10:
+        raise ValueError(f"timestep {k} must divide the end time {end_time}")
+    return n
+
+
 def run_manufactured(material, h, k, p, end_time=1.0, solver=None, a1=0.2, a2=0.2):
     """One manufactured-problem run; returns (final state, operators, exact)."""
-    n = int(round(1.0 / h))
-    if abs(n * h - 1.0) > 1e-12:
-        raise ValueError(f"mesh size {h} must divide the unit cube")
+    n = cube_cells(h)
     ops, con = unit_cube_problem(material, n, p)
     exact = ManufacturedSolution(material, a1, a2)
-    n_steps = int(round(end_time / k))
-    if abs(n_steps * k - end_time) > 1e-10:
-        raise ValueError(f"timestep {k} must divide the end time {end_time}")
-    grid = TimeGrid.uniform(0.0, end_time, n_steps)
+    grid = TimeGrid.uniform(0.0, end_time, step_count(k, end_time))
     res = simulate(ops, con, grid, loads=exact.loads(), solver=solver)
     return res.final, ops, exact
 

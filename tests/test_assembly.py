@@ -127,6 +127,68 @@ def test_operators_share_one_sparsity_pattern(space):
         assert np.array_equal(K.indices, ops.mass.indices)
 
 
+def _coo_operator(space, dense):
+    """Oracle scatter: a COO matrix of the element matrices, summed by
+    scipy's conversion to CSR."""
+    import scipy.sparse as sp
+
+    vdofs = volume_data(space).vdofs
+    nld = vdofs.shape[1]
+    rows = np.repeat(vdofs, nld, axis=1).ravel()
+    cols = np.tile(vdofs, (1, nld)).ravel()
+    return sp.coo_matrix((dense.ravel(), (rows, cols)), shape=(space.n_dofs,) * 2).tocsr()
+
+
+@pytest.mark.parametrize("n, p", [(2, 1), (2, 2), (3, 2), (2, 3)])
+def test_bincount_scatter_matches_coo_oracle(monkeypatch, n, p):
+    # at p = 2 the element matrices of a box mesh cancel in some entries of
+    # K_E and D: the scatter must leave those exact zeros, as the oracle does
+    from viscofem import assembly
+
+    element_matrices = []
+    scatter = assembly.Pattern.scatter
+
+    def captured(self, dense):
+        element_matrices.append(dense)
+        return scatter(self, dense)
+
+    monkeypatch.setattr(assembly.Pattern, "scatter", captured)
+    space = FeSpace(build_box_mesh(n), p)
+    operators(space)
+    assert len(element_matrices) == 3
+    cancelled_total = 0
+    for dense in element_matrices:
+        want = _coo_operator(space, dense)
+        got = scatter(assembly.pattern(space), dense)
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert np.abs(got.data - want.data).max() <= 1e-15 * np.abs(want.data).max()
+        cancelled = (want.data == 0) & (_coo_operator(space, np.abs(dense)).data > 0)
+        assert np.all(got.data[cancelled] == 0)
+        cancelled_total += cancelled.sum()
+    assert cancelled_total > 0 or p != 2
+
+
+def test_one_pattern_build_serves_all_operators(monkeypatch):
+    from viscofem import assembly
+
+    builds = []
+    original = assembly.Pattern.__init__
+
+    def counted(self, space):
+        builds.append(space)
+        original(self, space)
+
+    monkeypatch.setattr(assembly.Pattern, "__init__", counted)
+    space = FeSpace(build_box_mesh(2), 2)
+    ops = operators(space)
+    OperatorSet(space, MaterialModel(2 * RHO, 2 * MU, LAM))
+    assert len(builds) == 1
+    for K in (ops.elastic, ops.deviatoric):
+        assert np.shares_memory(K.indices, ops.mass.indices)
+        assert np.shares_memory(K.indptr, ops.mass.indptr)
+
+
 def test_stress_of_weighted_field_equals_per_arm_sum():
     # dev eps(sum_m kappa_m uve_m) = sum_m kappa_m dev eps(uve_m)
     from viscofem.assembly import arm_weighted_sum, stress_from_gradients

@@ -1,6 +1,8 @@
 """CLI scenarios, config handling, output files, and contact pressure."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from viscofem.cli import (
     ConfigError,
@@ -120,8 +122,7 @@ p = 1
     assert len(lines) == 5  # 2x2 sweep
 
 
-def test_convergence_row_failure_exit_code(tmp_path):
-    body = """
+BASE_CONVERGENCE = """
 [run]
 scenario = convergence
 [material]
@@ -131,12 +132,34 @@ nu = 0.3
 [solver]
 method = direct
 [convergence]
-h = 0.3
+h = 0.5
 k = 0.25
 p = 1
 """
+
+
+def test_convergence_row_failure_exit_code(tmp_path):
+    # CG capped at one iteration fails the row's first solve
+    body = _with(_with(BASE_CONVERGENCE, "solver", "method", "cg"),
+                 "solver", "cap_factor", "1e-9")
     path = write_cfg(tmp_path, body)
     assert main(["convergence", "--config", path, "--out", str(tmp_path / "o")]) == 3
+
+
+@pytest.mark.parametrize("key, value", [("h", "0.3"), ("h", "0"), ("k", "0.3")])
+def test_convergence_size_off_grid_exit_code(tmp_path, capsys, key, value):
+    path = write_cfg(tmp_path, _with(BASE_CONVERGENCE, "convergence", key, value))
+    assert main(["convergence", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "convergence.csv").exists()
+
+
+def test_conserve_hold_span_without_lid_facet_exit_code(tmp_path, capsys):
+    body = _with(BASE_CONSERVE, "conserve", "hold_span", "-1")
+    code = main(["conserve", "--config", write_cfg(tmp_path, body),
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "'held'" in capsys.readouterr().err
 
 
 def test_single_scenario_with_vtk(tmp_path):
@@ -494,3 +517,55 @@ def test_non_finite_state_exit_code(tmp_path, capsys):
     code = main(["single", "--config", path, "--out", str(tmp_path / "o")])
     assert code == 3
     assert "non-finite energy" in capsys.readouterr().err
+
+
+# values per (section, key) for the exit-code fuzz, which edits up to three
+# keys of a tiny base config: valid values, and ones that are malformed,
+# non-finite, out of range or off the time grid. Step counts stay small
+# whatever is drawn (t / k <= 20).
+FUZZ_VALUES = {
+    ("geometry", "n"): ["1", "2", "0", "-1", "1.5", "x"],
+    ("discretization", "p"): ["1", "2", "0", "4"],
+    ("material", "rho"): ["100", "0", "-1", "nan"],
+    ("material", "E"): ["1e5", "-1e5", "inf", "1e308"],
+    ("material", "nu"): ["0.3", "0.5", "-1", "0.499"],
+    ("material", "arms"): ["1e5:1e-2", "", "1e5:0", "1e5:-1", "3e4:0.3 1e3:5", "1e5"],
+    ("time", "t"): ["0.2", "0.3", "0", "-0.2", "0.33", "nan"],
+    ("time", "k"): ["0.05", "0.1", "0.07", "0", "-0.1", "inf"],
+    ("solver", "method"): ["direct", "cg", "auto", "bogus"],
+    ("solver", "cap_factor"): ["10", "1e-9"],
+}
+FUZZ_CONSERVE_VALUES = {
+    ("conserve", "release_time"): ["0.1", "0", "0.12", "0.3", "-0.1"],
+    ("conserve", "hold_span"): ["0.4", "-1", "2", "nan"],
+    ("conserve", "displacement"): ["0 0 0.2", "0 0", "0 0 nan", "0 0 -5"],
+}
+
+
+def _fuzz_config(draw):
+    scenario = draw(st.sampled_from(["single", "conserve"]))
+    body = BASE_SINGLE if scenario == "single" else BASE_CONSERVE.replace("T = ", "t = ")
+    table = dict(FUZZ_VALUES)
+    if scenario == "conserve":
+        table.update(FUZZ_CONSERVE_VALUES)
+    edits = draw(st.lists(st.sampled_from(sorted(table)), max_size=3, unique=True))
+    for section, key in edits:
+        body = _with(body, section, key, draw(st.sampled_from(table[section, key])))
+    return scenario, body
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(st.data())
+def test_fuzzed_config_exit_code_in_contract(data):
+    # any config exits 0 (ok), 2 (config error) or 3 (solver failure); an
+    # uncaught exception, exit 1 from the command line, fails the test
+    import tempfile
+    from pathlib import Path
+
+    scenario, body = _fuzz_config(data.draw)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.cfg"
+        path.write_text(body)
+        code = main([scenario, "--config", str(path), "--out", str(Path(tmp) / "o")])
+    assert code in (0, 2, 3)

@@ -391,6 +391,60 @@ def test_direct_factorization_failure_is_solver_error():
     singular = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
     with pytest.raises(SolverError):
         LinearSolver(method="direct").prepare(singular)
+    with pytest.raises(SolverError):
+        LinearSolver().solve(singular, np.ones(2))
+
+
+def _spd(n):
+    import scipy.sparse as sp
+
+    return sp.diags([-1.0, 2.5, -1.0], [-1, 0, 1], shape=(n, n), format="csr")
+
+
+def test_auto_resolution_by_reuse(monkeypatch):
+    # a reused factor is direct up to FACTOR_DOF_BOUND free dofs, a
+    # one-shot solve up to direct_threshold; both are CG above their bound
+    import scipy.sparse.linalg as spla
+
+    from viscofem import dynamics
+
+    calls = []
+
+    def counted(name, original):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        return call
+
+    for name in ("splu", "cg"):
+        monkeypatch.setattr(spla, name, counted(name, getattr(spla, name)))
+    monkeypatch.setattr(dynamics, "FACTOR_DOF_BOUND", 6)
+    solver = LinearSolver(direct_threshold=3)
+
+    def path(run):
+        calls.clear()
+        run()
+        return calls[0]
+
+    assert path(lambda: solver.prepare(_spd(6))(np.ones(6))) == "splu"
+    assert path(lambda: solver.prepare(_spd(7))(np.ones(7))) == "cg"
+    assert path(lambda: solver.solve(_spd(3), np.ones(3))) == "splu"
+    assert path(lambda: solver.solve(_spd(4), np.ones(4))) == "cg"
+    assert path(lambda: LinearSolver("direct").prepare(_spd(7))) == "splu"
+    assert path(lambda: LinearSolver("cg").prepare(_spd(2))(np.ones(2))) == "cg"
+
+
+def test_symmetric_factor_agrees_with_colamd():
+    import scipy.sparse.linalg as spla
+
+    ops, con = make_problem(n=3, p=2)
+    stepper = ReducedStepper(ops, con, 0.01, solver=DIRECT)
+    a = stepper.system.matrix
+    b = np.random.default_rng(4).standard_normal(a.shape[0])
+    want = spla.splu(a.tocsc(), permc_spec="COLAMD").solve(b)
+    got = DIRECT.prepare(a)(b)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def _count_builds(monkeypatch, cls):
