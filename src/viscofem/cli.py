@@ -34,7 +34,7 @@ from .dynamics import (
     simulate,
     static_solve,
 )
-from .fespace import Constraints, DirichletBC, FeSpace, SlipBC
+from .fespace import Constraints, DirichletBC, FeSpace, SlipBC, reference_nodes
 from .material import MaterialModel
 from .mesh import build_annulus_mesh
 from .verify import (
@@ -117,9 +117,9 @@ class Section:
             raise ConfigError(
                 f"key '{key}' in [{self.name}] must be a list of numbers"
             ) from None
-        if not np.all(np.isfinite(vals)):
+        if not vals or not np.all(np.isfinite(vals)):
             raise ConfigError(
-                f"key '{key}' in [{self.name}] must hold finite numbers"
+                f"key '{key}' in [{self.name}] must hold one or more finite numbers"
             )
         return vals
 
@@ -227,12 +227,11 @@ def compute_contact_pressure(state: State, space: FeSpace, slip_label,
     areas = fd.warea.sum(axis=1)
     facet_mean = -(fd.warea * traction_n).sum(axis=1) / areas
 
-    acc_val = np.zeros(space.n_scalar_dofs)
-    acc_area = np.zeros(space.n_scalar_dofs)
-    for i, f in enumerate(fd.facets):
-        nds = space.facet_scalar_dofs(int(f))
-        acc_val[nds] += areas[i] * facet_mean[i]
-        acc_area[nds] += areas[i]
+    facet_nodes = space.facet_scalar_dofs(fd.facets)
+    acc_val, acc_area = np.zeros((2, space.n_scalar_dofs))
+    # np.add.at adds facet after facet, in the order of a loop over them
+    np.add.at(acc_val, facet_nodes, (areas * facet_mean)[:, None])
+    np.add.at(acc_area, facet_nodes, areas[:, None])
     nodes = np.nonzero(acc_area > 0)[0]
     return nodes, acc_val[nodes] / acc_area[nodes]
 
@@ -252,8 +251,10 @@ class SealSweepConfig:
     eccentricity: float = 1.0
 
     def __post_init__(self):
-        if any(w <= 0 for w in self.frequencies):
-            raise ConfigError("seal frequencies must be positive")
+        if not self.frequencies or any(w <= 0 for w in self.frequencies):
+            raise ConfigError("seal needs one or more frequencies, all positive")
+        if not self.stations or any(not 0.0 <= s <= 1.0 for s in self.stations):
+            raise ConfigError("seal needs one or more stations, all in [0, 1]")
         if self.measure_cycles > self.cycles:
             raise ConfigError("measure_cycles must not exceed cycles")
 
@@ -427,12 +428,14 @@ def run_convergence(cfg: RunConfig, out_dir: Path, threads=1, long_run=False):
     end_time = cfg.section("time").get_float("t", 1.0)
     material = material_from_config(cfg)
     solver = solver_from_config(cfg)
-    # a sweep row records its failure and the sweep goes on, so sizes that
-    # cannot run are config errors found before any row starts
+    # a sweep row records its failure and the sweep goes on, so sizes and
+    # degrees that cannot run are config errors found before any row starts
     for h in hs:
         cube_cells(h)
     for k in ks:
         step_count(k, end_time)
+    for p in ps:
+        reference_nodes(p)
     cases = [(h, k, p) for p in ps for h in hs for k in ks]
     table = convergence_study(
         material, cases, end_time=end_time, solver=solver, reference=reference,

@@ -19,6 +19,10 @@ With zero loads the step satisfies an exact energy identity: the change
 of kinetic + elastic + viscoelastic energy equals minus the dissipation
 increment sum_m (2 k / tau_m) * |||midpoint uve_m|||^2, which the energy
 ledger tracks; arm m's energy norm is |||u|||^2 = kappa_m u'Du.
+
+A state's products M u1, K_E u0 and D uve_m (``OperatorSet.products``)
+serve its energy, the dissipation of both adjacent steps and the next
+rhs, which adds K_E u1 and D u1: 4 + M sparse products per step.
 """
 from __future__ import annotations
 
@@ -206,27 +210,38 @@ class OperatorSet:
         self.elastic, self.deviatoric = assemble_strain_operators(
             space, material.mu, material.lam, degree
         )
+        self._products = ()  # (state, products) of the last two states
+
+    def products(self, state: State):
+        """(M u1, K_E u0, (D uve_m per arm)) of ``state``, kept for the last two
+        states asked for, whose arrays must then not be modified in place."""
+        for held, products in self._products:
+            if held is state:
+                return products
+        products = (self.mass @ state.u1, self.elastic @ state.u0,
+                    tuple(self.deviatoric @ u for u in state.uve))
+        self._products = self._products[-1:] + ((state, products),)
+        return products
 
 
 def energy(state: State, operators: OperatorSet, dissipated=0.0) -> EnergyReport:
-    """Kinetic, elastic and per-arm viscoelastic squared energy norms."""
-    kin = float(state.u1 @ (operators.mass @ state.u1))
-    ela = float(state.u0 @ (operators.elastic @ state.u0))
-    D = operators.deviatoric
-    ve = tuple(arm.kappa * float(u @ (D @ u))
-               for arm, u in zip(operators.material.arms, state.uve))
-    return EnergyReport(state.t, kin, ela, ve, dissipated)
+    """Kinetic, elastic and per-arm viscoelastic squared energy norms, each
+    the state's own vector dotted with its operator product."""
+    mass_u1, elastic_u0, dev_uve = operators.products(state)
+    ve = tuple(arm.kappa * float(u @ du)
+               for arm, u, du in zip(operators.material.arms, state.uve, dev_uve))
+    return EnergyReport(state.t, float(state.u1 @ mass_u1),
+                        float(state.u0 @ elastic_u0), ve, dissipated)
 
 
 def dissipation_increment(prev: State, nxt: State, operators: OperatorSet, k):
     """Dissipated work of one step: sum_m (2 k / tau_m) |||mid uve_m|||^2
-    where the midpoint is the interval average of the linear-in-time field."""
-    D = operators.deviatoric
-    out = 0.0
-    for arm, a, b in zip(operators.material.arms, prev.uve, nxt.uve):
-        mid = 0.5 * (a + b)
-        out += (2.0 / arm.tau) * float(k) * arm.kappa * float(mid @ (D @ mid))
-    return out
+    where the midpoint is the interval average of the linear-in-time field,
+    mid'D mid = (a + b)'(Da + Db) / 4 from the two states' products."""
+    terms = zip(operators.material.arms, prev.uve, nxt.uve,
+                operators.products(prev)[2], operators.products(nxt)[2])
+    return sum(((0.5 / arm.tau) * float(k) * arm.kappa * float((a + b) @ (da + db))
+                for arm, a, b, da, db in terms), 0.0)
 
 
 def reconstruct_ve(u1_prev, u1_next, uve_prev, coeffs):
@@ -331,12 +346,12 @@ class ReducedStepper:
 
     def rhs(self, state: State, t_next=None):
         ops, k = self.ops, self.k
-        b = ops.mass @ state.u1
-        b -= ops.elastic @ ((k * k / 4.0) * state.u1 + k * state.u0)
-        ve = self._alpha_kappa * state.u1
-        for c, uve in zip(self._beta_kappa, state.uve):
-            ve += c * uve
-        b -= (k / 2.0) * (ops.deviatoric @ ve)
+        mass_u1, elastic_u0, dev_uve = ops.products(state)
+        ve = self._alpha_kappa * (ops.deviatoric @ state.u1)
+        for c, du in zip(self._beta_kappa, dev_uve):
+            ve += c * du
+        b = (mass_u1 - (k * k / 4.0) * (ops.elastic @ state.u1) - k * elastic_u0
+             - (k / 2.0) * ve)
         if self.loads is not None:
             b = b + load_time_integral(
                 self.loads, ops.space, state.t,
@@ -496,12 +511,9 @@ def simulate(operators: OperatorSet, constraints: Constraints, grid: TimeGrid,
     stable, so a step whose ledger energy is not finite (bad input or a
     solver fault) raises ``SolverError``.
     """
-    space = operators.space
     if state0 is None:
-        state0 = State.zero(space, operators.material.n_arms)
-        state0 = State(
-            float(grid.nodes[0]), state0.u1, state0.u0, state0.uve
-        )
+        state0 = State.zero(operators.space, operators.material.n_arms,
+                            float(grid.nodes[0]))
     cls = ReducedStepper if stepper == "reduced" else FullStepper
     state = state0
     ledger = [energy(state, operators, 0.0)]

@@ -245,13 +245,12 @@ class FeSpace:
         self.facet_local = facet_local
 
         # reference nodes lying on local face (facet_local) = nodes whose
-        # weight on the opposite vertex is zero
+        # weight on the opposite vertex is zero; every face holds as many,
+        # so the slots are one row per facet
         opp = 6 - facet_local.sum(axis=1)
         alphas = np.array(self.ref_nodes)
-        self._nodes_off_vertex = [
-            np.nonzero(alphas[:, v] == 0)[0] for v in range(4)
-        ]
-        self.facet_dof_slots = [self._nodes_off_vertex[v] for v in opp]
+        nodes_off_vertex = np.array([np.nonzero(alphas[:, v] == 0)[0] for v in range(4)])
+        self.facet_dof_slots = nodes_off_vertex[opp]
 
     # -- queries -------------------------------------------------------
 
@@ -259,17 +258,15 @@ class FeSpace:
     def n_dofs(self):
         return 3 * self.n_scalar_dofs
 
-    def facet_scalar_dofs(self, facet_index):
-        """Global scalar dofs supported on a boundary facet."""
-        slots = self.facet_dof_slots[facet_index]
-        return self.cell_dofs[self.mesh.facet_owner[facet_index], slots]
+    def facet_scalar_dofs(self, facets):
+        """Global scalar dofs supported on boundary facets: an array for one
+        facet index, one row per facet for an array of indices."""
+        owners = np.expand_dims(self.mesh.facet_owner[facets], -1)
+        return self.cell_dofs[owners, self.facet_dof_slots[facets]]
 
     def label_nodes(self, label):
         """Sorted scalar dofs lying on all facets with the given label."""
-        out = set()
-        for f in self.mesh.facets_with_label(label):
-            out.update(self.facet_scalar_dofs(f).tolist())
-        return np.array(sorted(out), dtype=np.int64)
+        return np.unique(self.facet_scalar_dofs(self.mesh.facets_with_label(label)))
 
     def facet_barycentric_in_owner(self, facet_index, tri_points):
         """Map triangle barycentric points onto the owner tet's barycentric."""
@@ -374,8 +371,8 @@ class Constraints:
                 continue
             normals = mesh.facet_normals()[facets]
             areas = mesh.facet_areas()[facets]
-            for f, nrm, area in zip(facets, normals, areas):
-                for nd in space.facet_scalar_dofs(f):
+            for nodes, nrm, area in zip(space.facet_scalar_dofs(facets), normals, areas):
+                for nd in nodes:
                     if int(nd) in normal_acc:
                         normal_acc[int(nd)] += area * nrm
         frames = {}

@@ -1,9 +1,10 @@
 """VTK legacy ASCII writer (unstructured grid, linear tetrahedra).
 
 Point data is attached at mesh vertices; higher-order spaces pass the
-vertex slice of their nodal fields. Field values are written with
-shortest round-trip float formatting so identical runs produce
-byte-identical files.
+vertex slice of their nodal fields. Coordinates and field values are
+written as Python floats in shortest round-trip form (``0.0``, not
+numpy's ``np.float64(0.0)``), so identical runs produce byte-identical
+files that read back exactly.
 """
 from __future__ import annotations
 
@@ -39,8 +40,8 @@ def write_vtk(mesh: Mesh, path, point_vectors=None, point_scalars=None,
         "DATASET UNSTRUCTURED_GRID",
         f"POINTS {nv} double",
     ]
-    for p in mesh.vertices:
-        lines.append(f"{p[0]!r} {p[1]!r} {p[2]!r}")
+    points = np.asarray(mesh.vertices, dtype=float).tolist()
+    lines.extend(" ".join(map(repr, p)) for p in points)
     lines.append(f"CELLS {nt} {5 * nt}")
     for tet in mesh.tets:
         lines.append(f"4 {tet[0]} {tet[1]} {tet[2]} {tet[3]}")
@@ -50,13 +51,12 @@ def write_vtk(mesh: Mesh, path, point_vectors=None, point_scalars=None,
         lines.append(f"POINT_DATA {nv}")
         for name, arr in point_vectors.items():
             lines.append(f"VECTORS {name} double")
-            for v in np.asarray(arr, dtype=float):
-                lines.append(f"{v[0]!r} {v[1]!r} {v[2]!r}")
+            values = np.asarray(arr, dtype=float).tolist()
+            lines.extend(" ".join(map(repr, v)) for v in values)
         for name, arr in point_scalars.items():
             lines.append(f"SCALARS {name} double 1")
             lines.append("LOOKUP_TABLE default")
-            for v in np.asarray(arr, dtype=float):
-                lines.append(f"{v!r}")
+            lines.extend(map(repr, np.asarray(arr, dtype=float).tolist()))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

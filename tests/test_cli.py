@@ -154,6 +154,20 @@ def test_convergence_size_off_grid_exit_code(tmp_path, capsys, key, value):
     assert not (tmp_path / "o" / "convergence.csv").exists()
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("p", "0", "unsupported polynomial degree"),
+    ("p", "5", "unsupported polynomial degree"),
+    ("h", "", "one or more finite numbers"),
+    ("p", "", "one or more finite numbers"),
+], ids=["p-zero", "p-five", "no-h", "no-p"])
+def test_convergence_degree_or_empty_list_exit_code(tmp_path, capsys, key, value,
+                                                    message):
+    path = write_cfg(tmp_path, _with(BASE_CONVERGENCE, "convergence", key, value))
+    assert main(["convergence", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o" / "convergence.csv").exists()
+
+
 def test_conserve_hold_span_without_lid_facet_exit_code(tmp_path, capsys):
     body = _with(BASE_CONSERVE, "conserve", "hold_span", "-1")
     code = main(["conserve", "--config", write_cfg(tmp_path, body),
@@ -202,6 +216,42 @@ def test_write_vtk_roundtrip_and_zero_fields(tmp_path):
     assert "SCALARS von_mises double 1" in text
     with pytest.raises(ValueError):
         write_vtk(mesh, path, {"bad": np.zeros((3, 3))})
+
+
+def read_vtk_arrays(path):
+    """The POINTS, VECTORS and SCALARS blocks of a legacy VTK file by name
+    ('POINTS' for the coordinates), every value parsed with ``float``."""
+    lines = path.read_text().splitlines()
+    arrays, n_points, i = {}, 0, 0
+    while i < len(lines):
+        head = lines[i].split()
+        i += 1
+        if head[0] == "POINTS":
+            n_points, name = int(head[1]), "POINTS"
+        elif head[0] in ("VECTORS", "SCALARS"):
+            name = head[1]
+            i += head[0] == "SCALARS"  # the LOOKUP_TABLE line
+        else:
+            continue
+        rows = np.array([[float(tok) for tok in line.split()]
+                         for line in lines[i : i + n_points]])
+        arrays[name] = rows[:, 0] if head[0] == "SCALARS" else rows
+        i += n_points
+    return arrays
+
+
+def test_write_vtk_values_parse_as_floats_and_round_trip(tmp_path):
+    mesh = build_box_mesh(2)
+    rng = np.random.default_rng(3)
+    vectors = rng.standard_normal((mesh.n_vertices, 3)) * 1e-5
+    scalars = rng.standard_normal(mesh.n_vertices) * 1e7
+    path = tmp_path / "m.vtk"
+    write_vtk(mesh, path, {"velocity": vectors}, {"pressure": scalars})
+    arrays = read_vtk_arrays(path)
+    assert sorted(arrays) == ["POINTS", "pressure", "velocity"]
+    assert np.array_equal(arrays["POINTS"], mesh.vertices)
+    assert np.array_equal(arrays["velocity"], vectors)
+    assert np.array_equal(arrays["pressure"], scalars)
 
 
 def _annulus_problem(material, divisions=(2, 12, 3), p=1):
@@ -265,6 +315,34 @@ def test_contact_pressure_single_element_hand_value():
     assert np.abs(p_vals - expect).max() < 1e-12 * scale
 
 
+@pytest.mark.parametrize("p", [1, 2])
+def test_contact_pressure_equals_facet_loop_bit_for_bit(p):
+    from viscofem.assembly import facet_data, state_stress
+
+    mat = MaterialModel.from_engineering(1100.0, 0.5e6, 0.39,
+                                         arms=((3.5e6, 1e-2), (2.5e5, 1.0)))
+    space, _ = _annulus_problem(mat, p=p)
+    rng = np.random.default_rng(p)
+    u0, *uve = (rng.standard_normal(space.n_dofs) * 1e-5 for _ in range(3))
+    state = State(0.0, np.zeros(space.n_dofs), u0, tuple(uve))
+    nodes, p_vals = compute_contact_pressure(state, space, "inner", mat)
+    # oracle: the facet means averaged onto the nodes one facet at a time
+    fd = facet_data(space, degree=2 * p, labels="inner")
+    sigma = state_stress(fd.gradient, space, mat, state.u0, state.uve)
+    traction_n = np.einsum("fqab,fa,fb->fq", sigma, fd.normals, fd.normals)
+    areas = fd.warea.sum(axis=1)
+    facet_mean = -(fd.warea * traction_n).sum(axis=1) / areas
+    acc_val = np.zeros(space.n_scalar_dofs)
+    acc_area = np.zeros(space.n_scalar_dofs)
+    for i, f in enumerate(fd.facets):
+        nds = space.facet_scalar_dofs(int(f))
+        acc_val[nds] += areas[i] * facet_mean[i]
+        acc_area[nds] += areas[i]
+    want_nodes = np.nonzero(acc_area > 0)[0]
+    assert np.array_equal(nodes, want_nodes)
+    assert np.array_equal(p_vals, acc_val[want_nodes] / acc_area[want_nodes])
+
+
 def test_contact_pressure_requires_slip_surface():
     mat = MaterialModel(rho=1000.0, mu=4e5, lam=6e5, arms=())
     space, ops = _annulus_problem(mat)
@@ -308,6 +386,9 @@ def test_seal_sweep_config_validation():
         SealSweepConfig(frequencies=(0.0,))
     with pytest.raises(ConfigError):
         SealSweepConfig(cycles=1, measure_cycles=2)
+    for bad in (dict(stations=(1.5,)), dict(stations=()), dict(frequencies=())):
+        with pytest.raises(ConfigError):
+            SealSweepConfig(**bad)
 
 
 BASE_SEAL = """
@@ -335,6 +416,16 @@ cycles = 1
 measure_cycles = 1
 steps_per_cycle = 8
 """
+
+
+@pytest.mark.parametrize("key, value", [
+    ("stations", "2"), ("stations", "-0.5"), ("stations", ""), ("frequencies", ""),
+], ids=["station-past-end", "station-before-start", "no-stations", "no-frequencies"])
+def test_seal_station_or_empty_list_exit_code(tmp_path, capsys, key, value):
+    path = write_cfg(tmp_path, _with(BASE_SEAL, "seal", key, value))
+    assert main(["seal", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "seal_pressure.csv").exists()
 
 
 def test_seal_scenario_tiny(tmp_path):
@@ -521,33 +612,65 @@ def test_non_finite_state_exit_code(tmp_path, capsys):
 
 # values per (section, key) for the exit-code fuzz, which edits up to three
 # keys of a tiny base config: valid values, and ones that are malformed,
-# non-finite, out of range or off the time grid. Step counts stay small
-# whatever is drawn (t / k <= 20).
+# non-finite, out of range, empty or off the time grid. Marches stay short
+# whatever is drawn: at most 20 steps each.
 FUZZ_VALUES = {
-    ("geometry", "n"): ["1", "2", "0", "-1", "1.5", "x"],
-    ("discretization", "p"): ["1", "2", "0", "4"],
     ("material", "rho"): ["100", "0", "-1", "nan"],
     ("material", "E"): ["1e5", "-1e5", "inf", "1e308"],
     ("material", "nu"): ["0.3", "0.5", "-1", "0.499"],
     ("material", "arms"): ["1e5:1e-2", "", "1e5:0", "1e5:-1", "3e4:0.3 1e3:5", "1e5"],
-    ("time", "t"): ["0.2", "0.3", "0", "-0.2", "0.33", "nan"],
-    ("time", "k"): ["0.05", "0.1", "0.07", "0", "-0.1", "inf"],
     ("solver", "method"): ["direct", "cg", "auto", "bogus"],
     ("solver", "cap_factor"): ["10", "1e-9"],
 }
-FUZZ_CONSERVE_VALUES = {
-    ("conserve", "release_time"): ["0.1", "0", "0.12", "0.3", "-0.1"],
-    ("conserve", "hold_span"): ["0.4", "-1", "2", "nan"],
-    ("conserve", "displacement"): ["0 0 0.2", "0 0", "0 0 nan", "0 0 -5"],
+FUZZ_DEGREE_VALUES = {("discretization", "p"): ["1", "2", "0", "4"]}
+FUZZ_MARCH_VALUES = {
+    **FUZZ_DEGREE_VALUES,
+    ("geometry", "n"): ["1", "2", "0", "-1", "1.5", "x"],
+    ("time", "t"): ["0.2", "0.3", "0", "-0.2", "0.33", "nan"],
+    ("time", "k"): ["0.05", "0.1", "0.07", "0", "-0.1", "inf"],
+}
+FUZZ_SCENARIO_VALUES = {
+    "single": FUZZ_MARCH_VALUES,
+    "conserve": {
+        **FUZZ_MARCH_VALUES,
+        ("conserve", "release_time"): ["0.1", "0", "0.12", "0.3", "-0.1"],
+        ("conserve", "hold_span"): ["0.4", "-1", "2", "nan"],
+        ("conserve", "displacement"): ["0 0 0.2", "0 0", "0 0 nan", "0 0 -5"],
+    },
+    "seal": {
+        **FUZZ_DEGREE_VALUES,
+        ("geometry", "divisions"): ["2 8 2", "1 8 1", "2 2 2", "0 8 2", "2 8", "2 8.5 2"],
+        ("geometry", "r_inner"): ["0.006", "0.02", "0", "-0.006"],
+        ("geometry", "length"): ["0.02", "0", "-0.02", "inf"],
+        ("seal", "frequencies"): ["2", "1 3", "0", "-2", "", "nan"],
+        ("seal", "stations"): ["0.5", "0 1", "0.25 0.5", "2", "-0.5", ""],
+        ("seal", "cycles"): ["1", "2", "0", "-1", "1.5"],
+        ("seal", "measure_cycles"): ["1", "0", "2", "-1"],
+        ("seal", "steps_per_cycle"): ["8", "4", "10", "0", "-8"],
+        ("seal", "expansion"): ["0.01", "0", "-2", "1e3"],
+        ("seal", "eccentricity"): ["1", "0", "-3", "nan"],
+        ("output", "vtk_stride"): ["1", "0"],
+    },
+    "convergence": {
+        ("convergence", "h"): ["0.5", "1", "1 0.5", "0.3", "0", ""],
+        ("convergence", "k"): ["0.25", "0.5", "0.5 0.25", "0.3", "-0.25", ""],
+        ("convergence", "p"): ["1", "2", "1 2", "0", "5", ""],
+        ("convergence", "reference"): ["exact", "fine_k", "fine"],
+        ("time", "t"): ["1", "0.5", "0.3", "0", "-1"],
+    },
+}
+FUZZ_BASES = {
+    "single": BASE_SINGLE,
+    "conserve": BASE_CONSERVE.replace("T = ", "t = "),
+    "seal": BASE_SEAL,
+    "convergence": BASE_CONVERGENCE + "[time]\nt = 1\n",
 }
 
 
 def _fuzz_config(draw):
-    scenario = draw(st.sampled_from(["single", "conserve"]))
-    body = BASE_SINGLE if scenario == "single" else BASE_CONSERVE.replace("T = ", "t = ")
-    table = dict(FUZZ_VALUES)
-    if scenario == "conserve":
-        table.update(FUZZ_CONSERVE_VALUES)
+    scenario = draw(st.sampled_from(sorted(FUZZ_BASES)))
+    body = FUZZ_BASES[scenario]
+    table = {**FUZZ_VALUES, **FUZZ_SCENARIO_VALUES[scenario]}
     edits = draw(st.lists(st.sampled_from(sorted(table)), max_size=3, unique=True))
     for section, key in edits:
         body = _with(body, section, key, draw(st.sampled_from(table[section, key])))
@@ -555,7 +678,7 @@ def _fuzz_config(draw):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
 @given(st.data())
 def test_fuzzed_config_exit_code_in_contract(data):
     # any config exits 0 (ok), 2 (config error) or 3 (solver failure); an

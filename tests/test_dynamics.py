@@ -367,6 +367,59 @@ def test_dissipation_increment_matches_energy_loss():
     assert abs((before - after) - inc) < 1e-11 * before
 
 
+@pytest.mark.parametrize("n_arms", [1, 5])
+def test_simulate_step_makes_four_plus_m_products(n_arms):
+    # each state's M u1, K_E u0 and D uve_m serve its ledger record and the
+    # next rhs, which adds only K_E u1 and D u1
+    arms = tuple((1e5 / (m + 1), 10.0 ** (m - 2)) for m in range(n_arms))
+    material = MaterialModel.from_engineering(100.0, 1e5, 0.3, arms=arms)
+    ops, con = make_problem(n=1, p=1, material=material)
+    counted = {}
+
+    class Counting(type(ops.mass)):
+        def __matmul__(self, other):
+            if id(self) in counted and np.ndim(other) == 1:
+                counted[id(self)] += 1
+            return super().__matmul__(other)
+
+    for name in ("mass", "elastic", "deviatoric"):
+        matrix = Counting(getattr(ops, name))
+        setattr(ops, name, matrix)
+        counted[id(matrix)] = 0
+    per_step = []
+    state0 = distinct_arm_state(ops, con, 43)
+    simulate(ops, con, TimeGrid.uniform(0.0, 0.04, 4), state0=state0,
+             solver=DIRECT, callback=lambda s: per_step.append(sum(counted.values())))
+    assert np.diff([2 + n_arms] + per_step).tolist() == [4 + n_arms] * 4
+
+
+def test_ledger_columns_equal_direct_quadratic_forms():
+    ops, con = make_problem(n=2, p=2, material=THREE_ARMS)
+    M, KE, D = ops.mass, ops.elastic, ops.deviatoric
+    arms = ops.material.arms
+    k = 0.01
+    res = simulate(ops, con, TimeGrid.uniform(0.0, 5 * k, 5),
+                   state0=distinct_arm_state(ops, con, 47), solver=DIRECT,
+                   keep_states=True)
+
+    def close(got, want):
+        assert abs(got - want) <= 1e-13 * abs(want)
+
+    dissipated = 0.0
+    for prev, state, rec in zip([None] + res.states[:-1], res.states, res.ledger):
+        close(rec.kinetic, state.u1 @ (M @ state.u1))
+        close(rec.elastic, state.u0 @ (KE @ state.u0))
+        for arm, u, got in zip(arms, state.uve, rec.viscoelastic):
+            close(got, arm.kappa * (u @ (D @ u)))
+        if prev is not None:
+            mids = [0.5 * (a + b) for a, b in zip(prev.uve, state.uve)]
+            want = sum((2.0 * k / arm.tau) * arm.kappa * (mid @ (D @ mid))
+                       for arm, mid in zip(arms, mids))
+            close(dissipation_increment(prev, state, ops, k), want)
+            dissipated += want
+        close(rec.dissipated, dissipated)
+
+
 def test_static_solve_honours_separable_loads():
     from viscofem.dynamics import static_solve
 
