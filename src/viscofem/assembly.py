@@ -14,8 +14,9 @@ kappa_m*D. All three matrices share one CSR sparsity pattern, built once
 per space with a map from element-matrix entries to data slots, so each
 operator is one ``np.bincount`` of its element matrices.
 
-Element loops are vectorized over all tets at once; reference basis
-tables and element geometry are cached per (space, quadrature degree).
+Element loops are vectorized over ``ELEMENT_CHUNK`` tets at a time;
+reference basis tables and element geometry are cached per (space,
+quadrature degree).
 Default quadrature exactness is 2p for the bilinear forms and 2p+2 for
 loads and error integrals.
 """
@@ -32,10 +33,25 @@ from .mesh import BoundaryKind
 
 _space_caches = weakref.WeakKeyDictionary()
 
-# elements per batch of a volume load's field evaluation: at 27 quadrature
-# points per element (P1 loads) a batch evaluates the field on 110,592
-# points, where a whole h = 1/32 cube (196,608 elements) needs 5.3 million
-VOLUME_LOAD_CHUNK = 4096
+# elements per batch of the strain kernels and of a volume load's field
+# evaluation, which bounds their temporaries on fine meshes: at 27
+# quadrature points per element (P1 loads) a batch evaluates a field on
+# 110,592 points, where a whole h = 1/32 cube (196,608 elements) needs 5.3
+# million
+ELEMENT_CHUNK = 4096
+
+
+def _chunks(n):
+    """Slices of ``ELEMENT_CHUNK`` elements covering range(n)."""
+    return (slice(start, start + ELEMENT_CHUNK) for start in range(0, n, ELEMENT_CHUNK))
+
+
+def _physical_gradients(dN, jinv):
+    """G[e,q,n,a] = sum_i dN[(e,)q,n,i] * Jinv[e,i,a] as one batched matmul,
+    from reference gradients dN (nq, n, 3), shared by every element, or
+    (ne, nq, n, 3), one table per element."""
+    flat = dN.reshape(dN.shape[:-3] + (-1, 3))
+    return (flat @ jinv).reshape((len(jinv),) + dN.shape[-3:])
 
 
 def form_degree(space):
@@ -76,12 +92,8 @@ class VolumeData:
         self.N, dN = reference_basis(space.p, self.rule.points)
         v = space.mesh.vertices[space.mesh.tets]  # (ne,4,3)
         jac = (v[:, 1:] - v[:, :1]).transpose(0, 2, 1)  # J[a,i] = dx_a/dxi_i
-        det = np.linalg.det(jac)
-        jinv = np.linalg.inv(jac)
-        self.det = det
-        # physical gradients: G[e,q,n,a] = sum_i dN[q,n,i] * Jinv[e,i,a]
-        self.G = np.einsum("qni,eia->eqna", dN, jinv)
-        self.wdet = self.rule.weights[None, :] * (det[:, None])
+        self.G = _physical_gradients(dN, np.linalg.inv(jac))
+        self.wdet = self.rule.weights[None, :] * (np.linalg.det(jac)[:, None])
         self.points = np.einsum("qv,eva->eqa", self.rule.points, v)
         cd = space.cell_dofs
         self.vdofs = (3 * cd[:, :, None] + np.arange(3)).reshape(len(cd), -1)
@@ -129,7 +141,7 @@ class FacetData:
         vo = mesh.vertices[mesh.tets[owners_all]]
         jinv = np.linalg.inv((vo[:, 1:] - vo[:, :1]).transpose(0, 2, 1))
         # physical basis gradients of the owner element at the facet points
-        self.G = np.einsum("fqni,fia->fqna", dn_ref, jinv)
+        self.G = _physical_gradients(dn_ref, jinv)
         tri = mesh.vertices[mesh.boundary_facets[self.facets]]
         self.points = np.einsum("qv,fva->fqa", rule.points, tri)
         cr = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
@@ -203,19 +215,40 @@ class Pattern:
     space, with ``slot`` mapping each entry of an (ne, nld, nld) element
     matrix array, in C order, to its data slot: an operator's data is
     ``np.bincount(slot, weights)``. Built once per space; every operator
-    shares its read-only ``indptr`` and ``indices``."""
+    shares its read-only ``indptr`` and ``indices``.
+
+    The pattern is found on scalar node pairs, each expanded to its 3x3
+    block: entry s = (i, c) of a scalar row i, which starts at sptr[i] and
+    holds rowlen[i] entries, puts block entry (a, b) at slot
+    9 sptr[i] + 3 a rowlen[i] + 3 (s - sptr[i]) + b, column 3c + b, the
+    order a sort of the vector-dof pairs gives."""
 
     def __init__(self, space: FeSpace):
         cd = space.cell_dofs
-        vdofs = (3 * cd[:, :, None] + np.arange(3)).reshape(len(cd), -1)
-        n, nld = space.n_dofs, vdofs.shape[1]
-        keys = (np.repeat(vdofs, nld, axis=1) * n + np.tile(vdofs, (1, nld))).ravel()
-        keys, self.slot = np.unique(keys, return_inverse=True)
-        index = np.int32 if max(n, len(keys)) < 2**31 else np.int64
-        self.indices = _read_only((keys % n).astype(index))
-        self.indptr = _read_only(
-            np.searchsorted(keys, np.arange(n + 1) * n).astype(index)
-        )
+        ne, nloc = cd.shape
+        ns = space.n_scalar_dofs
+        keys = (cd[:, :, None] * ns + cd[:, None, :]).ravel()
+        keys, pair = np.unique(keys, return_inverse=True)
+        rows = keys // ns
+        rowlen = np.bincount(rows, minlength=ns)
+        sptr = np.concatenate(([0], np.cumsum(rowlen)))
+        comp = np.arange(3)
+        row_start = 9 * sptr[:-1, None] + 3 * rowlen[:, None] * comp  # (ns, a)
+        n, nnz = 3 * ns, 9 * len(keys)
+        index = np.int32 if max(n, nnz) < 2**31 else np.int64
+        # slots of the blocks of all scalar pairs, (s, a, b)
+        offset = 3 * (np.arange(len(keys)) - sptr[rows])
+        block_slot = row_start[rows][:, :, None] + (offset[:, None] + comp)[:, None, :]
+        indices = np.empty(nnz, dtype=index)
+        indices[block_slot] = (3 * (keys % ns))[:, None, None] + comp
+        self.indices = _read_only(indices)
+        self.indptr = _read_only(np.append(row_start.ravel(), nnz).astype(index))
+        # element entry (e, i, a, j, b) of the pair s = pair[e, i, j], with
+        # 9 sptr + 3 (s - sptr) = 6 sptr + 3 s
+        row = cd[:, :, None, None, None]
+        pair = pair.reshape(ne, nloc, 1, nloc, 1)
+        self.slot = (6 * sptr[row] + 3 * pair + 3 * rowlen[row] * comp[:, None, None]
+                     + comp).reshape(-1)
         self.shape = (n, n)
 
     def scatter(self, dense):
@@ -243,38 +276,51 @@ def assemble_mass(space: FeSpace, rho, degree=None):
 def assemble_strain_operators(space: FeSpace, mu, lam, degree=None):
     """(K_E, D) = (mu*S + lam*V, S/2 - V/3) on the space's ``pattern``,
     from the unit kernels S = integral(2*eps:eps) and
-    V = integral(div*div) of one pass over the element gradients.
+    V = integral(div*div) of one pass over the element gradients,
+    ``ELEMENT_CHUNK`` elements at a time.
 
     The kernels are combined per element, before the scatter, so that an
     entry whose element contributions cancel sums to an exact zero, which a
     sparse sum of the operators drops; combining the scattered kernels
     instead leaves rounding residues there that grow the LU factor."""
     vd = volume_data(space, degree)
-    gw = vd.G * vd.wdet[:, :, None, None]
-    gg = np.einsum("eqik,eqjk->eij", gw, vd.G)
-    strain = np.einsum("eqja,eqib->eiajb", gw, vd.G)
-    strain += np.einsum("eij,ab->eiajb", gg, np.eye(3))
-    div = np.einsum("eqia,eqjb->eiajb", gw, vd.G)
-    shape = (len(gg), 3 * gg.shape[1], 3 * gg.shape[1])
+    ne, _, nloc, _ = vd.G.shape
+    elastic = np.empty((ne, nloc, 3, nloc, 3))
+    deviatoric = np.empty_like(elastic)
+    for chunk in _chunks(ne):
+        G = vd.G[chunk]
+        gw = G * vd.wdet[chunk, :, None, None]
+        gg = np.einsum("eqik,eqjk->eij", gw, G, optimize=True)
+        # the optimized contractions return strided views; the element-wise
+        # work below runs faster on C-ordered copies
+        strain = np.ascontiguousarray(np.einsum("eqja,eqib->eiajb", gw, G, optimize=True))
+        for a in range(3):
+            strain[:, :, a, :, a] += gg
+        div = np.ascontiguousarray(np.einsum("eqia,eqjb->eiajb", gw, G, optimize=True))
+        np.multiply(mu, strain, out=elastic[chunk])
+        elastic[chunk] += lam * div
+        np.multiply(0.5, strain, out=deviatoric[chunk])
+        deviatoric[chunk] -= div / 3.0
     scatter = pattern(space).scatter
-    elastic = scatter((mu * strain + lam * div).reshape(shape))
-    deviatoric = scatter((0.5 * strain - div / 3.0).reshape(shape))
-    return elastic, deviatoric
+    shape = (ne, 3 * nloc, 3 * nloc)
+    return scatter(elastic.reshape(shape)), scatter(deviatoric.reshape(shape))
 
 
-def assemble_volume_load(space: FeSpace, field, degree=None):
-    """(F, v) of a body-force field F(x)->(n,3): the field is evaluated
-    and scattered ``VOLUME_LOAD_CHUNK`` elements at a time, so the memory
-    its evaluation takes stays bounded on fine meshes."""
+def assemble_volume_load(space: FeSpace, fields, degree=None):
+    """[(F, v) for F in fields] of body-force fields F(x)->(n,3). The fields
+    are evaluated ``ELEMENT_CHUNK`` elements at a time, so the memory their
+    evaluation takes stays bounded on fine meshes, and one after another
+    on the same points, so fields derived from one evaluation can share
+    it."""
     vd = volume_data(space, degree if degree is not None else load_degree(space))
-    out = np.zeros(space.n_dofs)
-    for start in range(0, len(vd.points), VOLUME_LOAD_CHUNK):
-        chunk = slice(start, start + VOLUME_LOAD_CHUNK)
+    out = [np.zeros(space.n_dofs) for _ in fields]
+    for chunk in _chunks(len(vd.points)):
         points = vd.points[chunk]
-        f = np.asarray(field(points.reshape(-1, 3)), dtype=float)
-        f = f.reshape(points.shape)
-        contrib = np.einsum("eq,qn,eqa->ena", vd.wdet[chunk], vd.N, f)
-        np.add.at(out, vd.vdofs[chunk], contrib.reshape(len(contrib), -1))
+        x = points.reshape(-1, 3)
+        for vec, field in zip(out, fields):
+            f = np.asarray(field(x), dtype=float).reshape(points.shape)
+            contrib = np.einsum("eq,qn,eqa->ena", vd.wdet[chunk], vd.N, f)
+            np.add.at(vec, vd.vdofs[chunk], contrib.reshape(len(contrib), -1))
     return out
 
 
@@ -292,14 +338,18 @@ def assemble_traction_load(space: FeSpace, field, degree=None, labels=None):
     return out
 
 
-def body_term_vector(space: FeSpace, field, degree=None):
-    """(F, v) of a time-independent body-force field F(x)->(n,3), assembled
-    once per (space, degree, field) and cached read-only."""
+def body_term_vectors(space: FeSpace, fields, degree=None):
+    """[(F, v) for F in fields] of time-independent body-force fields
+    F(x)->(n,3), each assembled once per (space, degree, field) and cached
+    read-only; the fields not cached yet are assembled in one pass."""
     degree = load_degree(space) if degree is None else int(degree)
-    return _cached(
-        space, ("body_term", degree, field),
-        lambda: _read_only(assemble_volume_load(space, field, degree)),
-    )
+    cache = _space_caches.setdefault(space, {})
+    keys = [("body_term", degree, field) for field in fields]
+    missing = list(dict.fromkeys(f for f, key in zip(fields, keys) if key not in cache))
+    if missing:
+        for field, vec in zip(missing, assemble_volume_load(space, missing, degree)):
+            cache[("body_term", degree, field)] = _read_only(vec)
+    return [cache[key] for key in keys]
 
 
 def traction_term_vector(space: FeSpace, field, degree=None, labels=None):
@@ -319,8 +369,9 @@ def assemble_load(space: FeSpace, loads: LoadSpec, t, degree=None):
     out = np.zeros(space.n_dofs)
     if loads is None:
         return out
-    for coef, field in loads.body_terms:
-        out += coef(t) * body_term_vector(space, field, degree)
+    fields = [field for _, field in loads.body_terms]
+    for (coef, _), vec in zip(loads.body_terms, body_term_vectors(space, fields, degree)):
+        out += coef(t) * vec
     for coef, field in loads.traction_terms:
         out += coef(t) * traction_term_vector(
             space, field, degree, loads.traction_labels
@@ -364,8 +415,7 @@ def recover_nodal_stress(space: FeSpace, material, u0, uve):
     nodes = np.array([np.array(a) / space.p for a in space.ref_nodes])
     _, dN = reference_basis(space.p, nodes)
     v = space.mesh.vertices[space.mesh.tets]
-    jinv = np.linalg.inv((v[:, 1:] - v[:, :1]).transpose(0, 2, 1))
-    G = np.einsum("qni,eia->eqna", dN, jinv)
+    G = _physical_gradients(dN, np.linalg.inv((v[:, 1:] - v[:, :1]).transpose(0, 2, 1)))
 
     def grad_at_nodes(u):
         ue = u.reshape(-1, 3)[space.cell_dofs]

@@ -37,7 +37,7 @@ from .assembly import (
     assemble_load,
     assemble_mass,
     assemble_strain_operators,
-    body_term_vector,
+    body_term_vectors,
     load_degree,
     traction_term_vector,
 )
@@ -271,9 +271,10 @@ def load_time_integral(loads, space: FeSpace, t_prev, t_next, degree=None):
     mid = 0.5 * (t_prev + t_next)
     off = 0.5 * k / np.sqrt(3.0)
     gauss = (mid - off, mid + off)
-    for coef, field in loads.body_terms:
+    fields = [field for _, field in loads.body_terms]
+    for (coef, _), vec in zip(loads.body_terms, body_term_vectors(space, fields, degree)):
         weight = 0.5 * k * (coef(gauss[0]) + coef(gauss[1]))
-        out += weight * body_term_vector(space, field, degree)
+        out += weight * vec
     for coef, field in loads.traction_terms:
         weight = 0.5 * k * (coef(t_prev) + coef(t_next))
         out += weight * traction_term_vector(

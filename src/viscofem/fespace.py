@@ -324,6 +324,13 @@ class SlipBC:
         self.normal_value = _as_scalar_fn(normal_value)
 
 
+def _row_norms(v):
+    """Euclidean norm of each row of v (n, 3), each a dot product, as
+    ``np.linalg.norm`` takes the norm of one vector: the reduction over an
+    axis sums in another order and rounds differently."""
+    return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
+
+
 class Constraints:
     """Essential constraint bookkeeping for a space.
 
@@ -359,56 +366,52 @@ class Constraints:
         self._build_targets()
 
     def _build_frames(self):
+        """``slip_frames[k]``, the orthonormal frame (n, t1, t2) as columns
+        at the k-th slip node (in ``slip_nodes`` order): n is the
+        area-weighted mean of the adjacent slip facets' normals."""
         space = self.space
         mesh = space.mesh
-        slip_labels = [
-            label for label, bc in self.spec.items() if isinstance(bc, SlipBC)
-        ]
-        normal_acc = {nd: np.zeros(3) for nd in self.slip_nodes}
-        for label in slip_labels:
-            facets = mesh.facets_with_label(label)
-            if len(facets) == 0:
+        nodes = np.fromiter(self.slip_nodes, dtype=np.int64, count=len(self.slip_nodes))
+        position = np.full(space.n_scalar_dofs, -1)
+        position[nodes] = np.arange(len(nodes))
+        acc = np.zeros((len(nodes), 3))
+        for label, bc in self.spec.items():
+            if not isinstance(bc, SlipBC):
                 continue
-            normals = mesh.facet_normals()[facets]
-            areas = mesh.facet_areas()[facets]
-            for nodes, nrm, area in zip(space.facet_scalar_dofs(facets), normals, areas):
-                for nd in nodes:
-                    if int(nd) in normal_acc:
-                        normal_acc[int(nd)] += area * nrm
-        frames = {}
-        for nd, acc in normal_acc.items():
-            nlen = np.linalg.norm(acc)
-            if nlen < 1e-30:
-                raise ValueError(f"degenerate slip normal at node {nd}")
-            n = acc / nlen
-            helper = np.zeros(3)
-            helper[np.argmin(np.abs(n))] = 1.0
-            t1 = np.cross(n, helper)
-            t1 /= np.linalg.norm(t1)
-            t2 = np.cross(n, t1)
-            frames[nd] = np.column_stack([n, t1, t2])
-        self.slip_frames = frames
+            facets = mesh.facets_with_label(label)
+            weighted = mesh.facet_areas()[facets, None] * mesh.facet_normals()[facets]
+            pos = position[space.facet_scalar_dofs(facets)]
+            on_slip = pos >= 0
+            # facet by facet, node by node, as a loop over them would add
+            np.add.at(acc, pos[on_slip], np.broadcast_to(
+                weighted[:, None], pos.shape + (3,))[on_slip])
+        nlen = _row_norms(acc)
+        degenerate = np.nonzero(nlen < 1e-30)[0]
+        if len(degenerate):
+            raise ValueError(f"degenerate slip normal at node {nodes[degenerate[0]]}")
+        n = acc / nlen[:, None]
+        helper = np.zeros_like(n)
+        helper[np.arange(len(n)), np.argmin(np.abs(n), axis=1)] = 1.0
+        t1 = np.cross(n, helper)
+        t1 /= _row_norms(t1)[:, None]
+        t2 = np.cross(n, t1)
+        self.slip_frames = np.stack([n, t1, t2], axis=2)
 
     def _build_rotation(self):
         n = self.space.n_dofs
-        if not self.slip_frames:
+        if not self.slip_nodes:
             self.rotation = sp.identity(n, format="csr")
             return
-        rows, cols, data = [], [], []
+        nodes = np.fromiter(self.slip_nodes, dtype=np.int64, count=len(self.slip_nodes))
+        comp = np.arange(3)
+        # frame blocks of the slip nodes, then the identity on the other nodes
+        block = (3 * nodes[:, None, None] + comp[:, None]).repeat(3, axis=2)
         in_frame = np.zeros(self.space.n_scalar_dofs, dtype=bool)
-        for nd, frame in self.slip_frames.items():
-            in_frame[nd] = True
-            for a in range(3):
-                for b in range(3):
-                    rows.append(3 * nd + a)
-                    cols.append(3 * nd + b)
-                    data.append(frame[a, b])
-        plain = np.nonzero(~in_frame)[0]
-        for nd in plain:
-            for a in range(3):
-                rows.append(3 * nd + a)
-                cols.append(3 * nd + a)
-                data.append(1.0)
+        in_frame[nodes] = True
+        plain = (3 * np.nonzero(~in_frame)[0][:, None] + comp).ravel()
+        rows = np.concatenate([block.ravel(), plain])
+        cols = np.concatenate([block.transpose(0, 2, 1).ravel(), plain])
+        data = np.concatenate([self.slip_frames.ravel(), np.ones(len(plain))])
         self.rotation = sp.csr_matrix((data, (rows, cols)), shape=(n, n))
 
     def _build_fixed(self):
@@ -467,7 +470,7 @@ class Constraints:
 
     def reduce(self, matrix):
         """Symmetric elimination: rotate to frame coordinates and split."""
-        if self.slip_frames:
+        if self.slip_nodes:
             a = (self.rotation.T @ matrix @ self.rotation).tocsr()
         else:
             a = matrix.tocsr()

@@ -77,6 +77,7 @@ class ManufacturedSolution:
         self.material = material
         self.a1 = float(a1)
         self.a2 = float(a2)
+        self._divergences = None  # (points, (L_E[V], L_D[V])) of the last call
 
     # -- time factors ---------------------------------------------------
 
@@ -166,12 +167,22 @@ class ManufacturedSolution:
 
     def _shape_divergences(self, x):
         """(L_E[V], L_D[V]): row-wise divergences of the elastic stress
-        and of dev eps of the shape V, analytically."""
+        and of dev eps of the shape V, analytically, as read-only arrays.
+        The values at the last points asked for are kept, so the two load
+        fields of one batch of points share one Hessian evaluation."""
+        x = np.atleast_2d(x)
+        memo = self._divergences
+        if memo is not None and np.array_equal(memo[0], x):
+            return memo[1]
         hess = self.shape_hessian(x)
         lap = np.einsum("naii->na", hess)
         graddiv = np.einsum("njaj->na", hess)
         mat = self.material
-        return mat.mu * lap + (mat.mu + mat.lam) * graddiv, lap / 2.0 + graddiv / 6.0
+        values = (mat.mu * lap + (mat.mu + mat.lam) * graddiv, lap / 2.0 + graddiv / 6.0)
+        for v in values:
+            v.flags.writeable = False
+        self._divergences = (x.copy(), values)
+        return values
 
     def elastic_divergence(self, x):
         """L_E[V] = mu lap V + (mu + lam) grad div V."""

@@ -169,6 +169,85 @@ def test_bincount_scatter_matches_coo_oracle(monkeypatch, n, p):
     assert cancelled_total > 0 or p != 2
 
 
+def _vector_key_pattern(space):
+    """Reference pattern: np.unique over every (row, column) pair of
+    vector dofs of the element matrices, in C order."""
+    vdofs = volume_data(space).vdofs
+    n, nld = space.n_dofs, vdofs.shape[1]
+    keys = (np.repeat(vdofs, nld, axis=1) * n + np.tile(vdofs, (1, nld))).ravel()
+    keys, slot = np.unique(keys, return_inverse=True)
+    return np.searchsorted(keys, np.arange(n + 1) * n), keys % n, slot
+
+
+@pytest.mark.parametrize("kind, p", [("box", 1), ("box", 2), ("box", 3), ("annulus", 2)])
+def test_pattern_matches_vector_key_reference(kind, p):
+    from viscofem import assembly
+    from viscofem.mesh import build_annulus_mesh
+
+    mesh = build_box_mesh(2) if kind == "box" else build_annulus_mesh(0.5, 1.0, 0.4, (2, 6, 2))
+    space = FeSpace(mesh, p)
+    got = assembly.Pattern(space)
+    indptr, indices, slot = _vector_key_pattern(space)
+    assert np.array_equal(got.indptr, indptr)
+    assert np.array_equal(got.indices, indices)
+    assert np.array_equal(got.slot, slot)
+
+
+def test_operators_bit_equal_across_element_chunks(monkeypatch):
+    from viscofem import assembly
+    from viscofem.mesh import build_annulus_mesh
+
+    # the annulus's elements differ in shape and size, unlike the box's
+    space = FeSpace(build_annulus_mesh(0.5, 1.0, 0.4, (2, 6, 2)), 2)
+    whole = operators(space)
+    assert len(space.mesh.tets) <= assembly.ELEMENT_CHUNK
+    monkeypatch.setattr(assembly, "ELEMENT_CHUNK", 7)
+    chunked = operators(space)
+    for a, b in ((whole.elastic, chunked.elastic), (whole.deviatoric, chunked.deviatoric)):
+        assert np.array_equal(a.data, b.data)
+
+
+@pytest.mark.parametrize("n, p", [(1, 2), (2, 1)])
+def test_strain_operators_match_per_element_loop(n, p):
+    # K_E and D from each element's strain tensors of its vector basis
+    # functions, one element and one quadrature point at a time
+    import scipy.sparse as sp
+
+    from viscofem.fespace import quadrature, reference_basis
+
+    space = FeSpace(build_box_mesh(n), p)
+    ops = operators(space)
+    rule = quadrature(2 * p)
+    _, dN = reference_basis(p, rule.points)
+    nld = 3 * dN.shape[1]
+    rows, cols, k_vals, d_vals = [], [], [], []
+    for tet, dofs in zip(space.mesh.vertices[space.mesh.tets], space.cell_dofs):
+        jac = (tet[1:] - tet[:1]).T
+        jinv, det = np.linalg.inv(jac), np.linalg.det(jac)
+        S = np.zeros((nld, nld))
+        V = np.zeros((nld, nld))
+        for w, dn in zip(rule.weights, dN):
+            grads = dn @ jinv
+            eps = np.zeros((nld, 3, 3))
+            for node, g in enumerate(grads):
+                for a in range(3):
+                    eps[3 * node + a, a] += 0.5 * g
+                    eps[3 * node + a, :, a] += 0.5 * g
+            flat = eps.reshape(nld, 9)
+            div = np.trace(eps, axis1=1, axis2=2)
+            S += w * det * 2.0 * flat @ flat.T
+            V += w * det * np.outer(div, div)
+        vdofs = (3 * dofs[:, None] + np.arange(3)).ravel()
+        rows.append(np.repeat(vdofs, nld))
+        cols.append(np.tile(vdofs, nld))
+        k_vals.append((MU * S + LAM * V).ravel())
+        d_vals.append((S / 2 - V / 3).ravel())
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    for got, vals in ((ops.elastic, k_vals), (ops.deviatoric, d_vals)):
+        want = sp.coo_matrix((np.concatenate(vals), (rows, cols)), shape=got.shape).toarray()
+        assert np.abs(got.toarray() - want).max() <= 1e-14 * np.abs(want).max()
+
+
 def test_one_pattern_build_serves_all_operators(monkeypatch):
     from viscofem import assembly
 
@@ -301,10 +380,10 @@ def test_manufactured_load_vs_refined_quadrature():
     w = space.interpolate(lambda x: ms.velocity(t, x))
     oracle = _subdivided_load_functional(space, ms.body_force, w, t)
     body = lambda x: ms.body_force(x, t)
-    full = w @ assemble_volume_load(space, body, degree=8)
+    full = w @ assemble_volume_load(space, [body], degree=8)[0]
     assert abs(full - oracle) < 1e-10 * abs(oracle)
     # the configured default order is converged well past discretization needs
-    default = w @ assemble_volume_load(space, body)
+    default = w @ assemble_volume_load(space, [body])[0]
     assert abs(default - oracle) < 1e-7 * abs(oracle)
 
 
@@ -328,11 +407,11 @@ def test_volume_load_chunks_match_one_chunk(monkeypatch, space):
                         axis=1)
 
     n_elem = len(space.mesh.tets)
-    assert n_elem <= assembly.VOLUME_LOAD_CHUNK
-    whole = assemble_volume_load(space, body)
+    assert n_elem <= assembly.ELEMENT_CHUNK
+    (whole,) = assemble_volume_load(space, [body])
     assert calls == [n_elem * len(volume_data(space, 2 * space.p + 2).rule.weights)]
     calls.clear()
-    monkeypatch.setattr(assembly, "VOLUME_LOAD_CHUNK", 7)
-    chunked = assemble_volume_load(space, body)
+    monkeypatch.setattr(assembly, "ELEMENT_CHUNK", 7)
+    (chunked,) = assemble_volume_load(space, [body])
     assert len(calls) == -(-n_elem // 7)
     assert np.abs(chunked - whole).max() <= 1e-14 * np.abs(whole).max()

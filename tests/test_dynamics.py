@@ -430,7 +430,7 @@ def test_static_solve_honours_separable_loads():
     push = lambda x, n: np.cos(x[:, :1]) * n
     separable = LoadSpec(body_terms=((lambda t: 3.0, shape),),
                          traction_terms=((lambda t: -2.0, push),))
-    rhs = (assemble_volume_load(ops.space, lambda x: 3.0 * shape(x))
+    rhs = (assemble_volume_load(ops.space, [lambda x: 3.0 * shape(x)])[0]
            + assemble_traction_load(ops.space, lambda x, n: -2.0 * push(x, n)))
     want = con.reduce(ops.elastic).solve(rhs, con.fixed_values(0.0), DIRECT)
     got = static_solve(ops, con, separable, solver=DIRECT)

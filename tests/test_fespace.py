@@ -171,7 +171,7 @@ def test_slip_flat_face():
     c = 0.3
     system = Constraints(space, {"top": SlipBC(c)}).reduce(mat)
     con = system.constraints
-    for frame in con.slip_frames.values():
+    for frame in con.slip_frames:
         assert np.abs(frame.T @ frame - np.eye(3)).max() < 1e-14
         assert np.allclose(frame[:, 0], [0, 0, 1])
     u = system.solve(np.zeros(space.n_dofs), con.fixed_values(0.0))
@@ -230,3 +230,54 @@ def test_fixed_values_match_per_node_evaluation():
         for nd, bc in con.slip_nodes.items():
             want[pos[3 * nd]] = np.atleast_1d(bc.normal_value(coords[[nd]], t))[0]
         assert np.array_equal(con.fixed_values(t), want)
+
+
+def _per_node_rotation(con):
+    """The slip frames and the rotation matrix as a loop over the slip
+    nodes builds them: normals accumulated facet by facet, one frame and
+    one 3x3 block per node."""
+    space, mesh = con.space, con.space.mesh
+    acc = {nd: np.zeros(3) for nd in con.slip_nodes}
+    for label, bc in con.spec.items():
+        if not isinstance(bc, SlipBC):
+            continue
+        facets = mesh.facets_with_label(label)
+        for nodes, nrm, area in zip(space.facet_scalar_dofs(facets),
+                                    mesh.facet_normals()[facets], mesh.facet_areas()[facets]):
+            for nd in nodes:
+                if int(nd) in acc:
+                    acc[int(nd)] += area * nrm
+    frames, rows, cols, data = [], [], [], []
+    for nd, a in acc.items():
+        n = a / np.linalg.norm(a)
+        helper = np.zeros(3)
+        helper[np.argmin(np.abs(n))] = 1.0
+        t1 = np.cross(n, helper)
+        t1 /= np.linalg.norm(t1)
+        frame = np.column_stack([n, t1, np.cross(n, t1)])
+        frames.append(frame)
+        for i in range(3):
+            for j in range(3):
+                rows.append(3 * nd + i)
+                cols.append(3 * nd + j)
+                data.append(frame[i, j])
+    for nd in sorted(set(range(space.n_scalar_dofs)) - set(acc)):
+        for i in range(3):
+            rows.append(3 * nd + i)
+            cols.append(3 * nd + i)
+            data.append(1.0)
+    n_dofs = space.n_dofs
+    return np.array(frames), sp.csr_matrix((data, (rows, cols)), shape=(n_dofs, n_dofs))
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_batched_slip_frames_equal_per_node_loop(p):
+    from viscofem.mesh import build_annulus_mesh
+
+    space = FeSpace(build_annulus_mesh(0.5, 1.0, 0.4, (2, 12, 3)), p)
+    con = Constraints(space, {"outer": DirichletBC(), "inner": SlipBC(0.1)})
+    frames, rotation = _per_node_rotation(con)
+    assert len(frames) == len(con.slip_nodes) > 0
+    assert np.array_equal(con.slip_frames, frames)
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(con.rotation, name), getattr(rotation, name))

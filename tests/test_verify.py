@@ -224,7 +224,7 @@ def _pointwise_body(space, exact, t):
     """(f(t), v) with the body force evaluated pointwise at time t."""
     from viscofem.assembly import assemble_volume_load
 
-    return assemble_volume_load(space, lambda x: exact.body_force(x, t))
+    return assemble_volume_load(space, [lambda x: exact.body_force(x, t)])[0]
 
 
 def _pointwise_traction(space, exact, t):
@@ -301,18 +301,21 @@ def test_separable_loads_assemble_spatial_vectors_once(n_arms, monkeypatch):
     from viscofem.dynamics import TimeGrid, simulate
 
     calls = {"volume": 0, "traction": 0}
+    passes = []
 
-    def counting(name, fn):
+    def counting(name, fn, vectors):
         def wrapped(*args, **kwargs):
-            calls[name] += 1
+            calls[name] += vectors(args)
+            passes.append(name)
             return fn(*args, **kwargs)
 
         return wrapped
 
-    monkeypatch.setattr(assembly, "assemble_volume_load",
-                        counting("volume", assembly.assemble_volume_load))
-    monkeypatch.setattr(assembly, "assemble_traction_load",
-                        counting("traction", assembly.assemble_traction_load))
+    # a volume pass assembles one vector per field it is given
+    monkeypatch.setattr(assembly, "assemble_volume_load", counting(
+        "volume", assembly.assemble_volume_load, lambda args: len(args[1])))
+    monkeypatch.setattr(assembly, "assemble_traction_load", counting(
+        "traction", assembly.assemble_traction_load, lambda args: 1))
     material = MaterialModel.from_engineering(100.0, 1e5, 0.3, arms=_arms(n_arms))
     ops, con = unit_cube_problem(material, 2, 1)
     exact = ManufacturedSolution(material)
@@ -322,10 +325,37 @@ def test_separable_loads_assemble_spatial_vectors_once(n_arms, monkeypatch):
     # rho V, L_E[V] and L_D[V] (shared by every arm); sigma_E[V]n and
     # dev eps(V)n: independent of the step and arm counts
     assert calls == {"volume": 3, "traction": 2}
+    # the three body-force fields share one pass over the elements
+    assert passes.count("volume") == 1
     # a second march on the same space reuses the cached vectors
     simulate(ops, con, TimeGrid.uniform(0.0, 0.5, steps), loads=exact.loads(),
              solver=DIRECT)
     assert calls == {"volume": 3, "traction": 2}
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_manufactured_loads_evaluate_shape_hessian_once_per_chunk(monkeypatch, p):
+    from viscofem import assembly
+    from viscofem.assembly import assemble_volume_load, body_term_vectors, volume_data
+
+    material = MaterialModel.from_engineering(100.0, 1e5, 0.3, arms=_arms(3))
+    ops, _ = unit_cube_problem(material, 2, p)
+    space = ops.space
+    monkeypatch.setattr(assembly, "ELEMENT_CHUNK", 7)
+    exact = ManufacturedSolution(material)
+    calls = []
+    hessian = exact.shape_hessian
+    monkeypatch.setattr(exact, "shape_hessian", lambda x: calls.append(len(x)) or hessian(x))
+    fields = [field for _, field in exact.loads().body_terms]
+    got = body_term_vectors(space, fields)
+    # L_E[V] and L_D[V] of one chunk share its Hessian
+    n_points = len(volume_data(space, 2 * p + 2).points.reshape(-1, 3))
+    assert len(calls) == -(-len(space.mesh.tets) // 7) and sum(calls) == n_points
+    # each vector equals the one its field assembles alone
+    for field, vec in zip(fields, got):
+        (alone,) = assemble_volume_load(space, [getattr(ManufacturedSolution(material),
+                                                        field.__name__)])
+        assert np.array_equal(vec, alone)
 
 
 @pytest.mark.parametrize("p", [1, 2])
