@@ -54,6 +54,20 @@ def _physical_gradients(dN, jinv):
     return (flat @ jinv).reshape((len(jinv),) + dN.shape[-3:])
 
 
+def _evaluate_field(table, cell_values):
+    """A field at quadrature points from its values on each cell's nodes,
+    cell_values (ne, n, 3): values sum_n N[(e,)q,n] u[e,n,a] from a basis
+    table N, (nq, n) shared by every cell or (ne, nq, n), and gradients
+    sum_n G[e,q,n,i] u[e,n,a] = d u_a / d x_i from G (ne, nq, n, 3).
+
+    Batched matmuls, not ``einsum(..., optimize=True)``: that sends the
+    values to one threaded GEMM, which on a 2-vCPU host took 50 times as
+    long as the matmul unless BLAS is pinned to one thread."""
+    if np.ndim(table) == 4:
+        return np.swapaxes(cell_values, 1, 2)[:, None] @ table
+    return table @ cell_values
+
+
 def form_degree(space):
     return 2 * space.p
 
@@ -104,11 +118,11 @@ class VolumeData:
         return u.reshape(-1, 3)[self.space.cell_dofs]  # (ne, nloc, 3)
 
     def value(self, u):
-        return np.einsum("qn,ena->eqa", self.N, self.cell_values(u))
+        return _evaluate_field(self.N, self.cell_values(u))
 
     def gradient(self, u):
         """grad[e,q,a,i] = d u_a / d x_i."""
-        return np.einsum("eqni,ena->eqai", self.G, self.cell_values(u))
+        return _evaluate_field(self.G, self.cell_values(u))
 
     def integrate(self, density):
         """Integrate a (ne, nq) density over the mesh."""
@@ -155,14 +169,12 @@ class FacetData:
         self.vdofs = (3 * cd[:, :, None] + np.arange(3)).reshape(len(cd), -1)
 
     def value(self, u):
-        return np.einsum("fqn,fna->fqa", self.N, u.reshape(-1, 3)[self.cell_dofs])
+        return _evaluate_field(self.N, u.reshape(-1, 3)[self.cell_dofs])
 
     def gradient(self, u):
         """grad[f,q,a,i] = d u_a / d x_i at the facet quadrature points,
         taken from the owning element."""
-        return np.einsum(
-            "fqni,fna->fqai", self.G, u.reshape(-1, 3)[self.cell_dofs]
-        )
+        return _evaluate_field(self.G, u.reshape(-1, 3)[self.cell_dofs])
 
 
 def _cached(space, key, build):
@@ -418,8 +430,7 @@ def recover_nodal_stress(space: FeSpace, material, u0, uve):
     G = _physical_gradients(dN, np.linalg.inv((v[:, 1:] - v[:, :1]).transpose(0, 2, 1)))
 
     def grad_at_nodes(u):
-        ue = u.reshape(-1, 3)[space.cell_dofs]
-        return np.einsum("eqni,ena->eqai", G, ue)
+        return _evaluate_field(G, u.reshape(-1, 3)[space.cell_dofs])
 
     sigma = state_stress(grad_at_nodes, space, material, u0, uve)
     out = np.zeros((space.n_scalar_dofs, 3, 3))

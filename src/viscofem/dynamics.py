@@ -20,13 +20,18 @@ of kinetic + elastic + viscoelastic energy equals minus the dissipation
 increment sum_m (2 k / tau_m) * |||midpoint uve_m|||^2, which the energy
 ledger tracks; arm m's energy norm is |||u|||^2 = kappa_m u'Du.
 
-A state's products M u1, K_E u0 and D uve_m (``OperatorSet.products``)
-serve its energy, the dissipation of both adjacent steps and the next
-rhs, which adds K_E u1 and D u1: 4 + M sparse products per step.
+A state's products M u1, K_E u1, D u1, K_E u0 and D uve_m
+(``OperatorSet.products``) serve its energy, the dissipation of both
+adjacent steps and the next rhs. The reduced step forms only the first
+three; K_E u0 and D uve_m follow from the old state's products by the
+same linear updates that give u0 and uve_m, so a step makes 3 sparse
+products for any arm count. The full stepper's states get direct
+products, so its ledger checks the carried ones.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -198,6 +203,16 @@ class EnergyReport:
         return self.kinetic + self.elastic + self.viscoelastic_total
 
 
+class Products(NamedTuple):
+    """Operator products of one state's vectors."""
+
+    mass_u1: np.ndarray
+    elastic_u1: np.ndarray
+    dev_u1: np.ndarray
+    elastic_u0: np.ndarray
+    dev_uve: tuple  # D uve_m per arm
+
+
 class OperatorSet:
     """Mass M, elastic K_E and the unit deviatoric operator D, through
     which arm m acts as kappa_m D: three matrices for any arm count, all on
@@ -212,14 +227,23 @@ class OperatorSet:
         )
         self._products = ()  # (state, products) of the last two states
 
-    def products(self, state: State):
-        """(M u1, K_E u0, (D uve_m per arm)) of ``state``, kept for the last two
-        states asked for, whose arrays must then not be modified in place."""
+    def products(self, state: State) -> Products:
+        """The ``Products`` of ``state``: those kept for it by
+        ``keep_products``, else its direct products, which are then kept.
+        Only the last two states' products are kept; their arrays, and the
+        state's, must not be modified in place."""
         for held, products in self._products:
             if held is state:
                 return products
-        products = (self.mass @ state.u1, self.elastic @ state.u0,
-                    tuple(self.deviatoric @ u for u in state.uve))
+        u1 = state.u1
+        return self.keep_products(state, Products(
+            self.mass @ u1, self.elastic @ u1, self.deviatoric @ u1,
+            self.elastic @ state.u0, tuple(self.deviatoric @ u for u in state.uve),
+        ))
+
+    def keep_products(self, state: State, products: Products) -> Products:
+        """Keep ``products`` as those of ``state`` (matched by identity),
+        dropping all but the last state kept before it."""
         self._products = self._products[-1:] + ((state, products),)
         return products
 
@@ -227,11 +251,11 @@ class OperatorSet:
 def energy(state: State, operators: OperatorSet, dissipated=0.0) -> EnergyReport:
     """Kinetic, elastic and per-arm viscoelastic squared energy norms, each
     the state's own vector dotted with its operator product."""
-    mass_u1, elastic_u0, dev_uve = operators.products(state)
+    prod = operators.products(state)
     ve = tuple(arm.kappa * float(u @ du)
-               for arm, u, du in zip(operators.material.arms, state.uve, dev_uve))
-    return EnergyReport(state.t, float(state.u1 @ mass_u1),
-                        float(state.u0 @ elastic_u0), ve, dissipated)
+               for arm, u, du in zip(operators.material.arms, state.uve, prod.dev_uve))
+    return EnergyReport(state.t, float(state.u1 @ prod.mass_u1),
+                        float(state.u0 @ prod.elastic_u0), ve, dissipated)
 
 
 def dissipation_increment(prev: State, nxt: State, operators: OperatorSet, k):
@@ -239,9 +263,14 @@ def dissipation_increment(prev: State, nxt: State, operators: OperatorSet, k):
     where the midpoint is the interval average of the linear-in-time field,
     mid'D mid = (a + b)'(Da + Db) / 4 from the two states' products."""
     terms = zip(operators.material.arms, prev.uve, nxt.uve,
-                operators.products(prev)[2], operators.products(nxt)[2])
+                operators.products(prev).dev_uve, operators.products(nxt).dev_uve)
     return sum(((0.5 / arm.tau) * float(k) * arm.kappa * float((a + b) @ (da + db))
                 for arm, a, b, da, db in terms), 0.0)
+
+
+def advance_displacement(u0_prev, u1_prev, u1_next, k):
+    """Trapezoidal displacement update for one timestep."""
+    return u0_prev + (k / 2.0) * (u1_next + u1_prev)
 
 
 def reconstruct_ve(u1_prev, u1_next, uve_prev, coeffs):
@@ -311,8 +340,11 @@ class ReducedStepper:
     """Primary time stepper with the internal fields eliminated.
 
     The Schur operator is assembled and factorized once per (k,
-    constraint set); stepping costs one back-substitution plus sparse
-    matrix-vector products.
+    constraint set); stepping costs one back-substitution plus three
+    sparse products, M, K_E and D times the new velocity. The new state's
+    K_E u0 and D uve_m are carried from the old state's products by the
+    step's own displacement update and ``reconstruct_ve``, and kept with
+    ``OperatorSet.keep_products`` for the ledger and the next rhs.
 
     ``step(state, t_next)`` advances by the stepper's own ``k``: the Schur
     matrix, the rhs, the constraint velocities and the displacement update
@@ -347,11 +379,11 @@ class ReducedStepper:
 
     def rhs(self, state: State, t_next=None):
         ops, k = self.ops, self.k
-        mass_u1, elastic_u0, dev_uve = ops.products(state)
-        ve = self._alpha_kappa * (ops.deviatoric @ state.u1)
-        for c, du in zip(self._beta_kappa, dev_uve):
+        prod = ops.products(state)
+        ve = self._alpha_kappa * prod.dev_u1
+        for c, du in zip(self._beta_kappa, prod.dev_uve):
             ve += c * du
-        b = (mass_u1 - (k * k / 4.0) * (ops.elastic @ state.u1) - k * elastic_u0
+        b = (prod.mass_u1 - (k * k / 4.0) * prod.elastic_u1 - k * prod.elastic_u0
              - (k / 2.0) * ve)
         if self.loads is not None:
             b = b + load_time_integral(
@@ -374,9 +406,20 @@ class ReducedStepper:
         w[con.free] = self._solve_free(self.system.reduced_rhs(b, w_fixed))
         w[con.fixed] = w_fixed
         u1_next = con.from_frame(w)
-        u0_next = state.u0 + (k / 2.0) * (u1_next + state.u1)
-        uve_next = reconstruct_ve(state.u1, u1_next, state.uve, self.coeffs)
-        return State(t_next, u1_next, u0_next, uve_next)
+        nxt = State(t_next, u1_next,
+                    advance_displacement(state.u0, state.u1, u1_next, k),
+                    reconstruct_ve(state.u1, u1_next, state.uve, self.coeffs))
+        # K_E and D are linear, so the new state's K_E u0 and D uve_m follow
+        # from the old state's products by the updates above
+        ops = self.ops
+        old = ops.products(state)
+        elastic_u1, dev_u1 = ops.elastic @ u1_next, ops.deviatoric @ u1_next
+        ops.keep_products(nxt, Products(
+            ops.mass @ u1_next, elastic_u1, dev_u1,
+            advance_displacement(old.elastic_u0, old.elastic_u1, elastic_u1, k),
+            reconstruct_ve(old.dev_u1, dev_u1, old.dev_uve, self.coeffs),
+        ))
+        return nxt
 
 
 class FullStepper:

@@ -7,7 +7,9 @@ from viscofem.assembly import (
     assemble_mass,
     assemble_traction_load,
     assemble_volume_load,
+    facet_data,
     LoadSpec,
+    recover_nodal_stress,
     volume_data,
     von_mises,
 )
@@ -295,6 +297,32 @@ def test_stress_of_weighted_field_equals_per_arm_sum():
         e = strain(u)
         want += arm.kappa * (e - trace_id(e) / 3)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_field_evaluations_match_einsum_definitions(space):
+    # values and gradients at volume and facet quadrature points, and the
+    # nodal stress, against the plain index sums they stand for
+    u = _rand_field(space, 5)
+    vd, fd = volume_data(space, 6), facet_data(space)
+    assert len(fd.facets) > 0
+    ue, uf = u.reshape(-1, 3)[space.cell_dofs], u.reshape(-1, 3)[fd.cell_dofs]
+    pairs = [
+        (vd.value(u), np.einsum("qn,ena->eqa", vd.N, ue)),
+        (vd.gradient(u), np.einsum("eqni,ena->eqai", vd.G, ue)),
+        (fd.value(u), np.einsum("fqn,fna->fqa", fd.N, uf)),
+        (fd.gradient(u), np.einsum("fqni,fna->fqai", fd.G, uf)),
+    ]
+    for got, want in pairs:
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    # a field linear in x has one constant stress, recovered at every node
+    x = space.dof_coords
+    grad = np.array([[0.3, -0.2, 0.1], [0.05, 0.4, -0.3], [0.2, 0.1, -0.1]])
+    material = MaterialModel(RHO, MU, LAM)
+    sigma = recover_nodal_stress(space, material, (x @ grad.T).ravel(), ())
+    eps = 0.5 * (grad + grad.T)
+    want = 2 * MU * eps + LAM * np.trace(eps) * np.eye(3)
+    assert np.abs(sigma - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_load_constant_body_force(space):

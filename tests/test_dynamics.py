@@ -368,9 +368,10 @@ def test_dissipation_increment_matches_energy_loss():
 
 
 @pytest.mark.parametrize("n_arms", [1, 5])
-def test_simulate_step_makes_four_plus_m_products(n_arms):
-    # each state's M u1, K_E u0 and D uve_m serve its ledger record and the
-    # next rhs, which adds only K_E u1 and D u1
+def test_simulate_step_makes_three_products(n_arms):
+    # a reduced step forms M, K_E and D times the new velocity and carries the
+    # new state's K_E u0 and D uve_m; the first step also forms K_E u1 and
+    # D u1 of state0, whose ledger record formed M u1, K_E u0 and D uve_m
     arms = tuple((1e5 / (m + 1), 10.0 ** (m - 2)) for m in range(n_arms))
     material = MaterialModel.from_engineering(100.0, 1e5, 0.3, arms=arms)
     ops, con = make_problem(n=1, p=1, material=material)
@@ -390,7 +391,63 @@ def test_simulate_step_makes_four_plus_m_products(n_arms):
     state0 = distinct_arm_state(ops, con, 43)
     simulate(ops, con, TimeGrid.uniform(0.0, 0.04, 4), state0=state0,
              solver=DIRECT, callback=lambda s: per_step.append(sum(counted.values())))
-    assert np.diff([2 + n_arms] + per_step).tolist() == [4 + n_arms] * 4
+    assert np.diff([2 + n_arms] + per_step).tolist() == [5, 3, 3, 3]
+
+
+def test_full_march_takes_direct_products_of_every_state():
+    # the full stepper carries nothing: the products its ledger reads are
+    # the direct products of each state, bit for bit
+    ops, con = make_problem(n=2, p=1, material=THREE_ARMS)
+    seen = []
+
+    def check(state):
+        prod = ops.products(state)
+        direct = (ops.mass @ state.u1, ops.elastic @ state.u1, ops.deviatoric @ state.u1,
+                  ops.elastic @ state.u0, *(ops.deviatoric @ u for u in state.uve))
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(prod[:4] + prod.dev_uve, direct))
+        seen.append(state)
+
+    simulate(ops, con, TimeGrid.uniform(0.0, 0.05, 5), solver=DIRECT,
+             state0=distinct_arm_state(ops, con, 53), callback=check, stepper="full")
+    assert len(seen) == 5
+
+
+def test_carried_products_match_direct_over_long_slip_march():
+    # ten 15 Hz orbit cycles of the seal scenario (material and slip motion)
+    # on a small annulus, 400 steps: the products carried by linearity stay
+    # the direct products to rounding
+    from viscofem.cli import SealSweepConfig, seal_normal_value
+    from viscofem.dynamics import static_solve
+    from viscofem.fespace import SlipBC
+    from viscofem.mesh import build_annulus_mesh
+
+    material = MaterialModel.from_engineering(
+        1100.0, 0.5e6, 0.39,
+        arms=((3.5e6, 1e-2), (4.0e6, 1e-1), (2.5e5, 1.0), (2.5e5, 1e1), (5.0e5, 1e2)),
+    )
+    space = FeSpace(build_annulus_mesh(0.006, 0.01, 0.02, (2, 8, 2)), 2)
+    ops = OperatorSet(space, material)
+    sweep = SealSweepConfig(frequencies=(15.0,), stations=(0.5,))
+    u_n = seal_normal_value(0.006, sweep.expansion, sweep.amplitude, 15.0)
+    con = Constraints(space, {"outer": DirichletBC((0.0, 0.0, 0.0)),
+                              "inner": SlipBC(u_n)})
+    n = space.n_dofs
+    state0 = State(0.0, np.zeros(n), static_solve(ops, con, solver=DIRECT),
+                   tuple(np.zeros(n) for _ in material.arms))
+    kept = []
+    keep = ops.keep_products
+    ops.keep_products = lambda state, products: kept.append(products) or keep(state, products)
+    res = simulate(ops, con, TimeGrid.uniform(0.0, 400 / 600.0, 400), state0=state0,
+                   solver=DIRECT)
+    final = res.final
+    carried = ops.products(final)
+    assert carried is kept[-1] and len(kept) == 401
+    direct = (ops.mass @ final.u1, ops.elastic @ final.u1, ops.deviatoric @ final.u1,
+              ops.elastic @ final.u0, *(ops.deviatoric @ u for u in final.uve))
+    for got, want in zip(carried[:4] + carried.dev_uve, direct):
+        assert np.abs(want).max() > 0
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_ledger_columns_equal_direct_quadratic_forms():
