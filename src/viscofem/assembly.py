@@ -11,12 +11,14 @@ Operators are scipy CSR matrices over interleaved vector dofs
 K_E = mu*S + lam*V and D = S/2 - V/3 combine the unit kernels
 S = integral(2*eps:eps) and V = integral(div*div); arm m acts through
 kappa_m*D. All three matrices share one CSR sparsity pattern, built once
-per space with a map from element-matrix entries to data slots, so each
-operator is one ``np.bincount`` of its element matrices.
+per space with a map from element-matrix entries to data slots, into
+which each chunk's element matrices are added slot by slot.
 
-Element loops are vectorized over ``ELEMENT_CHUNK`` tets at a time;
-reference basis tables and element geometry are cached per (space,
-quadrature degree).
+Element loops run over chunks of elements. Per element only the inverse
+Jacobian and the Jacobian determinant are kept, once per space; basis
+gradients, quadrature points and weights, element matrices and stresses
+are formed one chunk at a time, so set-up memory grows with the elements,
+not with the quadrature points.
 Default quadrature exactness is 2p for the bilinear forms and 2p+2 for
 loads and error integrals.
 """
@@ -33,17 +35,29 @@ from .mesh import BoundaryKind
 
 _space_caches = weakref.WeakKeyDictionary()
 
-# elements per batch of the strain kernels and of a volume load's field
-# evaluation, which bounds their temporaries on fine meshes: at 27
-# quadrature points per element (P1 loads) a batch evaluates a field on
-# 110,592 points, where a whole h = 1/32 cube (196,608 elements) needs 5.3
-# million
+# elements per chunk of an element loop, which bounds its temporaries on
+# fine meshes: at 27 quadrature points per element (P1 loads) a chunk
+# evaluates a field on 110,592 points, where a whole h = 1/32 cube (196,608
+# elements) needs 5.3 million
 ELEMENT_CHUNK = 4096
+# bytes of one element-matrix array per chunk of operator assembly, which
+# holds a few such arrays at once: 291 elements at P2, 1,820 at P1
+OPERATOR_CHUNK_BYTES = 2**21
 
 
-def _chunks(n):
-    """Slices of ``ELEMENT_CHUNK`` elements covering range(n)."""
-    return (slice(start, start + ELEMENT_CHUNK) for start in range(0, n, ELEMENT_CHUNK))
+def _chunks(n, element_bytes=0):
+    """Slices covering range(n) of at most ``ELEMENT_CHUNK`` elements, and
+    of at most ``OPERATOR_CHUNK_BYTES // element_bytes`` (at least one)
+    when ``element_bytes`` is given."""
+    size = ELEMENT_CHUNK
+    if element_bytes:
+        size = max(1, min(size, OPERATOR_CHUNK_BYTES // element_bytes))
+    return [slice(start, min(start + size, n)) for start in range(0, n, size)]
+
+
+def _vector_dofs(cell_dofs):
+    """Interleaved vector dofs 3*node + component of each cell's nodes."""
+    return (3 * cell_dofs[:, :, None] + np.arange(3)).reshape(len(cell_dofs), -1)
 
 
 def _physical_gradients(dN, jinv):
@@ -97,36 +111,63 @@ class LoadSpec:
     traction_terms: tuple = ()
 
 
+def element_geometry(space: FeSpace):
+    """(jinv, det) of every element of the space: inverse Jacobians
+    (ne, 3, 3) and Jacobian determinants (ne,), computed once per space
+    and shared by every quadrature degree."""
+
+    def build():
+        v = space.mesh.vertices[space.mesh.tets]  # (ne,4,3)
+        jac = (v[:, 1:] - v[:, :1]).transpose(0, 2, 1)  # J[a,i] = dx_a/dxi_i
+        return _read_only(np.linalg.inv(jac)), _read_only(np.linalg.det(jac))
+
+    return _cached(space, ("geometry",), build)
+
+
 class VolumeData:
-    """Cached geometry and basis tables for one quadrature degree."""
+    """Volume quadrature of one degree. It keeps the rule, the reference
+    basis values ``N`` and gradients ``dN``, and per element only the
+    space's ``element_geometry``; basis gradients, quadrature points and
+    weights are formed for one chunk of elements (a slice, by default the
+    whole mesh) when asked for, a chunk at a time over ``chunks()``."""
 
     def __init__(self, space: FeSpace, degree: int):
         self.space = space
         self.rule = quadrature(degree)
-        self.N, dN = reference_basis(space.p, self.rule.points)
-        v = space.mesh.vertices[space.mesh.tets]  # (ne,4,3)
-        jac = (v[:, 1:] - v[:, :1]).transpose(0, 2, 1)  # J[a,i] = dx_a/dxi_i
-        self.G = _physical_gradients(dN, np.linalg.inv(jac))
-        self.wdet = self.rule.weights[None, :] * (np.linalg.det(jac)[:, None])
-        self.points = np.einsum("qv,eva->eqa", self.rule.points, v)
-        cd = space.cell_dofs
-        self.vdofs = (3 * cd[:, :, None] + np.arange(3)).reshape(len(cd), -1)
+        self.N, self.dN = reference_basis(space.p, self.rule.points)
+        self.jinv, self.det = element_geometry(space)
+
+    def chunks(self):
+        return _chunks(len(self.det))
+
+    @property
+    def vdofs(self):
+        return _vector_dofs(self.space.cell_dofs)
+
+    def weights(self, chunk=slice(None)):
+        """Quadrature weights times Jacobian determinants, (nc, nq)."""
+        return self.rule.weights[None, :] * self.det[chunk, None]
+
+    def points(self, chunk=slice(None)):
+        """Physical quadrature points, (nc, nq, 3)."""
+        mesh = self.space.mesh
+        return np.einsum("qv,eva->eqa", self.rule.points, mesh.vertices[mesh.tets[chunk]])
+
+    def basis_gradients(self, chunk=slice(None)):
+        """G[e,q,n,i] = d N_n / d x_i, (nc, nq, nloc, 3)."""
+        return _physical_gradients(self.dN, self.jinv[chunk])
 
     # -- discrete field evaluation at the quadrature points ------------
 
-    def cell_values(self, u):
-        return u.reshape(-1, 3)[self.space.cell_dofs]  # (ne, nloc, 3)
+    def cell_values(self, u, chunk=slice(None)):
+        return u.reshape(-1, 3)[self.space.cell_dofs[chunk]]  # (nc, nloc, 3)
 
-    def value(self, u):
-        return _evaluate_field(self.N, self.cell_values(u))
+    def value(self, u, chunk=slice(None)):
+        return _evaluate_field(self.N, self.cell_values(u, chunk))
 
-    def gradient(self, u):
+    def gradient(self, u, chunk=slice(None)):
         """grad[e,q,a,i] = d u_a / d x_i."""
-        return _evaluate_field(self.G, self.cell_values(u))
-
-    def integrate(self, density):
-        """Integrate a (ne, nq) density over the mesh."""
-        return float(np.sum(self.wdet * density))
+        return _evaluate_field(self.basis_gradients(chunk), self.cell_values(u, chunk))
 
 
 class FacetData:
@@ -165,8 +206,7 @@ class FacetData:
         self.warea = rule.weights[None, :] * (2.0 * areas)[:, None]
         owners = mesh.facet_owner[self.facets]
         self.cell_dofs = space.cell_dofs[owners]
-        cd = self.cell_dofs
-        self.vdofs = (3 * cd[:, :, None] + np.arange(3)).reshape(len(cd), -1)
+        self.vdofs = _vector_dofs(self.cell_dofs)
 
     def value(self, u):
         return _evaluate_field(self.N, u.reshape(-1, 3)[self.cell_dofs])
@@ -225,9 +265,9 @@ def _read_only(vec):
 class Pattern:
     """CSR sparsity pattern of the element-to-element dof couplings of a
     space, with ``slot`` mapping each entry of an (ne, nld, nld) element
-    matrix array, in C order, to its data slot: an operator's data is
-    ``np.bincount(slot, weights)``. Built once per space; every operator
-    shares its read-only ``indptr`` and ``indices``.
+    matrix array, in C order, to its data slot, in the index dtype of
+    ``indices``. Built once per space; every operator shares its read-only
+    ``indptr`` and ``indices``.
 
     The pattern is found on scalar node pairs, each expanded to its 3x3
     block: entry s = (i, c) of a scalar row i, which starts at sptr[i] and
@@ -256,18 +296,35 @@ class Pattern:
         self.indices = _read_only(indices)
         self.indptr = _read_only(np.append(row_start.ravel(), nnz).astype(index))
         # element entry (e, i, a, j, b) of the pair s = pair[e, i, j], with
-        # 9 sptr + 3 (s - sptr) = 6 sptr + 3 s
+        # 9 sptr + 3 (s - sptr) = 6 sptr + 3 s, computed in the index dtype
+        # throughout (every partial sum is below nnz), so no int64 array of
+        # the element entries' size is made
+        sptr, rowlen, comp = sptr.astype(index), rowlen.astype(index), comp.astype(index)
         row = cd[:, :, None, None, None]
-        pair = pair.reshape(ne, nloc, 1, nloc, 1)
-        self.slot = (6 * sptr[row] + 3 * pair + 3 * rowlen[row] * comp[:, None, None]
-                     + comp).reshape(-1)
+        pair = pair.astype(index).reshape(ne, nloc, 1, nloc, 1)
+        self.slot = _read_only((6 * sptr[row] + 3 * pair + 3 * rowlen[row] * comp[:, None, None]
+                                + comp).reshape(-1))
         self.shape = (n, n)
+        self.n_elements, self.element_size = ne, (3 * nloc) ** 2
 
-    def scatter(self, dense):
-        """CSR matrix of the element matrices ``dense`` (ne, nld, nld),
-        duplicates summed in element order."""
-        data = np.bincount(self.slot, weights=dense.ravel(), minlength=len(self.indices))
-        return sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
+    def assemble(self, element_matrices):
+        """CSR matrices on this pattern, one per array that
+        ``element_matrices(chunk)`` returns for a slice of elements, each
+        (nc, nld, nld). The chunks hold at most ``OPERATOR_CHUNK_BYTES`` per
+        array, and each is added into the data slot by slot in element
+        order: the order a sum over all element matrices at once takes, so
+        the data, and the exact zeros where contributions cancel, do not
+        depend on the chunks."""
+        size = self.element_size
+        data = None
+        for chunk in _chunks(self.n_elements, 8 * size):
+            matrices = element_matrices(chunk)
+            if data is None:
+                data = [np.zeros(len(self.indices)) for _ in matrices]
+            slot = self.slot[chunk.start * size:chunk.stop * size]
+            for out, dense in zip(data, matrices):
+                np.add.at(out, slot, dense.ravel())
+        return [sp.csr_matrix((d, self.indices, self.indptr), shape=self.shape) for d in data]
 
 
 def pattern(space: FeSpace) -> Pattern:
@@ -279,29 +336,32 @@ def assemble_mass(space: FeSpace, rho, degree=None):
     if rho <= 0:
         raise ValueError("density must be positive")
     vd = volume_data(space, degree)
-    nn = np.einsum("eq,qi,qj->eij", vd.wdet, vd.N, vd.N)
-    dense = rho * np.einsum("eij,ab->eiajb", nn, np.eye(3))
-    nld = 3 * nn.shape[1]
-    return pattern(space).scatter(dense.reshape(-1, nld, nld))
+    nld = 3 * vd.N.shape[1]
+
+    def element_matrices(chunk):
+        nn = np.einsum("eq,qi,qj->eij", vd.weights(chunk), vd.N, vd.N)
+        return (rho * np.einsum("eij,ab->eiajb", nn, np.eye(3)).reshape(-1, nld, nld),)
+
+    (mass,) = pattern(space).assemble(element_matrices)
+    return mass
 
 
 def assemble_strain_operators(space: FeSpace, mu, lam, degree=None):
     """(K_E, D) = (mu*S + lam*V, S/2 - V/3) on the space's ``pattern``,
     from the unit kernels S = integral(2*eps:eps) and
-    V = integral(div*div) of one pass over the element gradients,
-    ``ELEMENT_CHUNK`` elements at a time.
+    V = integral(div*div) of one pass over the element gradients, formed
+    and added into both operators one chunk of elements at a time.
 
     The kernels are combined per element, before the scatter, so that an
     entry whose element contributions cancel sums to an exact zero, which a
     sparse sum of the operators drops; combining the scattered kernels
     instead leaves rounding residues there that grow the LU factor."""
     vd = volume_data(space, degree)
-    ne, _, nloc, _ = vd.G.shape
-    elastic = np.empty((ne, nloc, 3, nloc, 3))
-    deviatoric = np.empty_like(elastic)
-    for chunk in _chunks(ne):
-        G = vd.G[chunk]
-        gw = G * vd.wdet[chunk, :, None, None]
+    nld = 3 * vd.N.shape[1]
+
+    def element_matrices(chunk):
+        G = vd.basis_gradients(chunk)
+        gw = G * vd.weights(chunk)[:, :, None, None]
         gg = np.einsum("eqik,eqjk->eij", gw, G, optimize=True)
         # the optimized contractions return strided views; the element-wise
         # work below runs faster on C-ordered copies
@@ -309,13 +369,13 @@ def assemble_strain_operators(space: FeSpace, mu, lam, degree=None):
         for a in range(3):
             strain[:, :, a, :, a] += gg
         div = np.ascontiguousarray(np.einsum("eqia,eqjb->eiajb", gw, G, optimize=True))
-        np.multiply(mu, strain, out=elastic[chunk])
-        elastic[chunk] += lam * div
-        np.multiply(0.5, strain, out=deviatoric[chunk])
-        deviatoric[chunk] -= div / 3.0
-    scatter = pattern(space).scatter
-    shape = (ne, 3 * nloc, 3 * nloc)
-    return scatter(elastic.reshape(shape)), scatter(deviatoric.reshape(shape))
+        elastic = mu * strain
+        elastic += lam * div
+        deviatoric = 0.5 * strain
+        deviatoric -= div / 3.0
+        return elastic.reshape(-1, nld, nld), deviatoric.reshape(-1, nld, nld)
+
+    return tuple(pattern(space).assemble(element_matrices))
 
 
 def assemble_volume_load(space: FeSpace, fields, degree=None):
@@ -326,13 +386,14 @@ def assemble_volume_load(space: FeSpace, fields, degree=None):
     it."""
     vd = volume_data(space, degree if degree is not None else load_degree(space))
     out = [np.zeros(space.n_dofs) for _ in fields]
-    for chunk in _chunks(len(vd.points)):
-        points = vd.points[chunk]
+    for chunk in vd.chunks():
+        points, wdet = vd.points(chunk), vd.weights(chunk)
+        vdofs = _vector_dofs(space.cell_dofs[chunk])
         x = points.reshape(-1, 3)
         for vec, field in zip(out, fields):
             f = np.asarray(field(x), dtype=float).reshape(points.shape)
-            contrib = np.einsum("eq,qn,eqa->ena", vd.wdet[chunk], vd.N, f)
-            np.add.at(vec, vd.vdofs[chunk], contrib.reshape(len(contrib), -1))
+            contrib = np.einsum("eq,qn,eqa->ena", wdet, vd.N, f)
+            np.add.at(vec, vdofs, contrib.reshape(len(contrib), -1))
     return out
 
 
@@ -423,20 +484,19 @@ def state_stress(gradient, space: FeSpace, material, u0, uve):
 
 
 def recover_nodal_stress(space: FeSpace, material, u0, uve):
-    """Elementwise stress averaged to the scalar dofs (one 3x3 per node)."""
+    """Elementwise stress averaged to the scalar dofs (one 3x3 per node),
+    formed one chunk of elements at a time."""
     nodes = np.array([np.array(a) / space.p for a in space.ref_nodes])
     _, dN = reference_basis(space.p, nodes)
-    v = space.mesh.vertices[space.mesh.tets]
-    G = _physical_gradients(dN, np.linalg.inv((v[:, 1:] - v[:, :1]).transpose(0, 2, 1)))
-
-    def grad_at_nodes(u):
-        return _evaluate_field(G, u.reshape(-1, 3)[space.cell_dofs])
-
-    sigma = state_stress(grad_at_nodes, space, material, u0, uve)
+    jinv, _ = element_geometry(space)
+    weighted = arm_weighted_sum(space, material, uve)
     out = np.zeros((space.n_scalar_dofs, 3, 3))
-    count = np.zeros(space.n_scalar_dofs)
-    np.add.at(out, space.cell_dofs, sigma)
-    np.add.at(count, space.cell_dofs, 1.0)
+    for chunk in _chunks(len(jinv)):
+        G = _physical_gradients(dN, jinv[chunk])
+        cd = space.cell_dofs[chunk]
+        grad_u0, grad_ve = (_evaluate_field(G, u.reshape(-1, 3)[cd]) for u in (u0, weighted))
+        np.add.at(out, cd, stress_from_gradients(grad_u0, grad_ve, material.mu, material.lam))
+    count = np.bincount(space.cell_dofs.ravel(), minlength=space.n_scalar_dofs)
     return out / count[:, None, None]
 
 

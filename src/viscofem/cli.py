@@ -348,6 +348,10 @@ def seal_sweep(sweep: SealSweepConfig, cfg: RunConfig, out_dir: Path,
     solver = solver_from_config(cfg)
     geom = (r_in, r_out, length, divisions)
 
+    # the workers return their final states, which the VTK files below
+    # read on this process's space: the pool changes no output
+    mesh = build_annulus_mesh(r_in, r_out, length, divisions)
+    space = FeSpace(mesh, p)
     if threads > 1:
         import multiprocessing
 
@@ -356,10 +360,7 @@ def seal_sweep(sweep: SealSweepConfig, cfg: RunConfig, out_dir: Path,
                 _seal_frequency_worker,
                 [(geom, p, material, solver, sweep, w) for w in sweep.frequencies],
             )
-        space = None
     else:
-        mesh = build_annulus_mesh(r_in, r_out, length, divisions)
-        space = FeSpace(mesh, p)
         ops = OperatorSet(space, material)
         probes = seal_probe_nodes(space, sweep.stations, length)
         results = [
@@ -372,7 +373,7 @@ def seal_sweep(sweep: SealSweepConfig, cfg: RunConfig, out_dir: Path,
     for omega, (pmin, pmax, _) in zip(sweep.frequencies, results):
         for station, lo, hi in zip(sweep.stations, pmin, pmax):
             rows.append((omega, station, lo, hi))
-    if cfg.section("output").get_int("vtk_stride", 0) and space is not None:
+    if cfg.section("output").get_int("vtk_stride", 0):
         for omega, (_, _, final) in zip(sweep.frequencies, results):
             vectors, scalars = _vtk_fields(space, final, material)
             nodes, p_vals = compute_contact_pressure(final, space, "inner", material)

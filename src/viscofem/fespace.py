@@ -163,6 +163,20 @@ def reference_basis(p, points):
     return values, gradients
 
 
+def _number_entities(vertex_tuples, n_vertices):
+    """(index, count) of the entities (edges or faces) given by vertex
+    tuples (..., k): each tuple's index among the distinct ones, in the
+    lexicographic order of their sorted vertices, found by one np.unique
+    over the scalar keys (a n + b) n + c..., which sort in that order (in
+    int64, faces fit below 2 million vertices)."""
+    tuples = np.sort(vertex_tuples, axis=-1)
+    keys = tuples[..., 0]
+    for j in range(1, tuples.shape[-1]):
+        keys = keys * n_vertices + tuples[..., j]
+    distinct, index = np.unique(keys, return_inverse=True)
+    return index.reshape(keys.shape), len(distinct)
+
+
 class FeSpace:
     """Conforming vector-valued Lagrange space of degree p on a mesh.
 
@@ -187,19 +201,10 @@ class FeSpace:
         tets = mesh.tets
         n_vert = mesh.n_vertices
 
-        edges = tets[:, _EDGES].reshape(-1, 2)
-        edges = np.sort(edges, axis=1)
-        uniq_edges, edge_of = np.unique(edges, axis=0, return_inverse=True)
-        edge_of = edge_of.reshape(-1, len(_EDGES))
-        n_edge = len(uniq_edges)
-
+        edge_of, n_edge = _number_entities(tets[:, _EDGES], n_vert)
         n_face = 0
         if p >= 3:
-            faces = tets[:, _FACES].reshape(-1, 3)
-            faces = np.sort(faces, axis=1)
-            uniq_faces, face_of = np.unique(faces, axis=0, return_inverse=True)
-            face_of = face_of.reshape(-1, len(_FACES))
-            n_face = len(uniq_faces)
+            face_of, n_face = _number_entities(tets[:, _FACES], n_vert)
 
         self.n_scalar_dofs = n_vert + (p - 1) * n_edge + n_face
         cell_dofs = np.empty((mesh.n_tets, len(self.ref_nodes)), dtype=np.int64)

@@ -55,7 +55,7 @@ def test_mass_quadratic_form_vs_quadrature(space):
     w = _rand_field(space, 1)
     vd = volume_data(space, 2 * space.p + 2)  # independent, higher order
     vals = vd.value(w)
-    oracle = RHO * np.sum(vd.wdet * np.einsum("eqa,eqa->eq", vals, vals))
+    oracle = RHO * np.sum(vd.weights() * np.einsum("eqa,eqa->eq", vals, vals))
     assert abs(w @ (M @ w) - oracle) < 1e-10 * abs(oracle)
 
 
@@ -91,7 +91,7 @@ def test_deviatoric_identity_vs_pieces(space):
     eps = 0.5 * (g + np.swapaxes(g, -1, -2))
     div = np.einsum("eqaa->eq", g)
     oracle = KAPPA * np.sum(
-        vd.wdet * (np.einsum("eqab,eqab->eq", eps, eps) - div * div / 3.0)
+        vd.weights() * (np.einsum("eqab,eqab->eq", eps, eps) - div * div / 3.0)
     )
     assert abs(w @ (K @ w) - oracle) < 1e-10 * abs(oracle)
 
@@ -148,20 +148,23 @@ def test_bincount_scatter_matches_coo_oracle(monkeypatch, n, p):
     from viscofem import assembly
 
     element_matrices = []
-    scatter = assembly.Pattern.scatter
+    assemble = assembly.Pattern.assemble
 
-    def captured(self, dense):
-        element_matrices.append(dense)
-        return scatter(self, dense)
+    def captured(self, kernel):
+        # each operator's element matrices, gathered over the chunks
+        chunks = []
+        out = assemble(self, lambda chunk: chunks.append(kernel(chunk)) or chunks[-1])
+        element_matrices.extend(np.concatenate(parts) for parts in zip(*chunks))
+        return out
 
-    monkeypatch.setattr(assembly.Pattern, "scatter", captured)
+    monkeypatch.setattr(assembly.Pattern, "assemble", captured)
     space = FeSpace(build_box_mesh(n), p)
     operators(space)
     assert len(element_matrices) == 3
     cancelled_total = 0
     for dense in element_matrices:
         want = _coo_operator(space, dense)
-        got = scatter(assembly.pattern(space), dense)
+        (got,) = assemble(assembly.pattern(space), lambda chunk: (dense[chunk],))
         assert np.array_equal(got.indptr, want.indptr)
         assert np.array_equal(got.indices, want.indices)
         assert np.abs(got.data - want.data).max() <= 1e-15 * np.abs(want.data).max()
@@ -202,11 +205,94 @@ def test_operators_bit_equal_across_element_chunks(monkeypatch):
     # the annulus's elements differ in shape and size, unlike the box's
     space = FeSpace(build_annulus_mesh(0.5, 1.0, 0.4, (2, 6, 2)), 2)
     whole = operators(space)
-    assert len(space.mesh.tets) <= assembly.ELEMENT_CHUNK
+    assert len(assembly._chunks(len(space.mesh.tets), 8 * 30**2)) == 1
     monkeypatch.setattr(assembly, "ELEMENT_CHUNK", 7)
     chunked = operators(space)
-    for a, b in ((whole.elastic, chunked.elastic), (whole.deviatoric, chunked.deviatoric)):
+    for a, b in ((whole.mass, chunked.mass), (whole.elastic, chunked.elastic),
+                 (whole.deviatoric, chunked.deviatoric)):
         assert np.array_equal(a.data, b.data)
+        assert np.count_nonzero(a.data == 0) == np.count_nonzero(b.data == 0)
+
+
+def test_operator_chunks_are_sized_by_bytes(monkeypatch):
+    # a P2 element matrix holds 30 x 30 floats, so a chunk of at most
+    # OPERATOR_CHUNK_BYTES holds fewer elements than ELEMENT_CHUNK, and the
+    # operators equal those of one chunk bit for bit
+    from viscofem import assembly
+
+    space = FeSpace(build_box_mesh(4), 2)
+    sizes = []
+    assemble = assembly.Pattern.assemble
+
+    def recorded(self, kernel):
+        return assemble(self, lambda chunk: sizes.append(chunk.stop - chunk.start)
+                        or kernel(chunk))
+
+    monkeypatch.setattr(assembly.Pattern, "assemble", recorded)
+    chunked = operators(space)
+    per_chunk = assembly.OPERATOR_CHUNK_BYTES // (8 * 30**2)
+    assert per_chunk < len(space.mesh.tets) <= assembly.ELEMENT_CHUNK
+    # one pass over the elements for the mass, one for K_E and D together
+    assert max(sizes) == per_chunk and sum(sizes) == 2 * len(space.mesh.tets)
+    monkeypatch.setattr(assembly, "OPERATOR_CHUNK_BYTES", 2**40)
+    sizes.clear()
+    whole = operators(space)
+    assert sizes == [len(space.mesh.tets)] * 2
+    for a, b in ((whole.mass, chunked.mass), (whole.elastic, chunked.elastic),
+                 (whole.deviatoric, chunked.deviatoric)):
+        assert np.array_equal(a.data, b.data)
+        assert np.count_nonzero(a.data == 0) == np.count_nonzero(b.data == 0)
+
+
+def test_pattern_slot_in_index_dtype(space):
+    from viscofem import assembly
+
+    pat = assembly.pattern(space)
+    assert pat.slot.dtype == pat.indices.dtype == np.int32
+
+
+def test_volume_data_chunks_match_whole_mesh_formulas(monkeypatch, space):
+    from viscofem import assembly
+
+    monkeypatch.setattr(assembly, "ELEMENT_CHUNK", 7)
+    vd = assembly.VolumeData(space, 6)
+    chunks = vd.chunks()
+    assert len(chunks) == -(-len(space.mesh.tets) // 7)
+    u = _rand_field(space, 4)
+    v = space.mesh.vertices[space.mesh.tets]
+    jac = (v[:, 1:] - v[:, :1]).transpose(0, 2, 1)
+    G = np.einsum("qnk,eki->eqni", vd.dN, np.linalg.inv(jac))
+    ue = u.reshape(-1, 3)[space.cell_dofs]
+    pairs = [
+        (vd.value, np.einsum("qn,ena->eqa", vd.N, ue)),
+        (vd.gradient, np.einsum("eqni,ena->eqai", G, ue)),
+    ]
+    for evaluate, want in pairs:
+        got = np.concatenate([evaluate(u, chunk) for chunk in chunks])
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    tables = [
+        (vd.weights, vd.rule.weights * np.linalg.det(jac)[:, None]),
+        (vd.points, np.einsum("qv,eva->eqa", vd.rule.points, v)),
+        (vd.basis_gradients, G),
+    ]
+    for table, want in tables:
+        got = np.concatenate([table(chunk) for chunk in chunks])
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_volume_data_keeps_per_element_geometry_only(space):
+    # per element only the inverse Jacobian and the determinant, 10
+    # floats, whatever the quadrature degree
+    from viscofem.assembly import VolumeData
+
+    ne = len(space.mesh.tets)
+    for degree in (2, 6):
+        vd = VolumeData(space, degree)
+        arrays = [a for a in vars(vd).values() if isinstance(a, np.ndarray)]
+        tables = vd.N.nbytes + vd.dN.nbytes
+        assert sum(a.nbytes for a in arrays) == tables + 10 * 8 * ne
 
 
 @pytest.mark.parametrize("n, p", [(1, 2), (2, 1)])
@@ -308,7 +394,7 @@ def test_field_evaluations_match_einsum_definitions(space):
     ue, uf = u.reshape(-1, 3)[space.cell_dofs], u.reshape(-1, 3)[fd.cell_dofs]
     pairs = [
         (vd.value(u), np.einsum("qn,ena->eqa", vd.N, ue)),
-        (vd.gradient(u), np.einsum("eqni,ena->eqai", vd.G, ue)),
+        (vd.gradient(u), np.einsum("eqni,ena->eqai", vd.basis_gradients(), ue)),
         (fd.value(u), np.einsum("fqn,fna->fqa", fd.N, uf)),
         (fd.gradient(u), np.einsum("fqni,fna->fqai", fd.G, uf)),
     ]

@@ -441,6 +441,20 @@ def test_seal_scenario_tiny(tmp_path):
     assert "contact_pressure" in vtk and "von_mises" in vtk
 
 
+def test_seal_worker_pool_writes_the_same_files(tmp_path):
+    # the pool's workers return their final states, from which the VTK
+    # files are written as the sequential sweep writes them
+    path = write_cfg(tmp_path, _with(BASE_SEAL, "seal", "frequencies", "2.0 3.0"))
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads_{threads}"
+        assert main(["seal", "--config", path, "--out", str(out), "--threads", threads]) == 0
+        outputs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+    seq, par = outputs
+    assert sorted(seq) == ["seal_omega_2.vtk", "seal_omega_3.vtk", "seal_pressure.csv"]
+    assert par == seq
+
+
 def test_convergence_worker_pool_matches_sequential(tmp_path):
     body = """
 [run]

@@ -281,3 +281,26 @@ def test_batched_slip_frames_equal_per_node_loop(p):
     assert np.array_equal(con.slip_frames, frames)
     for name in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(con.rotation, name), getattr(rotation, name))
+
+
+def _row_unique_numbering(vertex_tuples, n_vertices):
+    """Oracle numbering: np.unique over the sorted vertex rows."""
+    rows = np.sort(vertex_tuples, axis=-1).reshape(-1, vertex_tuples.shape[-1])
+    distinct, index = np.unique(rows, axis=0, return_inverse=True)
+    return index.reshape(vertex_tuples.shape[:-1]), len(distinct)
+
+
+@pytest.mark.parametrize("kind", ["box", "annulus"])
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_dof_map_matches_row_unique_numbering(monkeypatch, kind, p):
+    from viscofem import fespace
+    from viscofem.mesh import build_annulus_mesh
+
+    mesh = build_box_mesh(3) if kind == "box" else build_annulus_mesh(0.5, 1.0, 0.4, (2, 6, 2))
+    got = FeSpace(mesh, p)
+    monkeypatch.setattr(fespace, "_number_entities", _row_unique_numbering)
+    want = FeSpace(mesh, p)
+    assert got.n_scalar_dofs == want.n_scalar_dofs
+    assert got.cell_dofs.dtype == want.cell_dofs.dtype
+    assert np.array_equal(got.cell_dofs, want.cell_dofs)
+    assert np.array_equal(got.dof_coords, want.dof_coords)

@@ -349,7 +349,7 @@ def test_manufactured_loads_evaluate_shape_hessian_once_per_chunk(monkeypatch, p
     fields = [field for _, field in exact.loads().body_terms]
     got = body_term_vectors(space, fields)
     # L_E[V] and L_D[V] of one chunk share its Hessian
-    n_points = len(volume_data(space, 2 * p + 2).points.reshape(-1, 3))
+    n_points = len(volume_data(space, 2 * p + 2).points().reshape(-1, 3))
     assert len(calls) == -(-len(space.mesh.tets) // 7) and sum(calls) == n_points
     # each vector equals the one its field assembles alone
     for field, vec in zip(fields, got):
@@ -393,3 +393,28 @@ def test_convergence_fine_k_threads_match_sequential():
         assert a.failure is None and b.failure is None
     with pytest.raises(ValueError):
         convergence_study(MATERIAL, cases, reference="fine")
+
+
+def test_error_norms_chunks_match_one_chunk(monkeypatch):
+    from viscofem import assembly
+
+    material = MaterialModel.from_engineering(100.0, 1e5, 0.3, arms=_arms(3))
+    ops, _ = unit_cube_problem(material, 2, 2)
+    space, exact, t = ops.space, ManufacturedSolution(material), 0.5
+    # the nodal interpolant of the exact fields, perturbed so that every
+    # term of the norms is well away from zero
+    rng = np.random.default_rng(3)
+
+    def field(fn):
+        return space.interpolate(fn) + 1e-3 * rng.standard_normal(space.n_dofs)
+
+    state = State(t, field(lambda x: exact.velocity(t, x)),
+                  field(lambda x: exact.displacement(t, x)),
+                  tuple(field(lambda x, m=m: exact.ve_field(m, t, x))
+                        for m in range(len(material.arms))))
+    assert len(space.mesh.tets) <= assembly.ELEMENT_CHUNK
+    whole = error_norms(state, exact, ops)
+    monkeypatch.setattr(assembly, "ELEMENT_CHUNK", 7)
+    chunked = error_norms(state, exact, ops)
+    for a, b in zip(whole, chunked):
+        assert abs(a - b) <= 1e-13 * abs(a)
