@@ -16,11 +16,10 @@ The peak includes the interpreter and the imported libraries. Run from the
 root of the repository, one thread:
 
     OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=1 PYTHONPATH=src \\
-        python3 scripts/setup_memory.py [--n 32] [--p 1]
+        python3 scripts/setup_memory.py
 
-The defaults, h = 1/32 and P1, give 107,811 dofs.
+h = 1/32 (``N`` cells per axis) and P1 (degree ``P``) give 107,811 dofs.
 """
-import argparse
 import json
 import platform
 import resource
@@ -31,6 +30,8 @@ import scipy
 
 from viscofem import dynamics, material, verify
 
+N = 32
+P = 1
 END_TIME = 1.0
 
 
@@ -38,15 +39,10 @@ def peak_rss_mb():
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--n", type=int, default=32, help="cells per axis")
-    parser.add_argument("--p", type=int, default=1, help="polynomial degree")
-    args = parser.parse_args(argv)
-
+def main():
     mat = material.MaterialModel.from_engineering(100.0, 1e5, 0.3, arms=((1e5, 1e-2),))
     tic = perf_counter()
-    ops, _ = verify.unit_cube_problem(mat, args.n, args.p)
+    ops, _ = verify.unit_cube_problem(mat, N, P)
     setup_s = perf_counter() - tic
     setup_rss = peak_rss_mb()
 
@@ -64,8 +60,8 @@ def main(argv=None):
     norms_s = perf_counter() - tic
 
     print(json.dumps({
-        "n": args.n,
-        "p": args.p,
+        "n": N,
+        "p": P,
         "dofs": space.n_dofs,
         "elements": len(space.mesh.tets),
         "setup_s": round(setup_s, 3),

@@ -140,10 +140,6 @@ class VolumeData:
     def chunks(self):
         return _chunks(len(self.det))
 
-    @property
-    def vdofs(self):
-        return _vector_dofs(self.space.cell_dofs)
-
     def weights(self, chunk=slice(None)):
         """Quadrature weights times Jacobian determinants, (nc, nq)."""
         return self.rule.weights[None, :] * self.det[chunk, None]

@@ -347,11 +347,8 @@ def seal_sweep(sweep: SealSweepConfig, cfg: RunConfig, out_dir: Path,
     material = material_from_config(cfg)
     solver = solver_from_config(cfg)
     geom = (r_in, r_out, length, divisions)
+    vtk_stride = cfg.section("output").get_int("vtk_stride", 0)
 
-    # the workers return their final states, which the VTK files below
-    # read on this process's space: the pool changes no output
-    mesh = build_annulus_mesh(r_in, r_out, length, divisions)
-    space = FeSpace(mesh, p)
     if threads > 1:
         import multiprocessing
 
@@ -360,7 +357,12 @@ def seal_sweep(sweep: SealSweepConfig, cfg: RunConfig, out_dir: Path,
                 _seal_frequency_worker,
                 [(geom, p, material, solver, sweep, w) for w in sweep.frequencies],
             )
+        # the workers return their final states, which the VTK files below
+        # read on a space built here: the pool changes no output
+        if vtk_stride:
+            space = FeSpace(build_annulus_mesh(*geom), p)
     else:
+        space = FeSpace(build_annulus_mesh(*geom), p)
         ops = OperatorSet(space, material)
         probes = seal_probe_nodes(space, sweep.stations, length)
         results = [
@@ -373,7 +375,7 @@ def seal_sweep(sweep: SealSweepConfig, cfg: RunConfig, out_dir: Path,
     for omega, (pmin, pmax, _) in zip(sweep.frequencies, results):
         for station, lo, hi in zip(sweep.stations, pmin, pmax):
             rows.append((omega, station, lo, hi))
-    if cfg.section("output").get_int("vtk_stride", 0):
+    if vtk_stride:
         for omega, (_, _, final) in zip(sweep.frequencies, results):
             vectors, scalars = _vtk_fields(space, final, material)
             nodes, p_vals = compute_contact_pressure(final, space, "inner", material)

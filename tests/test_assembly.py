@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from viscofem.assembly import (
+    _vector_dofs,
     assemble_load,
     assemble_mass,
     assemble_traction_load,
@@ -134,7 +135,7 @@ def _coo_operator(space, dense):
     scipy's conversion to CSR."""
     import scipy.sparse as sp
 
-    vdofs = volume_data(space).vdofs
+    vdofs = _vector_dofs(space.cell_dofs)
     nld = vdofs.shape[1]
     rows = np.repeat(vdofs, nld, axis=1).ravel()
     cols = np.tile(vdofs, (1, nld)).ravel()
@@ -177,7 +178,7 @@ def test_bincount_scatter_matches_coo_oracle(monkeypatch, n, p):
 def _vector_key_pattern(space):
     """Reference pattern: np.unique over every (row, column) pair of
     vector dofs of the element matrices, in C order."""
-    vdofs = volume_data(space).vdofs
+    vdofs = _vector_dofs(space.cell_dofs)
     n, nld = space.n_dofs, vdofs.shape[1]
     keys = (np.repeat(vdofs, nld, axis=1) * n + np.tile(vdofs, (1, nld))).ravel()
     keys, slot = np.unique(keys, return_inverse=True)
