@@ -323,20 +323,7 @@ def seal_probe_nodes(space, stations, length):
     return nodes
 
 
-def _seal_frequency_worker(args):
-    geom, p, material, solver, sweep, omega = args
-    r_in, r_out, length, divisions = geom
-    mesh = build_annulus_mesh(r_in, r_out, length, divisions)
-    space = FeSpace(mesh, p)
-    ops = OperatorSet(space, material)
-    probes = seal_probe_nodes(space, sweep.stations, length)
-    return run_seal_frequency(
-        space, ops, material, r_in, sweep, omega, solver, probes
-    )
-
-
-def seal_sweep(sweep: SealSweepConfig, cfg: RunConfig, out_dir: Path,
-               threads=1):
+def seal_sweep(sweep: SealSweepConfig, cfg: RunConfig, out_dir: Path):
     """Frequency sweep; writes omega,station,p_min,p_max rows."""
     geo = cfg.section("geometry")
     r_in = geo.get_float("r_inner", 0.006)
@@ -346,31 +333,15 @@ def seal_sweep(sweep: SealSweepConfig, cfg: RunConfig, out_dir: Path,
     p = cfg.section("discretization").get_int("p", 2)
     material = material_from_config(cfg)
     solver = solver_from_config(cfg)
-    geom = (r_in, r_out, length, divisions)
     vtk_stride = cfg.section("output").get_int("vtk_stride", 0)
 
-    if threads > 1:
-        import multiprocessing
-
-        with multiprocessing.Pool(threads) as pool:
-            results = pool.map(
-                _seal_frequency_worker,
-                [(geom, p, material, solver, sweep, w) for w in sweep.frequencies],
-            )
-        # the workers return their final states, which the VTK files below
-        # read on a space built here: the pool changes no output
-        if vtk_stride:
-            space = FeSpace(build_annulus_mesh(*geom), p)
-    else:
-        space = FeSpace(build_annulus_mesh(*geom), p)
-        ops = OperatorSet(space, material)
-        probes = seal_probe_nodes(space, sweep.stations, length)
-        results = [
-            run_seal_frequency(
-                space, ops, material, r_in, sweep, omega, solver, probes
-            )
-            for omega in sweep.frequencies
-        ]
+    space = FeSpace(build_annulus_mesh(r_in, r_out, length, divisions), p)
+    ops = OperatorSet(space, material)
+    probes = seal_probe_nodes(space, sweep.stations, length)
+    results = [
+        run_seal_frequency(space, ops, material, r_in, sweep, omega, solver, probes)
+        for omega in sweep.frequencies
+    ]
     rows = []
     for omega, (pmin, pmax, _) in zip(sweep.frequencies, results):
         for station, lo, hi in zip(sweep.stations, pmin, pmax):
@@ -410,11 +381,12 @@ def _vtk_fields(space, state, material):
     )
 
 
-def run_convergence(cfg: RunConfig, out_dir: Path, threads=1, long_run=False):
+def run_convergence(cfg: RunConfig, out_dir: Path, long_run=False):
     sec = cfg.section("convergence")
     if long_run:
         # full-resolution sweep: cubic elements, meshes down to h=1/5, and
-        # timesteps down to 1/128 (roughly an hour of compute)
+        # timesteps down to 1/128: 40 rows, about half a minute on one
+        # core of a 2-vCPU Xeon
         default_h = tuple(1.0 / n for n in range(1, 6))
         default_k = tuple(0.5**i for i in range(8))
         default_p = (3,)
@@ -441,8 +413,7 @@ def run_convergence(cfg: RunConfig, out_dir: Path, threads=1, long_run=False):
         reference_nodes(p)
     cases = [(h, k, p) for p in ps for h in hs for k in ks]
     table = convergence_study(
-        material, cases, end_time=end_time, solver=solver, reference=reference,
-        threads=threads,
+        material, cases, end_time=end_time, solver=solver, reference=reference
     )
     path = out_dir / "convergence.csv"
     table.to_csv(path)
@@ -464,7 +435,7 @@ def run_convergence(cfg: RunConfig, out_dir: Path, threads=1, long_run=False):
     return 0
 
 
-def run_conserve(cfg: RunConfig, out_dir: Path, threads=1, long_run=False):
+def run_conserve(cfg: RunConfig, out_dir: Path, long_run=False):
     sec = cfg.section("conserve")
     geo = cfg.section("geometry")
     time_sec = cfg.section("time")
@@ -498,7 +469,7 @@ def run_conserve(cfg: RunConfig, out_dir: Path, threads=1, long_run=False):
     return 0
 
 
-def run_seal(cfg: RunConfig, out_dir: Path, threads=1, long_run=False):
+def run_seal(cfg: RunConfig, out_dir: Path, long_run=False):
     sec = cfg.section("seal")
     sweep = SealSweepConfig(
         frequencies=sec.get_floats("frequencies", (1.0, 15.0)),
@@ -510,14 +481,14 @@ def run_seal(cfg: RunConfig, out_dir: Path, threads=1, long_run=False):
         steps_per_cycle=sec.get_int("steps_per_cycle", 40),
         eccentricity=sec.get_float("eccentricity", 1.0),
     )
-    path, rows = seal_sweep(sweep, cfg, out_dir, threads)
+    path, rows = seal_sweep(sweep, cfg, out_dir)
     print(f"wrote {path}")
     for omega, station, lo, hi in rows:
         print(f"omega={omega:g} station={station:g}: p in [{lo:.6g}, {hi:.6g}]")
     return 0
 
 
-def run_single(cfg: RunConfig, out_dir: Path, threads=1, long_run=False):
+def run_single(cfg: RunConfig, out_dir: Path, long_run=False):
     from .verify import ManufacturedSolution, unit_cube_problem
 
     geo = cfg.section("geometry")
@@ -571,7 +542,6 @@ def main(argv=None):
     parser.add_argument("scenario", choices=sorted(_SCENARIOS))
     parser.add_argument("--config", required=True, help="run configuration file")
     parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument(
         "--long", action="store_true",
         help="enable long-running presets (full-resolution sweeps)",
@@ -588,9 +558,7 @@ def main(argv=None):
             args.out or cfg.section("output").get_str("directory", "out")
         )
         out_dir.mkdir(parents=True, exist_ok=True)
-        return _SCENARIOS[args.scenario](
-            cfg, out_dir, threads=args.threads, long_run=args.long
-        )
+        return _SCENARIOS[args.scenario](cfg, out_dir, long_run=args.long)
     except ValueError as exc:  # a ConfigError, or a library input check
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -241,12 +241,11 @@ class FeSpace:
         """Per boundary facet: local vertex slots in the owner tet and
         the scalar dofs supported on the facet."""
         mesh = self.mesh
-        owners = mesh.facet_owner
-        facet_local = np.empty((len(owners), 3), dtype=np.int64)
-        for i, (facet, owner) in enumerate(zip(mesh.boundary_facets, owners)):
-            tet = mesh.tets[owner]
-            for s, gv in enumerate(facet):
-                facet_local[i, s] = int(np.where(tet == gv)[0][0])
+        # slot of each facet vertex in its owner tet: the first match
+        facet_local = np.argmax(
+            mesh.tets[mesh.facet_owner][:, None, :] == mesh.boundary_facets[:, :, None],
+            axis=2,
+        )
         self.facet_local = facet_local
 
         # reference nodes lying on local face (facet_local) = nodes whose

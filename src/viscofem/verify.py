@@ -120,10 +120,11 @@ class ManufacturedSolution:
         x = np.atleast_2d(x)
         out = np.empty((len(x), 3, 3))
         for a in range(3):
+            # factors[order][ax]: each factor and its derivative, once
+            factors = [[_factor(a, ax, x[:, ax], order) for ax in range(3)]
+                       for order in (0, 1)]
             for i in range(3):
-                fs = [
-                    _factor(a, ax, x[:, ax], 1 if ax == i else 0) for ax in range(3)
-                ]
+                fs = [factors[ax == i][ax] for ax in range(3)]
                 out[:, a, i] = _SHAPE_COEF[a] * fs[0] * fs[1] * fs[2]
         return out
 
@@ -314,7 +315,10 @@ def error_norms(state: State, exact: ManufacturedSolution, operators: OperatorSe
         points = vd.points(chunk)
         pts = points.reshape(-1, 3)
 
-        dv = exact.velocity(t, pts).reshape(points.shape) - vd.value(state.u1, chunk)
+        # the exact fields all scale the shape V and its gradient, which are
+        # evaluated once per chunk
+        shape = exact.shape(pts).reshape(points.shape)
+        dv = exact.time_factor(t) * shape - vd.value(state.u1, chunk)
         kin += mat.rho * np.sum(wdet * np.einsum("eqa,eqa->eq", dv, dv))
 
         grad_exact = exact.shape_gradient(pts).reshape(points.shape[:2] + (3, 3))
@@ -334,7 +338,7 @@ def error_norms(state: State, exact: ManufacturedSolution, operators: OperatorSe
                 wdet * (np.einsum("eqab,eqab->eq", epsm, epsm) - divm * divm / 3.0)
             )
 
-        du0 = exact.displacement(t, pts).reshape(points.shape) - vd.value(state.u0, chunk)
+        du0 = exact.displacement_factor(t) * shape - vd.value(state.u0, chunk)
         l2 += np.sum(wdet * np.einsum("eqa,eqa->eq", du0, du0))
     return float(np.sqrt(kin + ela + sum(ve, 0.0))), float(np.sqrt(l2))
 
@@ -469,23 +473,8 @@ def _sweep_row(material, case, end_time, solver, reference=None):
     return row
 
 
-def _reference_state(material, h, k, p, end_time, solver):
-    return run_manufactured(material, h, k, p, end_time, solver)[0]
-
-
-def _starmap(fn, jobs, threads):
-    """fn(*job) for every job, in order; over a process pool of
-    ``threads`` workers when threads > 1."""
-    if threads > 1:
-        import multiprocessing
-
-        with multiprocessing.get_context("spawn").Pool(threads) as pool:
-            return pool.starmap(fn, jobs)
-    return [fn(*job) for job in jobs]
-
-
 def convergence_study(material, cases, end_time=1.0, solver=None,
-                      reference="exact", refine_reference=4, threads=1):
+                      reference="exact", refine_reference=4):
     """Run the manufactured problem over (h, k, p) cases and tabulate
     end-time errors.
 
@@ -493,24 +482,22 @@ def convergence_study(material, cases, end_time=1.0, solver=None,
     reference='fine_k' measures against a same-mesh run with the
     smallest case timestep divided by ``refine_reference``, isolating the
     time-integration error. Solver failures are recorded per row and do
-    not abort the sweep; a failing reference run does. With threads > 1
-    the reference runs, then the rows, are dispatched to a process pool;
-    row order, and therefore output, is unchanged.
+    not abort the sweep; a failing reference run does.
     """
     if reference not in ("exact", "fine_k"):
         raise ValueError(f"unknown reference {reference!r}")
     refs = {}
     if reference == "fine_k":
         k_ref = min(c[1] for c in cases) / refine_reference
-        keys = list(dict.fromkeys((h, p) for h, _, p in cases))
-        states = _starmap(
-            _reference_state,
-            [(material, h, k_ref, p, end_time, solver) for h, p in keys],
-            threads,
-        )
-        refs = dict(zip(keys, states))
-    jobs = [(material, c, end_time, solver, refs.get((c[0], c[2]))) for c in cases]
-    return ConvergenceTable(rows=_starmap(_sweep_row, jobs, threads))
+        for h, _, p in cases:
+            if (h, p) not in refs:
+                refs[h, p] = run_manufactured(
+                    material, h, k_ref, p, end_time, solver
+                )[0]
+    return ConvergenceTable(rows=[
+        _sweep_row(material, c, end_time, solver, refs.get((c[0], c[2])))
+        for c in cases
+    ])
 
 
 # -- conservation experiment ----------------------------------------------

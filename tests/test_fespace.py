@@ -304,3 +304,20 @@ def test_dof_map_matches_row_unique_numbering(monkeypatch, kind, p):
     assert got.cell_dofs.dtype == want.cell_dofs.dtype
     assert np.array_equal(got.cell_dofs, want.cell_dofs)
     assert np.array_equal(got.dof_coords, want.dof_coords)
+
+
+@pytest.mark.parametrize("kind", ["box", "annulus"])
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_facet_local_matches_per_vertex_search(kind, p):
+    from viscofem.mesh import build_annulus_mesh
+
+    mesh = build_box_mesh(3) if kind == "box" else build_annulus_mesh(0.5, 1.0, 0.4, (2, 6, 2))
+    space = FeSpace(mesh, p)
+    # oracle: each facet vertex's slot in its owner tet, one search each
+    want = np.empty((len(mesh.facet_owner), 3), dtype=np.int64)
+    for i, (facet, owner) in enumerate(zip(mesh.boundary_facets, mesh.facet_owner)):
+        tet = mesh.tets[owner]
+        for s, gv in enumerate(facet):
+            want[i, s] = int(np.where(tet == gv)[0][0])
+    assert space.facet_local.dtype == want.dtype
+    assert np.array_equal(space.facet_local, want)

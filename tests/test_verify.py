@@ -375,22 +375,19 @@ def test_reduced_full_equivalence_separable_loads(p, n_arms):
         assert np.abs(a - b).max() <= 1e-9 * np.abs(b).max()
 
 
-def test_convergence_fine_k_threads_match_sequential():
+def test_convergence_fine_k_measures_against_the_refined_run():
     cases = [(0.5, 0.25, 1), (0.5, 0.125, 1)]
     kw = dict(end_time=0.5, solver=DIRECT, reference="fine_k", refine_reference=2)
-    seq = convergence_study(MATERIAL, cases, **kw)
-    par = convergence_study(MATERIAL, cases, threads=2, **kw)
+    table = convergence_study(MATERIAL, cases, **kw)
     # errors are distances to the same-mesh run at k_min / 2
     from viscofem.verify import _discrete_error, run_manufactured
 
     ref = run_manufactured(MATERIAL, 0.5, 0.0625, 1, 0.5, DIRECT)[0]
     final, ops, _ = run_manufactured(MATERIAL, 0.5, 0.25, 1, 0.5, DIRECT)
-    assert (seq.rows[0].energy_error, seq.rows[0].l2_error) == _discrete_error(
+    assert (table.rows[0].energy_error, table.rows[0].l2_error) == _discrete_error(
         final, ref, ops
     )
-    for a, b in zip(seq.rows, par.rows):
-        assert (a.energy_error, a.l2_error) == (b.energy_error, b.l2_error)
-        assert a.failure is None and b.failure is None
+    assert all(row.failure is None for row in table.rows)
     with pytest.raises(ValueError):
         convergence_study(MATERIAL, cases, reference="fine")
 
@@ -418,3 +415,27 @@ def test_error_norms_chunks_match_one_chunk(monkeypatch):
     chunked = error_norms(state, exact, ops)
     for a, b in zip(whole, chunked):
         assert abs(a - b) <= 1e-13 * abs(a)
+
+
+def test_error_norms_evaluate_each_shape_factor_once_per_chunk(monkeypatch):
+    from viscofem import assembly, verify
+
+    material = MaterialModel.from_engineering(100.0, 1e5, 0.3, arms=_arms(3))
+    ops, _ = unit_cube_problem(material, 2, 2)
+    exact = ManufacturedSolution(material)
+    x = np.random.default_rng(5).uniform(0.0, 1.0, (50, 3))
+    # oracle: every (component, axis) entry forms its own three factors
+    want = np.empty((len(x), 3, 3))
+    for a in range(3):
+        for i in range(3):
+            fs = [verify._factor(a, ax, x[:, ax], 1 if ax == i else 0) for ax in range(3)]
+            want[:, a, i] = verify._SHAPE_COEF[a] * fs[0] * fs[1] * fs[2]
+    assert np.array_equal(exact.shape_gradient(x), want)
+
+    calls = []
+    factor = verify._factor
+    monkeypatch.setattr(verify, "_factor", lambda *args: calls.append(1) or factor(*args))
+    monkeypatch.setattr(assembly, "ELEMENT_CHUNK", 7)
+    error_norms(State.zero(ops.space, 3), exact, ops)
+    # per chunk: 9 factors for the shape V, 18 (orders 0 and 1) for its gradient
+    assert len(calls) == 27 * -(-len(ops.space.mesh.tets) // 7)
