@@ -10,9 +10,12 @@ Operators are scipy CSR matrices over interleaved vector dofs
 
 K_E = mu*S + lam*V and D = S/2 - V/3 combine the unit kernels
 S = integral(2*eps:eps) and V = integral(div*div); arm m acts through
-kappa_m*D. All three matrices share one CSR sparsity pattern, built once
-per space with a map from element-matrix entries to data slots, into
-which each chunk's element matrices are added slot by slot.
+kappa_m*D. K_E and D share one CSR sparsity pattern, built once per
+space with a map from element-matrix entries to data slots, into which
+each chunk's element matrices are added slot by slot. M couples only
+equal components: it stores the scalar mass of each node pair at the
+entries (3i + a, 3j + a) alone, on its own pattern of a third as many
+entries, found from the same node pairs.
 
 Element loops run over chunks of elements. Per element only the inverse
 Jacobian and the Jacobian determinant are kept, once per space; basis
@@ -259,17 +262,23 @@ def _read_only(vec):
 
 
 class Pattern:
-    """CSR sparsity pattern of the element-to-element dof couplings of a
-    space, with ``slot`` mapping each entry of an (ne, nld, nld) element
-    matrix array, in C order, to its data slot, in the index dtype of
-    ``indices``. Built once per space; every operator shares its read-only
-    ``indptr`` and ``indices``.
+    """CSR sparsity patterns of the element-to-element dof couplings of a
+    space, built once per space. ``indptr`` and ``indices`` couple every
+    component pair of two nodes (3i + a, 3j + b), and ``slot`` maps each
+    entry of an (ne, nld, nld) element matrix array, in C order, to its
+    data slot; every vector operator shares them. ``mass_indptr`` and
+    ``mass_indices`` hold only the equal-component entries (3i + a, 3j + a)
+    of the same node pairs, and ``pair`` maps each entry of an
+    (ne, nloc, nloc) scalar element matrix array to its node pair. All are
+    read-only and in one index dtype.
 
-    The pattern is found on scalar node pairs, each expanded to its 3x3
-    block: entry s = (i, c) of a scalar row i, which starts at sptr[i] and
-    holds rowlen[i] entries, puts block entry (a, b) at slot
+    The patterns are found on scalar node pairs s = (i, c), sorted, of
+    which row i holds rowlen[i] from sptr[i]. The vector pattern expands
+    each pair to its 3x3 block: entry (a, b) at slot
     9 sptr[i] + 3 a rowlen[i] + 3 (s - sptr[i]) + b, column 3c + b, the
-    order a sort of the vector-dof pairs gives."""
+    order a sort of the vector-dof pairs gives. The mass pattern keeps
+    entry (a, a) at slot 3 sptr[i] + a rowlen[i] + (s - sptr[i]),
+    column 3c + a."""
 
     def __init__(self, space: FeSpace):
         cd = space.cell_dofs
@@ -285,42 +294,66 @@ class Pattern:
         n, nnz = 3 * ns, 9 * len(keys)
         index = np.int32 if max(n, nnz) < 2**31 else np.int64
         # slots of the blocks of all scalar pairs, (s, a, b)
-        offset = 3 * (np.arange(len(keys)) - sptr[rows])
-        block_slot = row_start[rows][:, :, None] + (offset[:, None] + comp)[:, None, :]
+        in_row = np.arange(len(keys)) - sptr[rows]
+        block_slot = row_start[rows][:, :, None] + (3 * in_row[:, None] + comp)[:, None, :]
+        columns = 3 * (keys % ns)
         indices = np.empty(nnz, dtype=index)
-        indices[block_slot] = (3 * (keys % ns))[:, None, None] + comp
+        indices[block_slot] = columns[:, None, None] + comp
         self.indices = _read_only(indices)
         self.indptr = _read_only(np.append(row_start.ravel(), nnz).astype(index))
+        # the mass pattern: slots of the (a, a) entries of all scalar pairs
+        mass_start = 3 * sptr[:-1, None] + rowlen[:, None] * comp  # (ns, a)
+        self.mass_slot = _read_only((mass_start[rows] + in_row[:, None]).astype(index))
+        mass_indices = np.empty(3 * len(keys), dtype=index)
+        mass_indices[self.mass_slot] = columns[:, None] + comp
+        self.mass_indices = _read_only(mass_indices)
+        self.mass_indptr = _read_only(np.append(mass_start.ravel(), 3 * len(keys)).astype(index))
+        pair = pair.astype(index)
+        self.pair = _read_only(pair)
         # element entry (e, i, a, j, b) of the pair s = pair[e, i, j], with
         # 9 sptr + 3 (s - sptr) = 6 sptr + 3 s, computed in the index dtype
         # throughout (every partial sum is below nnz), so no int64 array of
         # the element entries' size is made
         sptr, rowlen, comp = sptr.astype(index), rowlen.astype(index), comp.astype(index)
         row = cd[:, :, None, None, None]
-        pair = pair.astype(index).reshape(ne, nloc, 1, nloc, 1)
+        pair = pair.reshape(ne, nloc, 1, nloc, 1)
         self.slot = _read_only((6 * sptr[row] + 3 * pair + 3 * rowlen[row] * comp[:, None, None]
                                 + comp).reshape(-1))
         self.shape = (n, n)
         self.n_elements, self.element_size = ne, (3 * nloc) ** 2
 
-    def assemble(self, element_matrices):
-        """CSR matrices on this pattern, one per array that
-        ``element_matrices(chunk)`` returns for a slice of elements, each
-        (nc, nld, nld). The chunks hold at most ``OPERATOR_CHUNK_BYTES`` per
+    def assemble(self, element_matrices, mass=False):
+        """CSR matrices, one per array that ``element_matrices(chunk)``
+        returns for a slice of elements: each array is a vector element
+        matrix array (nc, nld, nld), on the vector pattern, or with
+        ``mass`` a scalar one (nc, nloc, nloc), whose sums the matrix
+        stores at every equal-component entry (3i + a, 3j + a), on the
+        mass pattern. The chunks hold at most ``OPERATOR_CHUNK_BYTES`` per
         array, and each is added into the data slot by slot in element
         order: the order a sum over all element matrices at once takes, so
         the data, and the exact zeros where contributions cancel, do not
         depend on the chunks."""
-        size = self.element_size
+        size = self.element_size // 9 if mass else self.element_size
+        slots = self.pair if mass else self.slot
         data = None
         for chunk in _chunks(self.n_elements, 8 * size):
             matrices = element_matrices(chunk)
             if data is None:
-                data = [np.zeros(len(self.indices)) for _ in matrices]
-            slot = self.slot[chunk.start * size:chunk.stop * size]
+                data = [np.zeros(len(self.mass_slot) if mass else len(self.indices))
+                        for _ in matrices]
+            slot = slots[chunk.start * size:chunk.stop * size]
             for out, dense in zip(data, matrices):
                 np.add.at(out, slot, dense.ravel())
-        return [sp.csr_matrix((d, self.indices, self.indptr), shape=self.shape) for d in data]
+        if not mass:
+            return [sp.csr_matrix((d, self.indices, self.indptr), shape=self.shape)
+                    for d in data]
+        matrices = []
+        for pair_sums in data:
+            values = np.empty(len(self.mass_indices))
+            values[self.mass_slot] = pair_sums[:, None]
+            matrices.append(sp.csr_matrix((values, self.mass_indices, self.mass_indptr),
+                                          shape=self.shape))
+        return matrices
 
 
 def pattern(space: FeSpace) -> Pattern:
@@ -328,17 +361,16 @@ def pattern(space: FeSpace) -> Pattern:
 
 
 def assemble_mass(space: FeSpace, rho, degree=None):
-    """Vector mass matrix with density rho."""
+    """Vector mass matrix with density rho, on the space's mass pattern:
+    it couples only equal components, each by the scalar mass."""
     if rho <= 0:
         raise ValueError("density must be positive")
     vd = volume_data(space, degree)
-    nld = 3 * vd.N.shape[1]
 
     def element_matrices(chunk):
-        nn = np.einsum("eq,qi,qj->eij", vd.weights(chunk), vd.N, vd.N)
-        return (rho * np.einsum("eij,ab->eiajb", nn, np.eye(3)).reshape(-1, nld, nld),)
+        return (rho * np.einsum("eq,qi,qj->eij", vd.weights(chunk), vd.N, vd.N),)
 
-    (mass,) = pattern(space).assemble(element_matrices)
+    (mass,) = pattern(space).assemble(element_matrices, mass=True)
     return mass
 
 

@@ -215,8 +215,10 @@ class Products(NamedTuple):
 
 class OperatorSet:
     """Mass M, elastic K_E and the unit deviatoric operator D, through
-    which arm m acts as kappa_m D: three matrices for any arm count, all on
-    the sparsity pattern of M (exact zeros kept)."""
+    which arm m acts as kappa_m D: three matrices for any arm count. K_E
+    and D share one sparsity pattern, with the exact zeros where element
+    contributions cancel kept; M stores only its equal-component
+    entries, a third as many."""
 
     def __init__(self, space: FeSpace, material: MaterialModel, degree=None):
         self.space = space
@@ -370,7 +372,7 @@ class ReducedStepper:
         self._alpha_kappa = sum(m.kappa * a for m, a in zip(arms, self.coeffs.alpha))
         self._beta_kappa = [m.kappa * (1.0 + b) for m, b in zip(arms, self.coeffs.beta)]
         # a sparse sum drops exact zeros, as the per-arm sum did: the zeros
-        # stored in the operators' shared pattern would only grow the factor
+        # stored in the pattern of K_E and D would only grow the factor
         k = self.k
         schur = (operators.mass + (k * k / 4.0) * operators.elastic
                  + ((k / 2.0) * self._alpha_kappa) * operators.deviatoric)
@@ -549,7 +551,9 @@ def simulate(operators: OperatorSet, constraints: Constraints, grid: TimeGrid,
     (``np.linspace``) grid vary by that much, and a truly non-uniform grid
     rebuilds at every real change of step. Each step advances by the
     stepper's ``k`` and lands on the grid node ``t_next``, so every state
-    and ledger time equals a node. ``callback`` (if given) is invoked with
+    and ledger time equals a node. ``stepper`` is "reduced"
+    (``ReducedStepper``) or "full" (``FullStepper``, the oracle); another
+    name raises ``ValueError``. ``callback`` (if given) is invoked with
     each new State. Returns the ledger and, when ``keep_states``, every
     state; otherwise first and final only. The scheme is unconditionally
     stable, so a step whose ledger energy is not finite (bad input or a
@@ -558,7 +562,10 @@ def simulate(operators: OperatorSet, constraints: Constraints, grid: TimeGrid,
     if state0 is None:
         state0 = State.zero(operators.space, operators.material.n_arms,
                             float(grid.nodes[0]))
-    cls = ReducedStepper if stepper == "reduced" else FullStepper
+    steppers = {"reduced": ReducedStepper, "full": FullStepper}
+    if stepper not in steppers:
+        raise ValueError(f"unknown stepper {stepper!r}: expected 'reduced' or 'full'")
+    cls = steppers[stepper]
     state = state0
     ledger = [energy(state, operators, 0.0)]
     states = [state]

@@ -338,10 +338,13 @@ def _row_norms(v):
 class Constraints:
     """Essential constraint bookkeeping for a space.
 
-    Builds the orthogonal change of basis R (identity except slip-node
-    blocks, whose columns are the nodal frame (n, t1, t2)), the fixed
+    Builds the nodal frames (n, t1, t2) of the slip nodes, the fixed
     frame-dof set, and prescribed-value evaluation. Constrained solves
-    work in frame coordinates W with U = R W.
+    work in frame coordinates W with U = R W, where the orthogonal change
+    of basis R is the identity except at the slip nodes' 3x3 blocks, whose
+    columns are their frames. ``to_frame`` and ``from_frame`` apply R' and
+    R by rotating those blocks only; the sparse ``rotation`` R serves the
+    matrix products of ``reduce`` and the full stepper.
     """
 
     def __init__(self, space: FeSpace, spec: dict):
@@ -376,6 +379,7 @@ class Constraints:
         space = self.space
         mesh = space.mesh
         nodes = np.fromiter(self.slip_nodes, dtype=np.int64, count=len(self.slip_nodes))
+        self._slip_index = nodes
         position = np.full(space.n_scalar_dofs, -1)
         position[nodes] = np.arange(len(nodes))
         acc = np.zeros((len(nodes), 3))
@@ -406,7 +410,7 @@ class Constraints:
         if not self.slip_nodes:
             self.rotation = sp.identity(n, format="csr")
             return
-        nodes = np.fromiter(self.slip_nodes, dtype=np.int64, count=len(self.slip_nodes))
+        nodes = self._slip_index
         comp = np.arange(3)
         # frame blocks of the slip nodes, then the identity on the other nodes
         block = (3 * nodes[:, None, None] + comp[:, None]).repeat(3, axis=2)
@@ -460,11 +464,27 @@ class Constraints:
             out[slots] = np.broadcast_to(vals, slots.shape)
         return out
 
+    def _rotate_blocks(self, v, frames):
+        """A new vector, v + 0.0, except that the 3-block x of v at the k-th
+        slip node becomes 0.0 + sum_c x[c] frames[k, c], the terms added in
+        c order. The sparse product with the rotation starts each row's sum
+        from 0.0 and adds in that order, so the two are equal bit for bit,
+        signed zeros included."""
+        out = v + 0.0
+        x = v.reshape(-1, 3)[self._slip_index]
+        out.reshape(-1, 3)[self._slip_index] = (
+            0.0 + x[:, :1] * frames[:, 0] + x[:, 1:2] * frames[:, 1] + x[:, 2:] * frames[:, 2])
+        return out
+
     def to_frame(self, u):
-        return self.rotation.T @ u
+        """R'u, a new vector: each slip node's block in its frame's
+        coordinates (n, t1, t2)."""
+        return self._rotate_blocks(u, self.slip_frames)
 
     def from_frame(self, w):
-        return self.rotation @ w
+        """R w, a new vector: each slip node's block, given in its frame's
+        coordinates, back in Cartesian ones."""
+        return self._rotate_blocks(w, self.slip_frames.transpose(0, 2, 1))
 
     def apply_values(self, u, t=0.0):
         """Overwrite the constrained components of u with prescribed values."""
@@ -478,8 +498,9 @@ class Constraints:
             a = (self.rotation.T @ matrix @ self.rotation).tocsr()
         else:
             a = matrix.tocsr()
-        a_ff = a[self.free][:, self.free].tocsr()
-        a_fx = a[self.free][:, self.fixed].tocsr()
+        rows = a[self.free]
+        a_ff = rows[:, self.free].tocsr()
+        a_fx = rows[:, self.fixed].tocsr()
         return ConstrainedSystem(self, a_ff, a_fx)
 
 

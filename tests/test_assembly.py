@@ -123,13 +123,6 @@ def test_pointwise_deviatoric_bound(space):
         assert w @ (KV @ w) <= (KAPPA / (2 * MU)) * (w @ (KE @ w)) * (1 + 1e-12)
 
 
-def test_operators_share_one_sparsity_pattern(space):
-    ops = OperatorSet(space, MaterialModel(RHO, MU, LAM, arms=((KAPPA, 1.0),) * 3))
-    for K in (ops.elastic, ops.deviatoric):
-        assert np.array_equal(K.indptr, ops.mass.indptr)
-        assert np.array_equal(K.indices, ops.mass.indices)
-
-
 def _coo_operator(space, dense):
     """Oracle scatter: a COO matrix of the element matrices, summed by
     scipy's conversion to CSR."""
@@ -142,6 +135,69 @@ def _coo_operator(space, dense):
     return sp.coo_matrix((dense.ravel(), (rows, cols)), shape=(space.n_dofs,) * 2).tocsr()
 
 
+def _vector_element_mass(space, chunk=slice(None)):
+    """The 9x element mass matrices (nc, nld, nld): each scalar element
+    mass times the 3x3 identity, as M was formed on the vector pattern."""
+    vd = volume_data(space)
+    nn = np.einsum("eq,qi,qj->eij", vd.weights(chunk), vd.N, vd.N)
+    nld = 3 * nn.shape[1]
+    return (RHO * np.einsum("eij,ab->eiajb", nn, np.eye(3))).reshape(-1, nld, nld)
+
+
+def full_pattern_mass(space):
+    """M on the vector pattern that K_E and D share, with its exact zeros
+    at the cross-component entries."""
+    from viscofem import assembly
+
+    (mass,) = assembly.pattern(space).assemble(
+        lambda chunk: (_vector_element_mass(space, chunk),))
+    return mass
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_mass_keeps_a_third_of_the_shared_pattern(p):
+    space = FeSpace(build_box_mesh(2), p)
+    ops = OperatorSet(space, MaterialModel(RHO, MU, LAM, arms=((KAPPA, 1.0),) * 3))
+    assert np.array_equal(ops.deviatoric.indptr, ops.elastic.indptr)
+    assert np.array_equal(ops.deviatoric.indices, ops.elastic.indices)
+    assert 3 * ops.mass.nnz == ops.elastic.nnz
+    full = full_pattern_mass(space).copy()  # the pattern's arrays are read-only
+    assert np.array_equal(full.indices, ops.elastic.indices)
+    assert np.count_nonzero(full.data == 0) == 2 * ops.mass.nnz
+    full.eliminate_zeros()
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(ops.mass, name), getattr(full, name))
+    # and the sums equal those of a COO conversion, whose order may differ
+    want = _coo_operator(space, _vector_element_mass(space))
+    want.eliminate_zeros()
+    assert np.array_equal(ops.mass.indptr, want.indptr)
+    assert np.array_equal(ops.mass.indices, want.indices)
+    assert np.abs(ops.mass.data - want.data).max() <= 1e-15 * np.abs(want.data).max()
+
+
+@pytest.mark.parametrize("kind, p", [("box", 1), ("box", 2), ("annulus", 2)])
+def test_schur_matrix_bit_equal_with_full_pattern_mass(kind, p):
+    # the sparse sum drops the full-pattern mass's zeros, so the Schur
+    # matrix does not see which pattern M is stored on
+    from viscofem.dynamics import LinearSolver, ReducedStepper
+    from viscofem.fespace import Constraints, DirichletBC, SlipBC
+    from viscofem.mesh import build_annulus_mesh
+
+    if kind == "box":
+        tagger = box_face_tagger(faces={"z-": BoundaryTag(BoundaryKind.DIRICHLET, "bottom")})
+        space = FeSpace(build_box_mesh(2, tagger=tagger), p)
+        con = Constraints(space, {"bottom": DirichletBC()})
+    else:
+        space = FeSpace(build_annulus_mesh(0.5, 1.0, 0.4, (2, 6, 2)), p)
+        con = Constraints(space, {"outer": DirichletBC(), "inner": SlipBC(0.1)})
+    ops = OperatorSet(space, MaterialModel(RHO, MU, LAM, arms=((KAPPA, 1.0), (1.0, 0.1))))
+    got = ReducedStepper(ops, con, 0.01, solver=LinearSolver("direct")).system.matrix
+    ops.mass = full_pattern_mass(space)
+    want = ReducedStepper(ops, con, 0.01, solver=LinearSolver("direct")).system.matrix
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+
+
 @pytest.mark.parametrize("n, p", [(2, 1), (2, 2), (3, 2), (2, 3)])
 def test_bincount_scatter_matches_coo_oracle(monkeypatch, n, p):
     # at p = 2 the element matrices of a box mesh cancel in some entries of
@@ -151,17 +207,18 @@ def test_bincount_scatter_matches_coo_oracle(monkeypatch, n, p):
     element_matrices = []
     assemble = assembly.Pattern.assemble
 
-    def captured(self, kernel):
-        # each operator's element matrices, gathered over the chunks
+    def captured(self, kernel, mass=False):
+        # each vector operator's element matrices, gathered over the chunks
         chunks = []
-        out = assemble(self, lambda chunk: chunks.append(kernel(chunk)) or chunks[-1])
-        element_matrices.extend(np.concatenate(parts) for parts in zip(*chunks))
+        out = assemble(self, lambda chunk: chunks.append(kernel(chunk)) or chunks[-1], mass)
+        if not mass:
+            element_matrices.extend(np.concatenate(parts) for parts in zip(*chunks))
         return out
 
     monkeypatch.setattr(assembly.Pattern, "assemble", captured)
     space = FeSpace(build_box_mesh(n), p)
     operators(space)
-    assert len(element_matrices) == 3
+    assert len(element_matrices) == 2
     cancelled_total = 0
     for dense in element_matrices:
         want = _coo_operator(space, dense)
@@ -225,16 +282,18 @@ def test_operator_chunks_are_sized_by_bytes(monkeypatch):
     sizes = []
     assemble = assembly.Pattern.assemble
 
-    def recorded(self, kernel):
+    def recorded(self, kernel, mass=False):
         return assemble(self, lambda chunk: sizes.append(chunk.stop - chunk.start)
-                        or kernel(chunk))
+                        or kernel(chunk), mass)
 
     monkeypatch.setattr(assembly.Pattern, "assemble", recorded)
     chunked = operators(space)
     per_chunk = assembly.OPERATOR_CHUNK_BYTES // (8 * 30**2)
     assert per_chunk < len(space.mesh.tets) <= assembly.ELEMENT_CHUNK
-    # one pass over the elements for the mass, one for K_E and D together
-    assert max(sizes) == per_chunk and sum(sizes) == 2 * len(space.mesh.tets)
+    # one pass over the elements for the mass, whose scalar 10 x 10 element
+    # matrices fit in one chunk, and one for K_E and D together
+    ne = len(space.mesh.tets)
+    assert sizes[0] == ne and max(sizes[1:]) == per_chunk and sum(sizes[1:]) == ne
     monkeypatch.setattr(assembly, "OPERATOR_CHUNK_BYTES", 2**40)
     sizes.clear()
     whole = operators(space)
@@ -350,11 +409,17 @@ def test_one_pattern_build_serves_all_operators(monkeypatch):
     monkeypatch.setattr(assembly.Pattern, "__init__", counted)
     space = FeSpace(build_box_mesh(2), 2)
     ops = operators(space)
-    OperatorSet(space, MaterialModel(2 * RHO, 2 * MU, LAM))
+    other = OperatorSet(space, MaterialModel(2 * RHO, 2 * MU, LAM))
     assert len(builds) == 1
-    for K in (ops.elastic, ops.deviatoric):
-        assert np.shares_memory(K.indices, ops.mass.indices)
-        assert np.shares_memory(K.indptr, ops.mass.indptr)
+    pat = assembly.pattern(space)
+    # K_E and D on the vector pattern, M on the mass pattern
+    for K in (ops.elastic, ops.deviatoric, other.elastic, other.deviatoric):
+        assert np.shares_memory(K.indices, pat.indices)
+        assert np.shares_memory(K.indptr, pat.indptr)
+    for M in (ops.mass, other.mass):
+        assert np.shares_memory(M.indices, pat.mass_indices)
+        assert np.shares_memory(M.indptr, pat.mass_indptr)
+    assert 3 * ops.mass.nnz == ops.elastic.nnz
 
 
 def test_stress_of_weighted_field_equals_per_arm_sum():

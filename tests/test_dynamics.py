@@ -704,3 +704,13 @@ def test_time_grid_rejects_non_finite_nodes(bad):
         TimeGrid(np.array([0.0, 0.5, bad]))
     with pytest.raises(ValueError, match="finite"), np.errstate(invalid="ignore"):
         TimeGrid.uniform(0.0, bad, 4)
+
+
+@pytest.mark.parametrize("name", ["Reduced", "ful", ""])
+def test_simulate_rejects_unknown_stepper(monkeypatch, name):
+    # a misspelt name must not fall through to the full-stepper oracle
+    ops, con = make_problem(n=1, p=1)
+    full_builds = _count_builds(monkeypatch, FullStepper)
+    with pytest.raises(ValueError, match="unknown stepper"):
+        simulate(ops, con, TimeGrid.uniform(0.0, 0.1, 2), solver=DIRECT, stepper=name)
+    assert full_builds[0] == 0

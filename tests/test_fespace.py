@@ -283,6 +283,37 @@ def test_batched_slip_frames_equal_per_node_loop(p):
         assert np.array_equal(getattr(con.rotation, name), getattr(rotation, name))
 
 
+def _bits(v):
+    return np.asarray(v, dtype=np.float64).view(np.uint64)
+
+
+@pytest.mark.parametrize("kind", ["box", "annulus"])
+@pytest.mark.parametrize("p", [1, 2])
+def test_frame_maps_equal_rotation_products(kind, p):
+    # the frame maps rotate only the slip nodes' blocks, and equal the
+    # sparse products with the rotation bit for bit, signed zeros included
+    from viscofem.mesh import build_annulus_mesh
+
+    if kind == "box":
+        tagger = box_face_tagger(faces={"z-": BoundaryTag(BoundaryKind.DIRICHLET, "bottom")})
+        space = FeSpace(build_box_mesh(2, tagger=tagger), p)
+        con = Constraints(space, {"bottom": DirichletBC()})
+        assert not con.slip_nodes
+    else:
+        space = FeSpace(build_annulus_mesh(0.5, 1.0, 0.4, (2, 12, 3)), p)
+        con = Constraints(space, {"outer": DirichletBC(), "inner": SlipBC(0.1)})
+        assert con.slip_nodes
+    rng = np.random.default_rng(5)
+    u = rng.standard_normal(space.n_dofs)
+    u[rng.random(space.n_dofs) < 0.3] = 0.0
+    u[rng.random(space.n_dofs) < 0.3] = -0.0
+    for got, want in ((con.to_frame(u), con.rotation.T @ u),
+                      (con.from_frame(u), con.rotation @ u)):
+        assert np.array_equal(_bits(got), _bits(want))
+        # a new array: ``apply_values`` writes into the result
+        assert not np.shares_memory(got, u)
+
+
 def _row_unique_numbering(vertex_tuples, n_vertices):
     """Oracle numbering: np.unique over the sorted vertex rows."""
     rows = np.sort(vertex_tuples, axis=-1).reshape(-1, vertex_tuples.shape[-1])

@@ -1,0 +1,32 @@
+"""Smoke runs of the measurement scripts under ``scripts/`` on small
+inputs: each prints JSON that parses."""
+import importlib.util
+import json
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_factor_sweep_prints_json(capsys):
+    # the two smallest meshes, box n = 8 P1 and box n = 4 P2, hold 2,187 dofs
+    _load("factor_sweep").main(["--max-dofs", "2187"])
+    out = json.loads(capsys.readouterr().out)
+    assert [row["mesh"] for row in out["rows"]] == ["box n=8 P1", "box n=4 P2"]
+    for row in out["rows"]:
+        assert row["free_dofs"] > 0 and row["factor_nnz"] > 0 and row["cg_iters"] > 0
+
+
+def test_setup_memory_prints_json(monkeypatch, capsys):
+    module = _load("setup_memory")
+    monkeypatch.setattr(module, "N", 2)
+    module.main()
+    out = json.loads(capsys.readouterr().out)
+    assert out["n"] == 2 and out["dofs"] == 3 * 3**3
+    assert out["energy_error"] > 0 and out["l2_error"] > 0
