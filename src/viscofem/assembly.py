@@ -268,9 +268,9 @@ class Pattern:
     entry of an (ne, nld, nld) element matrix array, in C order, to its
     data slot; every vector operator shares them. ``mass_indptr`` and
     ``mass_indices`` hold only the equal-component entries (3i + a, 3j + a)
-    of the same node pairs, and ``pair`` maps each entry of an
-    (ne, nloc, nloc) scalar element matrix array to its node pair. All are
-    read-only and in one index dtype.
+    of the same node pairs, and ``mass_source`` the slot of the (0, 0)
+    entry of each one's node pair. All are read-only and in one index
+    dtype.
 
     The patterns are found on scalar node pairs s = (i, c), sorted, of
     which row i holds rowlen[i] from sptr[i]. The vector pattern expands
@@ -278,7 +278,8 @@ class Pattern:
     9 sptr[i] + 3 a rowlen[i] + 3 (s - sptr[i]) + b, column 3c + b, the
     order a sort of the vector-dof pairs gives. The mass pattern keeps
     entry (a, a) at slot 3 sptr[i] + a rowlen[i] + (s - sptr[i]),
-    column 3c + a."""
+    column 3c + a, so the (0, 0) entry's mass slot is a third of its
+    vector slot."""
 
     def __init__(self, space: FeSpace):
         cd = space.cell_dofs
@@ -290,37 +291,49 @@ class Pattern:
         rowlen = np.bincount(rows, minlength=ns)
         sptr = np.concatenate(([0], np.cumsum(rowlen)))
         comp = np.arange(3)
-        row_start = 9 * sptr[:-1, None] + 3 * rowlen[:, None] * comp  # (ns, a)
-        n, nnz = 3 * ns, 9 * len(keys)
+        n_pairs = len(keys)
+        n, nnz = 3 * ns, 9 * n_pairs
         index = np.int32 if max(n, nnz) < 2**31 else np.int64
-        # slots of the blocks of all scalar pairs, (s, a, b)
-        in_row = np.arange(len(keys)) - sptr[rows]
-        block_slot = row_start[rows][:, :, None] + (3 * in_row[:, None] + comp)[:, None, :]
+        in_row = np.arange(n_pairs) - sptr[rows]
         columns = 3 * (keys % ns)
+        del keys
+        # the vector pattern, from the slots of the blocks of all scalar
+        # pairs, (s, a, b)
+        row_start = 9 * sptr[:-1, None] + 3 * rowlen[:, None] * comp  # (ns, a)
+        block_slot = row_start[rows][:, :, None] + (3 * in_row[:, None] + comp)[:, None, :]
         indices = np.empty(nnz, dtype=index)
         indices[block_slot] = columns[:, None, None] + comp
+        del block_slot
         self.indices = _read_only(indices)
         self.indptr = _read_only(np.append(row_start.ravel(), nnz).astype(index))
-        # the mass pattern: slots of the (a, a) entries of all scalar pairs
+        # the mass pattern, and for each of its entries the slot of the
+        # same node pair's (0, 0) entry
         mass_start = 3 * sptr[:-1, None] + rowlen[:, None] * comp  # (ns, a)
-        self.mass_slot = _read_only((mass_start[rows] + in_row[:, None]).astype(index))
-        mass_indices = np.empty(3 * len(keys), dtype=index)
-        mass_indices[self.mass_slot] = columns[:, None] + comp
-        self.mass_indices = _read_only(mass_indices)
-        self.mass_indptr = _read_only(np.append(mass_start.ravel(), 3 * len(keys)).astype(index))
+        mass_slot = mass_start[rows] + in_row[:, None]  # (s, a)
+        del rows, in_row
+        mass_indices = np.empty(3 * n_pairs, dtype=index)
+        mass_indices[mass_slot] = columns[:, None] + comp
+        mass_source = np.empty(3 * n_pairs, dtype=index)
+        mass_source[mass_slot] = mass_slot[:, :1]
+        del mass_slot, columns
+        self.mass_indices, self.mass_source = _read_only(mass_indices), _read_only(mass_source)
+        self.mass_indptr = _read_only(np.append(mass_start.ravel(), 3 * n_pairs).astype(index))
         pair = pair.astype(index)
-        self.pair = _read_only(pair)
         # element entry (e, i, a, j, b) of the pair s = pair[e, i, j], with
         # 9 sptr + 3 (s - sptr) = 6 sptr + 3 s, computed in the index dtype
-        # throughout (every partial sum is below nnz), so no int64 array of
-        # the element entries' size is made
+        # throughout (every partial sum is below nnz) and added into the
+        # array in place, so no temporary of the element entries' size is
+        # made; the pattern's other temporaries are freed before
         sptr, rowlen, comp = sptr.astype(index), rowlen.astype(index), comp.astype(index)
         row = cd[:, :, None, None, None]
-        pair = pair.reshape(ne, nloc, 1, nloc, 1)
-        self.slot = _read_only((6 * sptr[row] + 3 * pair + 3 * rowlen[row] * comp[:, None, None]
-                                + comp).reshape(-1))
+        slot = np.empty((ne, nloc, 3, nloc, 3), dtype=index)
+        np.add(6 * sptr[row] + 3 * pair.reshape(ne, nloc, 1, nloc, 1),
+               3 * rowlen[row] * comp[:, None, None], out=slot)
+        del pair
+        slot += comp
+        self.slot = _read_only(slot.reshape(-1))
         self.shape = (n, n)
-        self.n_elements, self.element_size = ne, (3 * nloc) ** 2
+        self.n_elements, self.nloc = ne, nloc
 
     def assemble(self, element_matrices, mass=False):
         """CSR matrices, one per array that ``element_matrices(chunk)``
@@ -333,27 +346,24 @@ class Pattern:
         order: the order a sum over all element matrices at once takes, so
         the data, and the exact zeros where contributions cancel, do not
         depend on the chunks."""
-        size = self.element_size // 9 if mass else self.element_size
-        slots = self.pair if mass else self.slot
-        data = None
-        for chunk in _chunks(self.n_elements, 8 * size):
+        nloc, size = self.nloc, (3 * self.nloc) ** 2
+        sums = None
+        for chunk in _chunks(self.n_elements, 8 * (nloc * nloc if mass else size)):
             matrices = element_matrices(chunk)
-            if data is None:
-                data = [np.zeros(len(self.mass_slot) if mass else len(self.indices))
-                        for _ in matrices]
-            slot = slots[chunk.start * size:chunk.stop * size]
-            for out, dense in zip(data, matrices):
+            if sums is None:
+                n_sums = len(self.mass_indices if mass else self.indices)
+                sums = [np.zeros(n_sums) for _ in matrices]
+            slot = self.slot[chunk.start * size:chunk.stop * size]
+            if mass:
+                # a node pair's (0, 0) entry sits at three times its slot
+                # in the mass pattern
+                slot = (slot.reshape(-1, nloc, 3, nloc, 3)[:, :, 0, :, 0] // 3).ravel()
+            for out, dense in zip(sums, matrices):
                 np.add.at(out, slot, dense.ravel())
-        if not mass:
-            return [sp.csr_matrix((d, self.indices, self.indptr), shape=self.shape)
-                    for d in data]
-        matrices = []
-        for pair_sums in data:
-            values = np.empty(len(self.mass_indices))
-            values[self.mass_slot] = pair_sums[:, None]
-            matrices.append(sp.csr_matrix((values, self.mass_indices, self.mass_indptr),
-                                          shape=self.shape))
-        return matrices
+        if mass:
+            return [sp.csr_matrix((s[self.mass_source], self.mass_indices, self.mass_indptr),
+                                  shape=self.shape) for s in sums]
+        return [sp.csr_matrix((s, self.indices, self.indptr), shape=self.shape) for s in sums]
 
 
 def pattern(space: FeSpace) -> Pattern:
