@@ -372,9 +372,12 @@ class ReducedStepper:
         self._alpha_kappa = sum(m.kappa * a for m, a in zip(arms, self.coeffs.alpha))
         self._beta_kappa = [m.kappa * (1.0 + b) for m, b in zip(arms, self.coeffs.beta)]
         # a sparse sum drops exact zeros, as the per-arm sum did: the zeros
-        # stored in the pattern of K_E and D would only grow the factor
+        # stored in the pattern of K_E and D would only grow the factor.
+        # M + (k^2/4) K_E is copied to its own size: scipy sizes a sum's
+        # arrays for the entries of both terms, and trims them only when
+        # fewer than half are used, which M's third of K_E's entries defeats
         k = self.k
-        schur = (operators.mass + (k * k / 4.0) * operators.elastic
+        schur = ((operators.mass + (k * k / 4.0) * operators.elastic).copy()
                  + ((k / 2.0) * self._alpha_kappa) * operators.deviatoric)
         self.system = constraints.reduce(schur)
         self._solve_free = self.solver.prepare(self.system.matrix)
