@@ -374,8 +374,9 @@ class ReducedStepper:
         # a sparse sum drops exact zeros, as the per-arm sum did: the zeros
         # stored in the pattern of K_E and D would only grow the factor.
         # M + (k^2/4) K_E is copied to its own size: scipy sizes a sum's
-        # arrays for the entries of both terms, and trims them only when
-        # fewer than half are used, which M's third of K_E's entries defeats
+        # arrays for both terms' entries and trims them only when under half
+        # are used, and with M on a third of K_E's pattern this sum uses
+        # three quarters
         k = self.k
         schur = ((operators.mass + (k * k / 4.0) * operators.elastic).copy()
                  + ((k / 2.0) * self._alpha_kappa) * operators.deviatoric)
