@@ -40,21 +40,29 @@ SEAL_ARMS = ((3.5e6, 1e-2), (4.0e6, 1e-1), (2.5e5, 1.0), (2.5e5, 1e1), (5.0e5, 1
 BOTTOM = mesh.box_face_tagger(
     faces={"z-": mesh.BoundaryTag(mesh.BoundaryKind.DIRICHLET, "bottom")}
 )
-# (label, mesh builder, degree)
+
+
+def box(n, p):
+    """A box case with its structured-lattice dof count 3 (p n + 1)^3."""
+    return (f"box n={n} P{p}", lambda: mesh.build_box_mesh(n, tagger=BOTTOM), p,
+            3 * (p * n + 1) ** 3)
+
+
+def annulus(n_r, n_t, n_z):
+    """A P2 annulus case with its structured-lattice dof count
+    3 (p n_r + 1)(p n_theta)(p n_z + 1): the circumferential nodes close
+    on themselves."""
+    p = 2
+    return (f"annulus {n_r}x{n_t}x{n_z} P2",
+            lambda: mesh.build_annulus_mesh(0.006, 0.01, 0.02, (n_r, n_t, n_z)), p,
+            3 * (p * n_r + 1) * (p * n_t) * (p * n_z + 1))
+
+
+# (label, mesh builder, degree, vector dofs)
 CASES = [
-    ("box n=8 P1", lambda: mesh.build_box_mesh(8, tagger=BOTTOM), 1),
-    ("box n=12 P1", lambda: mesh.build_box_mesh(12, tagger=BOTTOM), 1),
-    ("box n=16 P1", lambda: mesh.build_box_mesh(16, tagger=BOTTOM), 1),
-    ("box n=20 P1", lambda: mesh.build_box_mesh(20, tagger=BOTTOM), 1),
-    ("box n=24 P1", lambda: mesh.build_box_mesh(24, tagger=BOTTOM), 1),
-    ("box n=4 P2", lambda: mesh.build_box_mesh(4, tagger=BOTTOM), 2),
-    ("box n=6 P2", lambda: mesh.build_box_mesh(6, tagger=BOTTOM), 2),
-    ("box n=8 P2", lambda: mesh.build_box_mesh(8, tagger=BOTTOM), 2),
-    ("box n=10 P2", lambda: mesh.build_box_mesh(10, tagger=BOTTOM), 2),
-    ("annulus 3x16x4 P2", lambda: mesh.build_annulus_mesh(0.006, 0.01, 0.02, (3, 16, 4)), 2),
-    ("annulus 4x24x5 P2", lambda: mesh.build_annulus_mesh(0.006, 0.01, 0.02, (4, 24, 5)), 2),
-    ("annulus 4x32x8 P2", lambda: mesh.build_annulus_mesh(0.006, 0.01, 0.02, (4, 32, 8)), 2),
-    ("annulus 5x40x10 P2", lambda: mesh.build_annulus_mesh(0.006, 0.01, 0.02, (5, 40, 10)), 2),
+    box(8, 1), box(12, 1), box(16, 1), box(20, 1), box(24, 1),
+    box(4, 2), box(6, 2), box(8, 2), box(10, 2),
+    annulus(3, 16, 4), annulus(4, 24, 5), annulus(4, 32, 8), annulus(5, 40, 10),
 ]
 
 
@@ -120,10 +128,12 @@ def main(argv=None):
                         help="skip meshes with more vector dofs than this")
     args = parser.parse_args(argv)
     rows = []
-    for label, build, p in CASES:
-        space = fespace.FeSpace(build(), p)
-        if space.n_dofs > args.max_dofs:
+    for label, build, p, n_dofs in CASES:
+        # the count decides the skip before the mesh and space are built
+        if n_dofs > args.max_dofs:
             continue
+        space = fespace.FeSpace(build(), p)
+        assert space.n_dofs == n_dofs, (label, space.n_dofs, n_dofs)
         rows.append(row(label, space))
         print(json.dumps(rows[-1]), file=sys.stderr)
     print(json.dumps({

@@ -22,8 +22,9 @@ Jacobian and the Jacobian determinant are kept, once per space; basis
 gradients, quadrature points and weights, element matrices and stresses
 are formed one chunk at a time, so set-up memory grows with the elements,
 not with the quadrature points.
-Default quadrature exactness is 2p for the bilinear forms and 2p+2 for
-loads and error integrals.
+The quadrature is fixed by the space: exactness 2p (``form_degree``) for
+the bilinear forms and 2p+2 (``load_degree``) for loads and error
+integrals.
 """
 from __future__ import annotations
 
@@ -95,21 +96,19 @@ def load_degree(space):
 
 @dataclass
 class LoadSpec:
-    """Time-dependent body force [N/m^3] and boundary traction [Pa]
-    applied on the given tag labels (default: all Neumann-tagged facets),
-    in time-separable form: ``body_terms`` of pairs (c(t), F(x)) and
-    ``traction_terms`` of pairs (c(t), G(x, normal)), meaning
-    f = sum_j c_j(t) F_j(x) and g = sum_j c_j(t) G_j(x, normal).
+    """Time-dependent body force [N/m^3] and boundary traction [Pa], the
+    traction acting on every Neumann-tagged facet, in time-separable form:
+    ``body_terms`` of pairs (c(t), F(x)) and ``traction_terms`` of pairs
+    (c(t), G(x, normal)), meaning f = sum_j c_j(t) F_j(x) and
+    g = sum_j c_j(t) G_j(x, normal).
 
     The spatial vector of each F_j and G_j is assembled once per (space,
-    quadrature degree, labels) and cached under the field object, so a
-    field should keep its identity across calls (a function or a bound
-    method, not a fresh lambda); only the scalars c_j are evaluated per
-    time. A load that is not a finite sum of such terms cannot be
-    expressed.
+    field) and cached under the field object, so a field should keep its
+    identity across calls (a function or a bound method, not a fresh
+    lambda); only the scalars c_j are evaluated per time. A load that is
+    not a finite sum of such terms cannot be expressed.
     """
 
-    traction_labels: tuple = None
     body_terms: tuple = ()
     traction_terms: tuple = ()
 
@@ -117,7 +116,7 @@ class LoadSpec:
 def element_geometry(space: FeSpace):
     """(jinv, det) of every element of the space: inverse Jacobians
     (ne, 3, 3) and Jacobian determinants (ne,), computed once per space
-    and shared by every quadrature degree."""
+    and shared by every volume and facet quadrature."""
 
     def build():
         v = space.mesh.vertices[space.mesh.tets]  # (ne,4,3)
@@ -191,11 +190,9 @@ class FacetData:
             vals, grads = reference_basis(space.p, bar)
             self.N[idxs] = vals
             dn_ref[idxs] = grads
-        owners_all = mesh.facet_owner[self.facets]
-        vo = mesh.vertices[mesh.tets[owners_all]]
-        jinv = np.linalg.inv((vo[:, 1:] - vo[:, :1]).transpose(0, 2, 1))
+        owners = mesh.facet_owner[self.facets]
         # physical basis gradients of the owner element at the facet points
-        self.G = _physical_gradients(dn_ref, jinv)
+        self.G = _physical_gradients(dn_ref, element_geometry(space)[0][owners])
         tri = mesh.vertices[mesh.boundary_facets[self.facets]]
         self.points = np.einsum("qv,fva->fqa", rule.points, tri)
         cr = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
@@ -203,7 +200,6 @@ class FacetData:
         self.normals = cr / (2.0 * areas)[:, None]
         # reference weights sum to 1/2; physical scale factor is 2*area
         self.warea = rule.weights[None, :] * (2.0 * areas)[:, None]
-        owners = mesh.facet_owner[self.facets]
         self.cell_dofs = space.cell_dofs[owners]
         self.vdofs = _vector_dofs(self.cell_dofs)
 
@@ -230,30 +226,19 @@ def volume_data(space: FeSpace, degree=None) -> VolumeData:
     return _cached(space, ("vol", degree), lambda: VolumeData(space, degree))
 
 
-def _label_key(labels):
-    """Hashable form of a traction label selection; None selects every
-    Neumann-tagged facet."""
-    if labels is None:
-        return ("<neumann>",)
-    return (labels,) if isinstance(labels, str) else tuple(labels)
-
-
-def facet_data(space: FeSpace, degree=None, labels=None) -> FacetData:
+def facet_data(space: FeSpace, degree=None, label=None) -> FacetData:
+    """Facet quadrature of ``degree`` (default ``load_degree``) on the
+    facets tagged ``label``, or on every Neumann-tagged facet for None."""
     degree = load_degree(space) if degree is None else int(degree)
-    key_labels = _label_key(labels)
 
     def build():
-        if labels is None:
+        if label is None:
             facets = space.mesh.facets_with_kind(BoundaryKind.NEUMANN)
-        elif key_labels:
-            facets = np.concatenate(
-                [space.mesh.facets_with_label(lb) for lb in key_labels]
-            )
         else:
-            facets = np.array([], dtype=np.int64)
+            facets = space.mesh.facets_with_label(label)
         return FacetData(space, degree, facets)
 
-    return _cached(space, ("facet", degree, key_labels), build)
+    return _cached(space, ("facet", degree, label), build)
 
 
 def _read_only(vec):
@@ -370,12 +355,12 @@ def pattern(space: FeSpace) -> Pattern:
     return _cached(space, ("pattern",), lambda: Pattern(space))
 
 
-def assemble_mass(space: FeSpace, rho, degree=None):
+def assemble_mass(space: FeSpace, rho):
     """Vector mass matrix with density rho, on the space's mass pattern:
     it couples only equal components, each by the scalar mass."""
     if rho <= 0:
         raise ValueError("density must be positive")
-    vd = volume_data(space, degree)
+    vd = volume_data(space)
 
     def element_matrices(chunk):
         return (rho * np.einsum("eq,qi,qj->eij", vd.weights(chunk), vd.N, vd.N),)
@@ -384,7 +369,7 @@ def assemble_mass(space: FeSpace, rho, degree=None):
     return mass
 
 
-def assemble_strain_operators(space: FeSpace, mu, lam, degree=None):
+def assemble_strain_operators(space: FeSpace, mu, lam):
     """(K_E, D) = (mu*S + lam*V, S/2 - V/3) on the space's ``pattern``,
     from the unit kernels S = integral(2*eps:eps) and
     V = integral(div*div) of one pass over the element gradients, formed
@@ -394,7 +379,7 @@ def assemble_strain_operators(space: FeSpace, mu, lam, degree=None):
     entry whose element contributions cancel sums to an exact zero, which a
     sparse sum of the operators drops; combining the scattered kernels
     instead leaves rounding residues there that grow the LU factor."""
-    vd = volume_data(space, degree)
+    vd = volume_data(space)
     nld = 3 * vd.N.shape[1]
 
     def element_matrices(chunk):
@@ -435,11 +420,11 @@ def assemble_volume_load(space: FeSpace, fields, degree=None):
     return out
 
 
-def assemble_traction_load(space: FeSpace, field, degree=None, labels=None):
-    """(G, v)_Gamma of a traction field G(x, normal)->(n,3) on the
-    labelled facets (default: every Neumann-tagged facet)."""
+def assemble_traction_load(space: FeSpace, field, label=None):
+    """(G, v)_Gamma of a traction field G(x, normal)->(n,3) on the facets
+    tagged ``label`` (default: every Neumann-tagged facet)."""
     out = np.zeros(space.n_dofs)
-    fd = facet_data(space, degree, labels)
+    fd = facet_data(space, label=label)
     if len(fd.facets) == 0:
         return out
     nrm = np.repeat(fd.normals, fd.points.shape[1], axis=0)
@@ -449,45 +434,47 @@ def assemble_traction_load(space: FeSpace, field, degree=None, labels=None):
     return out
 
 
-def body_term_vectors(space: FeSpace, fields, degree=None):
+def body_term_vectors(space: FeSpace, fields):
     """[(F, v) for F in fields] of time-independent body-force fields
-    F(x)->(n,3), each assembled once per (space, degree, field) and cached
+    F(x)->(n,3), each assembled once per (space, field) and cached
     read-only; the fields not cached yet are assembled in one pass."""
-    degree = load_degree(space) if degree is None else int(degree)
     cache = _space_caches.setdefault(space, {})
-    keys = [("body_term", degree, field) for field in fields]
+    keys = [("body_term", field) for field in fields]
     missing = list(dict.fromkeys(f for f, key in zip(fields, keys) if key not in cache))
     if missing:
-        for field, vec in zip(missing, assemble_volume_load(space, missing, degree)):
-            cache[("body_term", degree, field)] = _read_only(vec)
+        for field, vec in zip(missing, assemble_volume_load(space, missing)):
+            cache[("body_term", field)] = _read_only(vec)
     return [cache[key] for key in keys]
 
 
-def traction_term_vector(space: FeSpace, field, degree=None, labels=None):
-    """(G, v)_Gamma of a time-independent traction field G(x, normal)->(n,3)
-    on the labelled facets, assembled once per (space, degree, labels,
-    field) and cached read-only."""
-    degree = load_degree(space) if degree is None else int(degree)
-    return _cached(
-        space, ("traction_term", degree, _label_key(labels), field),
-        lambda: _read_only(assemble_traction_load(space, field, degree, labels)),
-    )
+def traction_term_vector(space: FeSpace, field):
+    """(G, v)_Gamma_N of a time-independent traction field G(x, normal)->(n,3)
+    on the Neumann-tagged facets, assembled once per (space, field) and
+    cached read-only."""
+    return _cached(space, ("traction_term", field),
+                   lambda: _read_only(assemble_traction_load(space, field)))
 
 
-def assemble_load(space: FeSpace, loads: LoadSpec, t, degree=None):
-    """Load vector (f, v) + (g, v)_Gamma_N at a fixed time, from the
-    separable terms of ``loads`` (zero for None)."""
+def combine_loads(space: FeSpace, loads: LoadSpec, body_weight, traction_weight):
+    """sum_j w_j V_j over the cached spatial vectors V_j of the separable
+    terms of ``loads`` (zero for None), where w_j is ``body_weight(c_j)``
+    or ``traction_weight(c_j)`` of the term's coefficient c_j."""
     out = np.zeros(space.n_dofs)
     if loads is None:
         return out
     fields = [field for _, field in loads.body_terms]
-    for (coef, _), vec in zip(loads.body_terms, body_term_vectors(space, fields, degree)):
-        out += coef(t) * vec
+    for (coef, _), vec in zip(loads.body_terms, body_term_vectors(space, fields)):
+        out += body_weight(coef) * vec
     for coef, field in loads.traction_terms:
-        out += coef(t) * traction_term_vector(
-            space, field, degree, loads.traction_labels
-        )
+        out += traction_weight(coef) * traction_term_vector(space, field)
     return out
+
+
+def assemble_load(space: FeSpace, loads: LoadSpec, t):
+    """Load vector (f, v) + (g, v)_Gamma_N at a fixed time, from the
+    separable terms of ``loads`` (zero for None)."""
+    value = lambda coef: coef(t)
+    return combine_loads(space, loads, value, value)
 
 
 # -- stress evaluation ----------------------------------------------------

@@ -42,9 +42,7 @@ from .assembly import (
     assemble_load,
     assemble_mass,
     assemble_strain_operators,
-    body_term_vectors,
-    load_degree,
-    traction_term_vector,
+    combine_loads,
 )
 from .fespace import Constraints, FeSpace
 from .material import MaterialModel, step_coefficients
@@ -220,12 +218,12 @@ class OperatorSet:
     contributions cancel kept; M stores only its equal-component
     entries, a third as many."""
 
-    def __init__(self, space: FeSpace, material: MaterialModel, degree=None):
+    def __init__(self, space: FeSpace, material: MaterialModel):
         self.space = space
         self.material = material
-        self.mass = assemble_mass(space, material.rho, degree)
+        self.mass = assemble_mass(space, material.rho)
         self.elastic, self.deviatoric = assemble_strain_operators(
-            space, material.mu, material.lam, degree
+            space, material.mu, material.lam
         )
         self._products = ()  # (state, products) of the last two states
 
@@ -283,7 +281,7 @@ def reconstruct_ve(u1_prev, u1_next, uve_prev, coeffs):
     )
 
 
-def load_time_integral(loads, space: FeSpace, t_prev, t_next, degree=None):
+def load_time_integral(loads, space: FeSpace, t_prev, t_next):
     """Integral of the load functional over one time interval.
 
     Each term c_j(t) F_j(x) integrates its scalar c_j only, times the
@@ -295,23 +293,13 @@ def load_time_integral(loads, space: FeSpace, t_prev, t_next, degree=None):
     k = t_next - t_prev
     if k <= 0:
         raise ValueError("need t_next > t_prev")
-    out = np.zeros(space.n_dofs)
-    if loads is None:
-        return out
-    degree = load_degree(space) if degree is None else degree
     mid = 0.5 * (t_prev + t_next)
     off = 0.5 * k / np.sqrt(3.0)
-    gauss = (mid - off, mid + off)
-    fields = [field for _, field in loads.body_terms]
-    for (coef, _), vec in zip(loads.body_terms, body_term_vectors(space, fields, degree)):
-        weight = 0.5 * k * (coef(gauss[0]) + coef(gauss[1]))
-        out += weight * vec
-    for coef, field in loads.traction_terms:
-        weight = 0.5 * k * (coef(t_prev) + coef(t_next))
-        out += weight * traction_term_vector(
-            space, field, degree, loads.traction_labels
-        )
-    return out
+    return combine_loads(
+        space, loads,
+        lambda coef: 0.5 * k * (coef(mid - off) + coef(mid + off)),
+        lambda coef: 0.5 * k * (coef(t_prev) + coef(t_next)),
+    )
 
 
 def _endpoint_values(memo, t_prev, t_next, evaluate):
@@ -357,13 +345,12 @@ class ReducedStepper:
     """
 
     def __init__(self, operators: OperatorSet, constraints: Constraints, k,
-                 loads=None, solver=None, quad_degree=None):
+                 loads=None, solver=None):
         self.ops = operators
         self.con = constraints
         self.k = float(k)
         self.loads = loads
         self.solver = solver or LinearSolver()
-        self.quad_degree = quad_degree
         self._fixed_memo = {}
         arms = operators.material.arms
         self.coeffs = step_coefficients(arms, self.k)
@@ -394,7 +381,7 @@ class ReducedStepper:
         if self.loads is not None:
             b = b + load_time_integral(
                 self.loads, ops.space, state.t,
-                state.t + k if t_next is None else t_next, self.quad_degree,
+                state.t + k if t_next is None else t_next,
             )
         return b
 
@@ -439,12 +426,11 @@ class FullStepper:
     """
 
     def __init__(self, operators: OperatorSet, constraints: Constraints, k,
-                 loads=None, solver=None, quad_degree=None):
+                 loads=None, solver=None):
         self.ops = operators
         self.con = constraints
         self.k = float(k)
         self.loads = loads
-        self.quad_degree = quad_degree
         self._fixed_memo = {}
         self.coeffs = step_coefficients(operators.material.arms, self.k)
         arms = operators.material.arms
@@ -488,9 +474,7 @@ class FullStepper:
         r0 = ops.mass @ state.u1 - (k / 2.0) * (ops.elastic @ state.u0)
         r0 -= (k / 2.0) * (D @ arm_weighted_sum(ops.space, ops.material, state.uve))
         if self.loads is not None:
-            r0 += load_time_integral(
-                self.loads, ops.space, state.t, t_next, self.quad_degree
-            )
+            r0 += load_time_integral(self.loads, ops.space, state.t, t_next)
         r1 = ops.elastic @ (state.u0 + (k / 2.0) * state.u1)
         rhs = [r0, r1]
         for arm, uve in zip(arms, state.uve):
@@ -545,7 +529,7 @@ class SimulationResult:
 
 def simulate(operators: OperatorSet, constraints: Constraints, grid: TimeGrid,
              loads=None, state0=None, solver=None, keep_states=False,
-             quad_degree=None, callback=None, stepper="reduced"):
+             callback=None, stepper="reduced"):
     """March the dynamics over a time grid, tracking the energy ledger.
 
     One stepper, and so one Schur build and factorization, serves every
@@ -582,9 +566,7 @@ def simulate(operators: OperatorSet, constraints: Constraints, grid: TimeGrid,
             abs(k - stepper_obj.k) > 4.0 * eps * max(abs(t_prev), abs(t_next))
         ):
             stepper_obj = None  # release the old factorization first
-            stepper_obj = cls(
-                operators, constraints, k, loads, solver, quad_degree
-            )
+            stepper_obj = cls(operators, constraints, k, loads, solver)
         nxt = stepper_obj.step(state, t_next)
         dissipated += dissipation_increment(state, nxt, operators, stepper_obj.k)
         ledger.append(energy(nxt, operators, dissipated))

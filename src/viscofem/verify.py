@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .assembly import LoadSpec, stress_from_gradients, volume_data
+from .assembly import LoadSpec, load_degree, stress_from_gradients, volume_data
 from .dynamics import (
     LinearSolver,
     OperatorSet,
@@ -294,17 +294,16 @@ def unit_cube_problem(material, n, p):
     return ops, con
 
 
-def error_norms(state: State, exact: ManufacturedSolution, operators: OperatorSet,
-                degree=None):
+def error_norms(state: State, exact: ManufacturedSolution, operators: OperatorSet):
     """End-time energy-norm and displacement L2 errors vs the exact fields.
 
-    Uses quadrature of exactness 2p+2 (default), evaluating the exact
-    solution pointwise at the quadrature points, one chunk of elements at
-    a time.
+    Uses the loads' quadrature, of exactness 2p+2 (``load_degree``),
+    evaluating the exact solution pointwise at the quadrature points, one
+    chunk of elements at a time.
     """
     space = operators.space
     mat = operators.material
-    vd = volume_data(space, degree if degree is not None else 2 * space.p + 2)
+    vd = volume_data(space, load_degree(space))
     t = state.t
     # per-term sums over the chunks; the arms' viscoelastic terms apart, in
     # arm order, so one chunk sums as the whole-mesh formula does

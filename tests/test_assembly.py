@@ -504,10 +504,31 @@ def test_load_traction_single_face():
         pressure = 3.5
         n_hat = np.array([0.0, 0.0, 1.0])
         g = lambda x, n: pressure * n
-        F = assemble_traction_load(space, g, labels="lid")
+        F = assemble_traction_load(space, g, label="lid")
         d_vec = np.array([0.2, -0.4, 1.0])
         d = space.interpolate(lambda x: d_vec + 0 * x)
         assert abs(d @ F - pressure * (n_hat @ d_vec)) < 1e-12
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_load_traction_acts_on_every_neumann_label(p):
+    # the lid and the x+ face are Neumann under different labels; a
+    # LoadSpec traction acts on both
+    mesh = build_box_mesh(2, tagger=box_face_tagger(
+        faces={"z+": BoundaryTag(BoundaryKind.NEUMANN, "lid"),
+               "x+": BoundaryTag(BoundaryKind.NEUMANN, "side")},
+        default=BoundaryTag(BoundaryKind.DIRICHLET, "rest"),
+    ))
+    space = FeSpace(mesh, p)
+    pressure = 3.5
+    g = lambda x, n: pressure * n
+    F = assemble_load(space, LoadSpec(traction_terms=((lambda t: 1.0, g),)), 0.0)
+    want = (assemble_traction_load(space, g, label="lid")
+            + assemble_traction_load(space, g, label="side"))
+    assert np.abs(F - want).max() <= 1e-14 * np.abs(want).max()
+    d_vec = np.array([0.2, -0.4, 1.0])
+    d = space.interpolate(lambda x: d_vec + 0 * x)
+    assert abs(d @ F - pressure * (d_vec[0] + d_vec[2])) < 1e-12
 
 
 def _red_children():

@@ -327,7 +327,7 @@ def test_contact_pressure_equals_facet_loop_bit_for_bit(p):
     state = State(0.0, np.zeros(space.n_dofs), u0, tuple(uve))
     nodes, p_vals = compute_contact_pressure(state, space, "inner", mat)
     # oracle: the facet means averaged onto the nodes one facet at a time
-    fd = facet_data(space, degree=2 * p, labels="inner")
+    fd = facet_data(space, degree=2 * p, label="inner")
     sigma = state_stress(fd.gradient, space, mat, state.u0, state.uve)
     traction_n = np.einsum("fqab,fa,fb->fq", sigma, fd.normals, fd.normals)
     areas = fd.warea.sum(axis=1)
