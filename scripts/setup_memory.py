@@ -3,13 +3,18 @@
 
 In one fresh process it builds ``verify.unit_cube_problem`` (mesh, space,
 mass, elastic and deviatoric operators, bottom constraints) for the
-one-arm material of the manufactured study, then makes one
-``verify.error_norms`` call on the nodal interpolant of the exact
-solution at t = 1. It prints one JSON line:
+one-arm material of the manufactured study, then assembles the spatial
+vectors of its manufactured loads (three body-force and two traction
+vectors, ``assembly.body_term_vectors`` and
+``assembly.traction_term_vector``) and makes one ``verify.error_norms``
+call on the nodal interpolant of the exact solution at t = 1. It prints
+one JSON line:
 
 * ``setup_s`` and ``setup_peak_rss_mb``: the set-up's wall time and the
   process's peak resident set size (``ru_maxrss``) after it;
-* ``error_norms_s`` and ``peak_rss_mb``: the same after the error norms;
+* ``load_vectors_s``: the wall time of the five load vectors;
+* ``error_norms_s`` and ``peak_rss_mb``: the error norms' wall time, and
+  the peak after them;
 * ``energy_error`` and ``l2_error``: the two norms, for comparing runs.
 
 The peak includes the interpreter and the imported libraries. Run from the
@@ -28,7 +33,7 @@ from time import perf_counter
 import numpy as np
 import scipy
 
-from viscofem import dynamics, material, verify
+from viscofem import assembly, dynamics, material, verify
 
 N = 32
 P = 1
@@ -48,6 +53,13 @@ def main():
 
     exact = verify.ManufacturedSolution(mat)
     space, t = ops.space, END_TIME
+    loads = exact.loads()
+    tic = perf_counter()
+    assembly.body_term_vectors(space, [field for _, field in loads.body_terms])
+    for _, field in loads.traction_terms:
+        assembly.traction_term_vector(space, field)
+    loads_s = perf_counter() - tic
+
     state = dynamics.State(
         t,
         space.interpolate(lambda x: exact.velocity(t, x)),
@@ -66,6 +78,7 @@ def main():
         "elements": len(space.mesh.tets),
         "setup_s": round(setup_s, 3),
         "setup_peak_rss_mb": round(setup_rss, 1),
+        "load_vectors_s": round(loads_s, 3),
         "error_norms_s": round(norms_s, 3),
         "peak_rss_mb": round(peak_rss_mb(), 1),
         "energy_error": energy,

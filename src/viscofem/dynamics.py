@@ -421,12 +421,18 @@ class FullStepper:
     Solves velocities, displacements, and every internal field
     simultaneously with a sparse direct factorization. Requires a
     nonempty Dirichlet set so the displacement and internal blocks are
-    definite. ``step(state, t_next)`` treats ``k`` and ``t_next`` as
+    definite. The block matrix is not symmetric, so it is always
+    LU-factorized: ``solver`` may be None or a 'direct' or 'auto'
+    LinearSolver, and a 'cg' one raises ``ValueError``.
+    ``step(state, t_next)`` treats ``k`` and ``t_next`` as
     ``ReducedStepper.step`` does.
     """
 
     def __init__(self, operators: OperatorSet, constraints: Constraints, k,
                  loads=None, solver=None):
+        if solver is not None and solver.method == "cg":
+            raise ValueError("the full stepper LU-factorizes its nonsymmetric "
+                             "block matrix; it cannot use a 'cg' solver")
         self.ops = operators
         self.con = constraints
         self.k = float(k)

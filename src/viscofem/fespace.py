@@ -314,17 +314,21 @@ def _as_scalar_fn(value):
 
 
 class DirichletBC:
-    """Prescribed displacement vector on all nodes of a tag label."""
+    """Prescribed displacement vector on all nodes of a tag label: a
+    constant, or a function value(x, t) -> (n, 3)."""
 
     def __init__(self, value=(0.0, 0.0, 0.0)):
+        self.constant = not callable(value)
         self.value = _as_vector_fn(value)
 
 
 class SlipBC:
     """Prescribed displacement along the stored outward nodal normal;
-    tangential components are traction-free (left unconstrained)."""
+    tangential components are traction-free (left unconstrained). The
+    normal value is a constant or a function normal_value(x, t) -> (n,)."""
 
     def __init__(self, normal_value=0.0):
+        self.constant = not callable(normal_value)
         self.normal_value = _as_scalar_fn(normal_value)
 
 
@@ -438,8 +442,12 @@ class Constraints:
     def _build_targets(self):
         """Per BC object, the nodes it prescribes and the positions of
         their values in ``fixed``: (bc, nodes, slots) with slots (n, 3)
-        for Dirichlet nodes and (n,) for the normal slot of slip nodes."""
+        for Dirichlet nodes and (n,) for the normal slot of slip nodes.
+        The constant BCs' values are filled in ``_constant_values`` here,
+        once; only the others are kept in ``_targets``, to evaluate per
+        time."""
         self._targets = []
+        values = np.zeros(len(self.fixed))
         for table, offsets in ((self.dirichlet_nodes, np.arange(3)),
                                (self.slip_nodes, 0)):
             groups = {}
@@ -448,20 +456,33 @@ class Constraints:
             for bc, nodes in groups.values():
                 nodes = np.array(nodes, dtype=np.int64)
                 first = np.searchsorted(self.fixed, 3 * nodes)
-                self._targets.append((bc, nodes, np.add.outer(first, offsets)))
+                target = (bc, nodes, np.add.outer(first, offsets))
+                if bc.constant:
+                    self._fill(values, target, 0.0)
+                else:
+                    self._targets.append(target)
+        if not self._targets:
+            values.flags.writeable = False
+        self._constant_values = values
+
+    def _fill(self, out, target, t):
+        """Write the values of one (bc, nodes, slots) target at time t."""
+        bc, nodes, slots = target
+        coords = self.space.dof_coords[nodes]
+        if isinstance(bc, DirichletBC):
+            vals = np.asarray(bc.value(coords, t), dtype=float)
+        else:
+            vals = np.atleast_1d(np.asarray(bc.normal_value(coords, t), dtype=float))
+        out[slots] = np.broadcast_to(vals, slots.shape)
 
     def fixed_values(self, t=0.0):
-        """Prescribed displacement values at the fixed frame dofs."""
-        coords = self.space.dof_coords
-        out = np.zeros(len(self.fixed))
-        for bc, nodes, slots in self._targets:
-            if isinstance(bc, DirichletBC):
-                vals = np.asarray(bc.value(coords[nodes], t), dtype=float)
-            else:
-                vals = np.atleast_1d(
-                    np.asarray(bc.normal_value(coords[nodes], t), dtype=float)
-                )
-            out[slots] = np.broadcast_to(vals, slots.shape)
+        """Prescribed displacement values at the fixed frame dofs. When
+        every BC is constant, this is one read-only array for every t."""
+        if not self._targets:
+            return self._constant_values
+        out = self._constant_values.copy()
+        for target in self._targets:
+            self._fill(out, target, t)
         return out
 
     def _rotate_blocks(self, v, frames):
@@ -514,7 +535,8 @@ class ConstrainedSystem:
 
     def reduced_rhs(self, rhs, fixed_values):
         b = self.constraints.to_frame(rhs)[self.constraints.free]
-        if len(fixed_values):
+        # with all values zero, b - A 0 would equal b bit for bit
+        if np.any(fixed_values):
             b = b - self.coupling @ fixed_values
         return b
 

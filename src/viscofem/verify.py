@@ -8,6 +8,13 @@ body force / boundary traction are reverse-engineered from the strong
 equations. The field vanishes on z=0, compatible with a homogeneous
 Dirichlet bottom on the unit cube.
 
+The shape V and its derivatives are products of one sine factor per axis,
+and only 18 distinct factors exist (two per axis, each of orders 0, 1
+and 2). A ``ManufacturedSolution`` keeps one table of them for the last
+batch of points it was asked about, so the fields evaluated on one batch
+(the three body-force fields of a chunk, the two traction fields, the
+shape and gradient of an error-norm chunk) evaluate each factor once.
+
 Error norms integrate the pointwise exact solution (not its interpolant)
 with quadrature of exactness 2p+2.
 """
@@ -18,7 +25,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .assembly import LoadSpec, load_degree, stress_from_gradients, volume_data
+from .assembly import (
+    LoadSpec,
+    _evaluate_field,
+    load_degree,
+    stress_from_gradients,
+    volume_data,
+)
 from .dynamics import (
     LinearSolver,
     OperatorSet,
@@ -43,6 +56,29 @@ _SHAPE_FACTORS = (
 def _factor(component, axis, s, order=0):
     w, phase = _SHAPE_FACTORS[component][axis]
     return w**order * np.sin(w * s + phase + order * np.pi / 2)
+
+
+class _PointTable:
+    """The factors of the shape V on one batch of points x (n, 3), each
+    distinct (axis, w, phase, order) evaluated once by ``_factor``, and
+    the shape's divergences (L_E[V], L_D[V]) once formed."""
+
+    def __init__(self, x):
+        self.x = x.copy()
+        self._factors = {}
+        self.divergences = None
+
+    def factor(self, a, axis, order):
+        """``_factor(a, axis, x[:, axis], order)``."""
+        key = (axis, *_SHAPE_FACTORS[a][axis], order)
+        if key not in self._factors:
+            self._factors[key] = _factor(a, axis, self.x[:, axis], order)
+        return self._factors[key]
+
+    def derivative(self, a, orders):
+        """The derivative of V_a of order orders[ax] along each axis ax."""
+        fs = [self.factor(a, ax, order) for ax, order in enumerate(orders)]
+        return _SHAPE_COEF[a] * fs[0] * fs[1] * fs[2]
 
 
 def _exp_moment_1(t, c):
@@ -77,7 +113,7 @@ class ManufacturedSolution:
         self.material = material
         self.a1 = float(a1)
         self.a2 = float(a2)
-        self._divergences = None  # (points, (L_E[V], L_D[V])) of the last call
+        self._table = None  # the _PointTable of the last batch of points
 
     # -- time factors ---------------------------------------------------
 
@@ -106,42 +142,32 @@ class ManufacturedSolution:
 
     # -- spatial shape ----------------------------------------------------
 
-    def shape(self, x):
+    def _points(self, x):
+        """The _PointTable of the points x, kept for the last batch asked
+        for, so the fields evaluated on one batch (the body forces of one
+        chunk, the error norms of one chunk, the tractions) share its
+        factors."""
         x = np.atleast_2d(x)
-        out = np.empty((len(x), 3))
+        if self._table is None or not np.array_equal(self._table.x, x):
+            self._table = _PointTable(x)
+        return self._table
+
+    def shape(self, x):
+        table = self._points(x)
+        out = np.empty((len(table.x), 3))
         for a in range(3):
             out[:, a] = _SHAPE_COEF[a] * (
-                _factor(a, 0, x[:, 0]) * _factor(a, 1, x[:, 1]) * _factor(a, 2, x[:, 2])
+                table.factor(a, 0, 0) * table.factor(a, 1, 0) * table.factor(a, 2, 0)
             )
         return out
 
     def shape_gradient(self, x):
         """G[n, a, i] = d V_a / d x_i."""
-        x = np.atleast_2d(x)
-        out = np.empty((len(x), 3, 3))
-        for a in range(3):
-            # factors[order][ax]: each factor and its derivative, once
-            factors = [[_factor(a, ax, x[:, ax], order) for ax in range(3)]
-                       for order in (0, 1)]
-            for i in range(3):
-                fs = [factors[ax == i][ax] for ax in range(3)]
-                out[:, a, i] = _SHAPE_COEF[a] * fs[0] * fs[1] * fs[2]
-        return out
-
-    def shape_hessian(self, x):
-        """H[n, a, i, j] = d^2 V_a / d x_i d x_j."""
-        x = np.atleast_2d(x)
-        out = np.empty((len(x), 3, 3, 3))
+        table = self._points(x)
+        out = np.empty((len(table.x), 3, 3))
         for a in range(3):
             for i in range(3):
-                for j in range(i, 3):
-                    fs = [
-                        _factor(a, ax, x[:, ax], (ax == i) + (ax == j))
-                        for ax in range(3)
-                    ]
-                    val = _SHAPE_COEF[a] * fs[0] * fs[1] * fs[2]
-                    out[:, a, i, j] = val
-                    out[:, a, j, i] = val
+                out[:, a, i] = table.derivative(a, [int(ax == i) for ax in range(3)])
         return out
 
     # -- exact fields -----------------------------------------------------
@@ -168,22 +194,26 @@ class ManufacturedSolution:
 
     def _shape_divergences(self, x):
         """(L_E[V], L_D[V]): row-wise divergences of the elastic stress
-        and of dev eps of the shape V, analytically, as read-only arrays.
-        The values at the last points asked for are kept, so the two load
-        fields of one batch of points share one Hessian evaluation."""
-        x = np.atleast_2d(x)
-        memo = self._divergences
-        if memo is not None and np.array_equal(memo[0], x):
-            return memo[1]
-        hess = self.shape_hessian(x)
-        lap = np.einsum("naii->na", hess)
-        graddiv = np.einsum("njaj->na", hess)
-        mat = self.material
-        values = (mat.mu * lap + (mat.mu + mat.lam) * graddiv, lap / 2.0 + graddiv / 6.0)
-        for v in values:
-            v.flags.writeable = False
-        self._divergences = (x.copy(), values)
-        return values
+        and of dev eps of the shape V, analytically, as read-only arrays
+        kept in the points' table. Only the second derivatives that
+        lap V and grad div V sum are formed, each added in i order."""
+        table = self._points(x)
+        if table.divergences is None:
+            def hess(a, i, j):  # d^2 V_a / d x_i d x_j
+                return table.derivative(a, [(ax == i) + (ax == j) for ax in range(3)])
+
+            lap = np.empty((len(table.x), 3))
+            graddiv = np.empty((len(table.x), 3))
+            for a in range(3):
+                lap[:, a] = hess(a, 0, 0) + hess(a, 1, 1) + hess(a, 2, 2)
+                graddiv[:, a] = hess(0, a, 0) + hess(1, a, 1) + hess(2, a, 2)
+            mat = self.material
+            values = (mat.mu * lap + (mat.mu + mat.lam) * graddiv,
+                      lap / 2.0 + graddiv / 6.0)
+            for v in values:
+                v.flags.writeable = False
+            table.divergences = values
+        return table.divergences
 
     def elastic_divergence(self, x):
         """L_E[V] = mu lap V + (mu + lam) grad div V."""
@@ -321,7 +351,12 @@ def error_norms(state: State, exact: ManufacturedSolution, operators: OperatorSe
         kin += mat.rho * np.sum(wdet * np.einsum("eqa,eqa->eq", dv, dv))
 
         grad_exact = exact.shape_gradient(pts).reshape(points.shape[:2] + (3, 3))
-        dg0 = exact.displacement_factor(t) * grad_exact - vd.gradient(state.u0, chunk)
+        basis = vd.basis_gradients(chunk)
+
+        def gradient(u):
+            return _evaluate_field(basis, vd.cell_values(u, chunk))
+
+        dg0 = exact.displacement_factor(t) * grad_exact - gradient(state.u0)
         eps = 0.5 * (dg0 + np.swapaxes(dg0, -1, -2))
         div = np.einsum("eqaa->eq", dg0)
         ela += np.sum(
@@ -330,7 +365,7 @@ def error_norms(state: State, exact: ManufacturedSolution, operators: OperatorSe
         )
 
         for m, arm in enumerate(mat.arms):
-            dgm = exact.arm_factor(m, t) * grad_exact - vd.gradient(state.uve[m], chunk)
+            dgm = exact.arm_factor(m, t) * grad_exact - gradient(state.uve[m])
             epsm = 0.5 * (dgm + np.swapaxes(dgm, -1, -2))
             divm = np.einsum("eqaa->eq", dgm)
             ve[m] += arm.kappa * np.sum(

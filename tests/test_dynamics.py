@@ -714,3 +714,22 @@ def test_simulate_rejects_unknown_stepper(monkeypatch, name):
     with pytest.raises(ValueError, match="unknown stepper"):
         simulate(ops, con, TimeGrid.uniform(0.0, 0.1, 2), solver=DIRECT, stepper=name)
     assert full_builds[0] == 0
+
+
+def test_full_stepper_rejects_cg_solver():
+    # the oracle LU-factorizes its nonsymmetric block matrix whatever the
+    # solver, so a 'cg' request must not silently run SuperLU
+    ops, con = make_problem(n=1, p=1)
+    grid = TimeGrid.uniform(0.0, 0.1, 2)
+    with pytest.raises(ValueError, match="cg"):
+        simulate(ops, con, grid, solver=LinearSolver("cg"), stepper="full")
+    with pytest.raises(ValueError, match="cg"):
+        FullStepper(ops, con, 0.05, solver=LinearSolver("cg"))
+    state = admissible_random_state(ops, con, 8)
+    want = FullStepper(ops, con, 0.05).step(state)
+    one_step = TimeGrid.uniform(0.0, 0.05, 1)
+    for solver in (None, LinearSolver("auto"), DIRECT):
+        got = simulate(ops, con, one_step, state0=state, solver=solver,
+                       stepper="full").final
+        assert all(np.array_equal(a, b) for a, b in zip(
+            (got.u1, got.u0, *got.uve), (want.u1, want.u0, *want.uve)))

@@ -203,33 +203,95 @@ def test_slip_constrained_solve_tangential_free():
     assert np.abs(resid[con.free]).max() < 1e-9
 
 
-def test_fixed_values_match_per_node_evaluation():
+def _per_node_fixed_values(con, t):
+    """The fixed values as a loop over the prescribed nodes evaluates them."""
+    coords = con.space.dof_coords
+    pos = {dof: i for i, dof in enumerate(con.fixed)}
+    want = np.full(len(con.fixed), np.nan)
+    for nd, bc in con.dirichlet_nodes.items():
+        val = np.broadcast_to(bc.value(coords[[nd]], t), (1, 3))[0]
+        for a in range(3):
+            want[pos[3 * nd + a]] = val[a]
+    for nd, bc in con.slip_nodes.items():
+        want[pos[3 * nd]] = np.atleast_1d(bc.normal_value(coords[[nd]], t))[0]
+    return want
+
+
+def _mixed_space():
     tagger = box_face_tagger(faces={
         "z-": BoundaryTag(BoundaryKind.DIRICHLET, "bottom"),
         "x-": BoundaryTag(BoundaryKind.DIRICHLET, "side"),
         "z+": BoundaryTag(BoundaryKind.SLIP, "top"),
     })
-    space = FeSpace(build_box_mesh(2, tagger=tagger), 2)
-    spec = {
-        "bottom": DirichletBC(
-            lambda x, t: np.stack([x[:, 0] * t, x[:, 1] - t, x[:, 0] * x[:, 1] + t], axis=1)
-        ),
+    return FeSpace(build_box_mesh(2, tagger=tagger), 2)
+
+
+def test_fixed_values_match_per_node_evaluation():
+    space = _mixed_space()
+    evaluated = []
+
+    def timed(fn):
+        def value(x, t):
+            evaluated.append(t)
+            return fn(x, t)
+
+        return value
+
+    mixed = {
+        "bottom": DirichletBC(timed(lambda x, t: np.stack(
+            [x[:, 0] * t, x[:, 1] - t, x[:, 0] * x[:, 1] + t], axis=1))),
         "side": DirichletBC((0.1, -0.2, 0.3)),
-        "top": SlipBC(lambda x, t: x[:, 0] * x[:, 1] - 2.0 * t),
+        "top": SlipBC(timed(lambda x, t: x[:, 0] * x[:, 1] - 2.0 * t)),
     }
+    # a constant clamp and a moving slip surface, as in the seal
+    seal = {
+        "bottom": DirichletBC((0.0, 0.0, 0.0)),
+        "top": SlipBC(timed(lambda x, t: 0.01 * np.sin(15.0 * t) * x[:, 0])),
+    }
+    for spec, n_callables in ((mixed, 2), (seal, 1)):
+        con = Constraints(space, spec)
+        assert con.dirichlet_nodes and con.slip_nodes
+        for t in (0.0, 0.37, 0.5):
+            evaluated.clear()
+            got = con.fixed_values(t)
+            # every callable BC is evaluated once, at t
+            assert evaluated == [t] * n_callables
+            assert np.array_equal(got, _per_node_fixed_values(con, t))
+
+
+def test_constant_fixed_values_evaluated_once():
+    space = _mixed_space()
+    spec = {"bottom": DirichletBC((0.0, 0.0, 0.0)), "side": DirichletBC((0.1, -0.2, 0.3)),
+            "top": SlipBC(0.25)}
     con = Constraints(space, spec)
-    assert con.dirichlet_nodes and con.slip_nodes
-    coords = space.dof_coords
-    pos = {dof: i for i, dof in enumerate(con.fixed)}
-    for t in (0.0, 0.37):
-        want = np.full(len(con.fixed), np.nan)
-        for nd, bc in con.dirichlet_nodes.items():
-            val = np.broadcast_to(bc.value(coords[[nd]], t), (1, 3))[0]
-            for a in range(3):
-                want[pos[3 * nd + a]] = val[a]
-        for nd, bc in con.slip_nodes.items():
-            want[pos[3 * nd]] = np.atleast_1d(bc.normal_value(coords[[nd]], t))[0]
-        assert np.array_equal(con.fixed_values(t), want)
+    want = _per_node_fixed_values(con, 0.0)
+
+    def never(*args):
+        raise AssertionError("a constant BC was evaluated after construction")
+
+    for bc in spec.values():
+        bc.value = bc.normal_value = never
+    first = con.fixed_values(0.0)
+    assert not first.flags.writeable
+    for t in (0.0, 0.37, 2.5):
+        assert con.fixed_values(t) is first
+    assert np.array_equal(first, want)
+
+
+def test_reduced_rhs_of_zero_values_equals_product_path():
+    space = _mixed_space()
+    rng = np.random.default_rng(4)
+    raw = sp.random(space.n_dofs, space.n_dofs, density=0.05, random_state=5)
+    system = Constraints(space, {"bottom": DirichletBC(0.0), "top": SlipBC(0.0)}).reduce(
+        (raw + raw.T).tocsr())
+    con = system.constraints
+    assert system.coupling.nnz
+    rhs = rng.standard_normal(space.n_dofs)
+    rhs[::7] = -0.0
+    zeros = np.zeros(len(con.fixed))
+    want = con.to_frame(rhs)[con.free] - system.coupling @ zeros
+    assert system.reduced_rhs(rhs, zeros).tobytes() == want.tobytes()
+    assert system.reduced_rhs(rhs, con.fixed_values(0.0)).tobytes() == want.tobytes()
 
 
 def _per_node_rotation(con):

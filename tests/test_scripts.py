@@ -30,3 +30,4 @@ def test_setup_memory_prints_json(monkeypatch, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["n"] == 2 and out["dofs"] == 3 * 3**3
     assert out["energy_error"] > 0 and out["l2_error"] > 0
+    assert out["load_vectors_s"] >= 0

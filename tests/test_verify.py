@@ -82,15 +82,69 @@ def test_shape_derivatives_vs_finite_differences(ms):
     rng = np.random.default_rng(7)
     x = rng.uniform(0.1, 0.9, size=(30, 3))
     grad = ms.shape_gradient(x)
-    hess = ms.shape_hessian(x)
+    elastic, deviatoric = ms.elastic_divergence(x), ms.deviatoric_divergence(x)
     dx = 1e-6
+    lap = np.zeros((len(x), 3))
+    graddiv = np.zeros((len(x), 3))
     for i in range(3):
         step = np.zeros(3)
         step[i] = dx
         gfd = (ms.shape(x + step) - ms.shape(x - step)) / (2 * dx)
         assert np.abs(gfd - grad[:, :, i]).max() < 1e-6
+        # hfd[n, a, j] = d^2 V_a / d x_j d x_i
         hfd = (ms.shape_gradient(x + step) - ms.shape_gradient(x - step)) / (2 * dx)
-        assert np.abs(hfd - hess[:, :, :, i]).max() < 1e-6
+        lap += hfd[:, :, i]
+        graddiv += hfd[:, i, :]
+    # each second derivative within 1e-6: each divergence within 1e-6 times
+    # the sum of its coefficients' magnitudes over its three terms
+    mat = ms.material
+    want_e = mat.mu * lap + (mat.mu + mat.lam) * graddiv
+    assert np.abs(want_e - elastic).max() < 3e-6 * (2.0 * mat.mu + mat.lam)
+    want_d = lap / 2.0 + graddiv / 6.0
+    assert np.abs(want_d - deviatoric).max() < 3e-6 * (1.0 / 2.0 + 1.0 / 6.0)
+
+
+def test_shape_fields_bit_equal_per_entry_factor_products():
+    from viscofem import verify
+    from viscofem.assembly import stress_from_gradients
+
+    material = MaterialModel.from_engineering(100.0, 1e5, 0.3, arms=_arms(3))
+    exact = ManufacturedSolution(material)
+    rng = np.random.default_rng(11)
+    x = rng.uniform(-0.5, 1.5, (200, 3))
+    normal = rng.standard_normal((len(x), 3))
+
+    # oracles: every entry forms its own three factors with ``_factor``
+    def entry(a, orders):
+        fs = [verify._factor(a, ax, x[:, ax], orders[ax]) for ax in range(3)]
+        return verify._SHAPE_COEF[a] * fs[0] * fs[1] * fs[2]
+
+    shape = np.empty((len(x), 3))
+    grad = np.empty((len(x), 3, 3))
+    hess = np.empty((len(x), 3, 3, 3))
+    for a in range(3):
+        fs = [verify._factor(a, ax, x[:, ax]) for ax in range(3)]
+        shape[:, a] = verify._SHAPE_COEF[a] * (fs[0] * fs[1] * fs[2])
+        for i in range(3):
+            grad[:, a, i] = entry(a, [int(ax == i) for ax in range(3)])
+            for j in range(3):
+                hess[:, a, i, j] = entry(a, [(ax == i) + (ax == j) for ax in range(3)])
+    lap = np.einsum("naii->na", hess)
+    graddiv = np.einsum("njaj->na", hess)
+    mu, lam = material.mu, material.lam
+    elastic = stress_from_gradients(grad, np.zeros_like(grad), mu, lam)
+    deviatoric = stress_from_gradients(np.zeros_like(grad), grad, 0.0, 0.0)
+    pairs = [
+        (exact.shape(x), shape),
+        (exact.shape_gradient(x), grad),
+        (exact.elastic_divergence(x), mu * lap + (mu + lam) * graddiv),
+        (exact.deviatoric_divergence(x), lap / 2.0 + graddiv / 6.0),
+        (exact.elastic_traction(x, normal), np.einsum("nab,nb->na", elastic, normal)),
+        (exact.deviatoric_traction(x, normal),
+         np.einsum("nab,nb->na", deviatoric, normal)),
+    ]
+    for got, want in pairs:
+        assert got.tobytes() == want.tobytes()
 
 
 def test_error_norms_interpolated_exact(ms):
@@ -333,28 +387,55 @@ def test_separable_loads_assemble_spatial_vectors_once(n_arms, monkeypatch):
     assert calls == {"volume": 3, "traction": 2}
 
 
+def _count_factor_calls(monkeypatch):
+    """A list that gains one entry per ``verify._factor`` call."""
+    from viscofem import verify
+
+    calls = []
+    factor = verify._factor
+    monkeypatch.setattr(verify, "_factor", lambda *args: calls.append(1) or factor(*args))
+    return calls
+
+
 @pytest.mark.parametrize("p", [1, 2])
-def test_manufactured_loads_evaluate_shape_hessian_once_per_chunk(monkeypatch, p):
+def test_manufactured_loads_evaluate_each_shape_factor_once_per_chunk(monkeypatch, p):
     from viscofem import assembly
-    from viscofem.assembly import assemble_volume_load, body_term_vectors, volume_data
+    from viscofem.assembly import assemble_volume_load, body_term_vectors
 
     material = MaterialModel.from_engineering(100.0, 1e5, 0.3, arms=_arms(3))
     ops, _ = unit_cube_problem(material, 2, p)
     space = ops.space
     monkeypatch.setattr(assembly, "ELEMENT_CHUNK", 7)
     exact = ManufacturedSolution(material)
-    calls = []
-    hessian = exact.shape_hessian
-    monkeypatch.setattr(exact, "shape_hessian", lambda x: calls.append(len(x)) or hessian(x))
     fields = [field for _, field in exact.loads().body_terms]
+    calls = _count_factor_calls(monkeypatch)
     got = body_term_vectors(space, fields)
-    # L_E[V] and L_D[V] of one chunk share its Hessian
-    n_points = len(volume_data(space, 2 * p + 2).points().reshape(-1, 3))
-    assert len(calls) == -(-len(space.mesh.tets) // 7) and sum(calls) == n_points
+    # V, L_E[V] and L_D[V] of one chunk share its factors: two per axis,
+    # each of orders 0, 1 and 2
+    assert len(calls) == 18 * -(-len(space.mesh.tets) // 7)
     # each vector equals the one its field assembles alone
     for field, vec in zip(fields, got):
         (alone,) = assemble_volume_load(space, [getattr(ManufacturedSolution(material),
                                                         field.__name__)])
+        assert np.array_equal(vec, alone)
+
+
+def test_manufactured_tractions_evaluate_each_shape_factor_once(monkeypatch):
+    from viscofem.assembly import assemble_traction_load, traction_term_vector
+
+    material = MaterialModel.from_engineering(100.0, 1e5, 0.3, arms=_arms(3))
+    ops, _ = unit_cube_problem(material, 2, 2)
+    space = ops.space
+    exact = ManufacturedSolution(material)
+    fields = [field for _, field in exact.loads().traction_terms]
+    calls = _count_factor_calls(monkeypatch)
+    got = [traction_term_vector(space, field) for field in fields]
+    # sigma_E[V]n and dev eps(V)n on the facet points share their factors:
+    # two per axis, each of orders 0 and 1
+    assert len(calls) == 12
+    for field, vec in zip(fields, got):
+        alone = assemble_traction_load(space, getattr(ManufacturedSolution(material),
+                                                      field.__name__))
         assert np.array_equal(vec, alone)
 
 
@@ -418,24 +499,14 @@ def test_error_norms_chunks_match_one_chunk(monkeypatch):
 
 
 def test_error_norms_evaluate_each_shape_factor_once_per_chunk(monkeypatch):
-    from viscofem import assembly, verify
+    from viscofem import assembly
 
     material = MaterialModel.from_engineering(100.0, 1e5, 0.3, arms=_arms(3))
     ops, _ = unit_cube_problem(material, 2, 2)
     exact = ManufacturedSolution(material)
-    x = np.random.default_rng(5).uniform(0.0, 1.0, (50, 3))
-    # oracle: every (component, axis) entry forms its own three factors
-    want = np.empty((len(x), 3, 3))
-    for a in range(3):
-        for i in range(3):
-            fs = [verify._factor(a, ax, x[:, ax], 1 if ax == i else 0) for ax in range(3)]
-            want[:, a, i] = verify._SHAPE_COEF[a] * fs[0] * fs[1] * fs[2]
-    assert np.array_equal(exact.shape_gradient(x), want)
-
-    calls = []
-    factor = verify._factor
-    monkeypatch.setattr(verify, "_factor", lambda *args: calls.append(1) or factor(*args))
+    calls = _count_factor_calls(monkeypatch)
     monkeypatch.setattr(assembly, "ELEMENT_CHUNK", 7)
     error_norms(State.zero(ops.space, 3), exact, ops)
-    # per chunk: 9 factors for the shape V, 18 (orders 0 and 1) for its gradient
-    assert len(calls) == 27 * -(-len(ops.space.mesh.tets) // 7)
+    # per chunk: the shape V and its gradient share two factors per axis,
+    # each of orders 0 and 1
+    assert len(calls) == 12 * -(-len(ops.space.mesh.tets) // 7)
