@@ -42,7 +42,6 @@ from .material import (
     MaxwellArm,
     StepCoefficients,
     duhamel_stress,
-    engineering_from_lame,
     lame_from_engineering,
     step_coefficients,
 )

@@ -196,10 +196,8 @@ def solver_from_config(cfg: RunConfig) -> LinearSolver:
     sec = cfg.section("solver")
     method = sec.get_str("method", "auto")
     rtol = sec.get_float("tolerance", 1e-12)
-    cap_factor = sec.get_float("cap_factor", 10)
-    direct_threshold = sec.get_int("direct_threshold", 3000)
     try:
-        return LinearSolver(method, rtol, cap_factor, direct_threshold)
+        return LinearSolver(method, rtol)
     except ValueError as exc:
         raise ConfigError(f"[solver]: {exc}") from None
 

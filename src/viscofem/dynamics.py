@@ -27,6 +27,12 @@ three; K_E u0 and D uve_m follow from the old state's products by the
 same linear updates that give u0 and uve_m, so a step makes 3 sparse
 products for any arm count. The full stepper's states get direct
 products, so its ledger checks the carried ones.
+
+At the fixed frame dofs a step sets the velocity so that the trapezoidal
+displacement update reproduces the prescribed values exactly. It takes
+them from ``Constraints.fixed_values`` at the step's start and end; the
+constraint set keeps the last time's values, so a step starts from the
+very values the previous step ended on, as the energy identity needs.
 """
 from __future__ import annotations
 
@@ -62,6 +68,11 @@ class SolverError(RuntimeError):
 # nonzeros (330-450 MB); the next, 45,000, takes 23 s and 73 M (840 MB),
 # and fill grows faster than the dof count
 FACTOR_DOF_BOUND = 30000
+# free dofs up to which ``auto`` factorizes a matrix solved for one
+# right-hand side (``solve``), which pays the whole factorization
+ONE_SHOT_DOF_BOUND = 3000
+# CG gives up after this many iterations per unknown
+CG_ITERATION_FACTOR = 10
 
 
 class LinearSolver:
@@ -71,30 +82,28 @@ class LinearSolver:
     symmetric mode: minimum degree ordering on A'+A and diagonal pivots,
     so its fill and solve cost follow the symmetric structure of the
     matrix. 'cg' is Jacobi-preconditioned CG to relative residual
-    ``rtol``, at most ``cap_factor * n`` iterations, warm-started from the
-    previous solution of the same ``prepare``.
+    ``rtol``, at most ``CG_ITERATION_FACTOR * n`` iterations,
+    warm-started from the previous solution of the same ``prepare``.
 
     'auto' chooses by how a matrix is used. A solver from ``prepare``
     serves every step of a march, so its factorization is paid once: it
     is direct up to ``FACTOR_DOF_BOUND`` free dofs. A one-shot ``solve``
     pays the factorization for a single right-hand side, so it is direct
-    only up to ``direct_threshold``.
+    only up to ``ONE_SHOT_DOF_BOUND``.
     """
 
-    def __init__(self, method="auto", rtol=1e-12, cap_factor=10, direct_threshold=3000):
+    def __init__(self, method="auto", rtol=1e-12):
         if method not in ("auto", "direct", "cg"):
             raise ValueError(f"unknown solver method {method!r}")
         self.method = method
         self.rtol = rtol
-        self.cap_factor = cap_factor
-        self.direct_threshold = direct_threshold
 
     def _resolve(self, n, reused):
         """The path ('direct' or 'cg') for an n x n matrix, solved for many
         right-hand sides when ``reused``, else for one."""
         if self.method != "auto":
             return self.method
-        bound = FACTOR_DOF_BOUND if reused else self.direct_threshold
+        bound = FACTOR_DOF_BOUND if reused else ONE_SHOT_DOF_BOUND
         return "direct" if n <= bound else "cg"
 
     def prepare(self, matrix):
@@ -124,7 +133,7 @@ class LinearSolver:
         if np.any(diag <= 0):
             raise SolverError("CG requires a positive definite matrix")
         precond = spla.LinearOperator((n, n), matvec=lambda x: x / diag)
-        maxiter = max(1, int(self.cap_factor * n))
+        maxiter = max(1, int(CG_ITERATION_FACTOR * n))
         state = {"x0": None}
 
         def solve(b):
@@ -302,23 +311,6 @@ def load_time_integral(loads, space: FeSpace, t_prev, t_next):
     )
 
 
-def _endpoint_values(memo, t_prev, t_next, evaluate):
-    """(evaluate(t_prev), evaluate(t_next)) for one interval of a march.
-
-    ``memo`` is a dict kept by the caller across consecutive intervals:
-    it holds the value at the last interval's end, which serves as this
-    interval's start value when the times match exactly, and then the
-    value at ``t_next``. The values must not be modified in place.
-    """
-    prev = memo.pop(t_prev, None)
-    if prev is None:
-        prev = evaluate(t_prev)
-    nxt = evaluate(t_next)
-    memo.clear()
-    memo[t_next] = nxt
-    return prev, nxt
-
-
 def _constraint_velocities(d_prev, d_next, u1_prev, k):
     """Velocity values at the fixed frame dofs, chosen so the trapezoidal
     displacement update reproduces the prescribed displacement exactly;
@@ -351,7 +343,6 @@ class ReducedStepper:
         self.k = float(k)
         self.loads = loads
         self.solver = solver or LinearSolver()
-        self._fixed_memo = {}
         arms = operators.material.arms
         self.coeffs = step_coefficients(arms, self.k)
         # the arms enter the Schur matrix and the rhs only through D times
@@ -389,12 +380,9 @@ class ReducedStepper:
         con, k = self.con, self.k
         t_next = state.t + k if t_next is None else float(t_next)
         b = self.rhs(state, t_next)
-        d_prev, d_next = _endpoint_values(
-            self._fixed_memo, state.t, t_next, con.fixed_values
-        )
-        w_fixed = _constraint_velocities(
-            d_prev, d_next, con.to_frame(state.u1)[con.fixed], k
-        )
+        d_prev = con.fixed_values(state.t)
+        d_next = con.fixed_values(t_next)
+        w_fixed = _constraint_velocities(d_prev, d_next, con.to_frame(state.u1)[con.fixed], k)
         w = np.zeros(con.space.n_dofs)
         w[con.free] = self._solve_free(self.system.reduced_rhs(b, w_fixed))
         w[con.fixed] = w_fixed
@@ -437,7 +425,6 @@ class FullStepper:
         self.con = constraints
         self.k = float(k)
         self.loads = loads
-        self._fixed_memo = {}
         self.coeffs = step_coefficients(operators.material.arms, self.k)
         arms = operators.material.arms
         m_arms = len(arms)
@@ -490,9 +477,8 @@ class FullStepper:
 
         # prescribed values per block: trapezoidal velocities, prescribed
         # displacements at t_next, and the internal-field recursion
-        d_prev, d_fix = _endpoint_values(
-            self._fixed_memo, state.t, t_next, con.fixed_values
-        )
+        d_prev = con.fixed_values(state.t)
+        d_fix = con.fixed_values(t_next)
         u1_prev = con.to_frame(state.u1)[con.fixed]
         v_fix = _constraint_velocities(d_prev, d_fix, u1_prev, k)
         fixed_vals = [v_fix, d_fix]
@@ -518,24 +504,22 @@ class FullStepper:
 def static_solve(operators: OperatorSet, constraints: Constraints, loads=None,
                  t=0.0, solver=None):
     """Elastostatic displacement with the given essential constraints."""
+    # the values first: kept by the constraint set, they would otherwise sit
+    # above the reduction's temporaries and raise the RSS peak of the heap
+    values = constraints.fixed_values(t)
     rhs = assemble_load(operators.space, loads, t)
     system = constraints.reduce(operators.elastic)
-    return system.solve(rhs, constraints.fixed_values(t), solver or LinearSolver())
+    return system.solve(rhs, values, solver or LinearSolver())
 
 
 @dataclass
 class SimulationResult:
-    states: list
     ledger: list
-
-    @property
-    def final(self):
-        return self.states[-1]
+    final: State
 
 
 def simulate(operators: OperatorSet, constraints: Constraints, grid: TimeGrid,
-             loads=None, state0=None, solver=None, keep_states=False,
-             callback=None, stepper="reduced"):
+             loads=None, state0=None, solver=None, callback=None, stepper="reduced"):
     """March the dynamics over a time grid, tracking the energy ledger.
 
     One stepper, and so one Schur build and factorization, serves every
@@ -548,10 +532,9 @@ def simulate(operators: OperatorSet, constraints: Constraints, grid: TimeGrid,
     and ledger time equals a node. ``stepper`` is "reduced"
     (``ReducedStepper``) or "full" (``FullStepper``, the oracle); another
     name raises ``ValueError``. ``callback`` (if given) is invoked with
-    each new State. Returns the ledger and, when ``keep_states``, every
-    state; otherwise first and final only. The scheme is unconditionally
-    stable, so a step whose ledger energy is not finite (bad input or a
-    solver fault) raises ``SolverError``.
+    each new State. Returns the ledger and the final state. The scheme is
+    unconditionally stable, so a step whose ledger energy is not finite
+    (bad input or a solver fault) raises ``SolverError``.
     """
     if state0 is None:
         state0 = State.zero(operators.space, operators.material.n_arms,
@@ -562,7 +545,6 @@ def simulate(operators: OperatorSet, constraints: Constraints, grid: TimeGrid,
     cls = steppers[stepper]
     state = state0
     ledger = [energy(state, operators, 0.0)]
-    states = [state]
     stepper_obj = None
     dissipated = 0.0
     eps = np.finfo(float).eps
@@ -578,11 +560,7 @@ def simulate(operators: OperatorSet, constraints: Constraints, grid: TimeGrid,
         ledger.append(energy(nxt, operators, dissipated))
         if not np.isfinite(ledger[-1].total + dissipated):
             raise SolverError(f"non-finite energy at t = {t_next!r}")
-        if keep_states:
-            states.append(nxt)
         if callback is not None:
             callback(nxt)
         state = nxt
-    if not keep_states:
-        states = [state0, state]
-    return SimulationResult(states, ledger)
+    return SimulationResult(ledger, state)

@@ -342,8 +342,9 @@ def _row_norms(v):
 class Constraints:
     """Essential constraint bookkeeping for a space.
 
-    Builds the nodal frames (n, t1, t2) of the slip nodes, the fixed
-    frame-dof set, and prescribed-value evaluation. Constrained solves
+    Owns the prescribed nodes (``dirichlet_nodes`` and ``slip_nodes``,
+    sorted node arrays), the nodal frames (n, t1, t2) of the slip nodes,
+    the fixed frame-dof set, and the prescribed values. Constrained solves
     work in frame coordinates W with U = R W, where the orthogonal change
     of basis R is the identity except at the slip nodes' 3x3 blocks, whose
     columns are their frames. ``to_frame`` and ``from_frame`` apply R' and
@@ -354,36 +355,34 @@ class Constraints:
     def __init__(self, space: FeSpace, spec: dict):
         self.space = space
         self.spec = dict(spec)
-        dirichlet_nodes = {}
-        slip_nodes = {}
-        for label, bc in self.spec.items():
-            nodes = space.label_nodes(label)
+        # per scalar node and BC kind, the index into ``spec`` of the BC
+        # prescribing it, or -1: labels are written in ``spec`` order, so a
+        # later label overrides an earlier one of its kind
+        dirichlet = np.full(space.n_scalar_dofs, -1)
+        slip = np.full(space.n_scalar_dofs, -1)
+        for i, (label, bc) in enumerate(self.spec.items()):
             if isinstance(bc, DirichletBC):
-                for nd in nodes:
-                    dirichlet_nodes[int(nd)] = bc
+                dirichlet[space.label_nodes(label)] = i
             elif isinstance(bc, SlipBC):
-                for nd in nodes:
-                    slip_nodes[int(nd)] = bc
+                slip[space.label_nodes(label)] = i
             else:
                 raise TypeError(f"unsupported constraint for {label!r}: {bc!r}")
         # a node carrying both is fully prescribed
-        for nd in dirichlet_nodes:
-            slip_nodes.pop(nd, None)
-        self.dirichlet_nodes = dirichlet_nodes
-        self.slip_nodes = slip_nodes
+        slip[dirichlet >= 0] = -1
+        self.dirichlet_nodes = np.nonzero(dirichlet >= 0)[0]
+        self.slip_nodes = np.nonzero(slip >= 0)[0]
         self._build_frames()
         self._build_rotation()
         self._build_fixed()
-        self._build_targets()
+        self._build_targets(dirichlet, slip)
 
     def _build_frames(self):
         """``slip_frames[k]``, the orthonormal frame (n, t1, t2) as columns
-        at the k-th slip node (in ``slip_nodes`` order): n is the
-        area-weighted mean of the adjacent slip facets' normals."""
+        at the k-th slip node: n is the area-weighted mean of the adjacent
+        slip facets' normals."""
         space = self.space
         mesh = space.mesh
-        nodes = np.fromiter(self.slip_nodes, dtype=np.int64, count=len(self.slip_nodes))
-        self._slip_index = nodes
+        nodes = self.slip_nodes
         position = np.full(space.n_scalar_dofs, -1)
         position[nodes] = np.arange(len(nodes))
         acc = np.zeros((len(nodes), 3))
@@ -411,10 +410,10 @@ class Constraints:
 
     def _build_rotation(self):
         n = self.space.n_dofs
-        if not self.slip_nodes:
+        if not len(self.slip_nodes):
             self.rotation = sp.identity(n, format="csr")
             return
-        nodes = self._slip_index
+        nodes = self.slip_nodes
         comp = np.arange(3)
         # frame blocks of the slip nodes, then the identity on the other nodes
         block = (3 * nodes[:, None, None] + comp[:, None]).repeat(3, axis=2)
@@ -427,43 +426,38 @@ class Constraints:
         self.rotation = sp.csr_matrix((data, (rows, cols)), shape=(n, n))
 
     def _build_fixed(self):
-        fixed = []
-        for nd in self.dirichlet_nodes:
-            fixed.extend((3 * nd, 3 * nd + 1, 3 * nd + 2))
-        for nd in self.slip_nodes:
-            fixed.append(3 * nd)  # normal slot of the frame
-        self.fixed = np.array(sorted(fixed), dtype=np.int64)
+        # the three slots of each Dirichlet node, the normal slot of each
+        # slip node's frame
+        self.fixed = np.sort(np.concatenate([
+            (3 * self.dirichlet_nodes[:, None] + np.arange(3)).ravel(), 3 * self.slip_nodes]))
         mask = np.ones(self.space.n_dofs, dtype=bool)
         mask[self.fixed] = False
         self.free = np.nonzero(mask)[0]
 
     # -- values ---------------------------------------------------------
 
-    def _build_targets(self):
-        """Per BC object, the nodes it prescribes and the positions of
-        their values in ``fixed``: (bc, nodes, slots) with slots (n, 3)
-        for Dirichlet nodes and (n,) for the normal slot of slip nodes.
-        The constant BCs' values are filled in ``_constant_values`` here,
-        once; only the others are kept in ``_targets``, to evaluate per
-        time."""
+    def _build_targets(self, dirichlet, slip):
+        """Per ``spec`` entry that owns nodes in the node owner arrays of
+        each kind: (bc, nodes, slots), with the positions in ``fixed`` of
+        the nodes' values, (n, 3) for Dirichlet nodes and (n,) for the
+        normal slot of slip nodes. The constant BCs' values are filled in
+        ``_constant_values`` here, once; only the others are kept in
+        ``_targets``, to evaluate per time."""
         self._targets = []
         values = np.zeros(len(self.fixed))
-        for table, offsets in ((self.dirichlet_nodes, np.arange(3)),
-                               (self.slip_nodes, 0)):
-            groups = {}
-            for nd in sorted(table):
-                groups.setdefault(id(table[nd]), (table[nd], []))[1].append(nd)
-            for bc, nodes in groups.values():
-                nodes = np.array(nodes, dtype=np.int64)
+        bcs = list(self.spec.values())
+        for owner, offsets in ((dirichlet, np.arange(3)), (slip, 0)):
+            for i in np.unique(owner[owner >= 0]):
+                nodes = np.nonzero(owner == i)[0]
                 first = np.searchsorted(self.fixed, 3 * nodes)
-                target = (bc, nodes, np.add.outer(first, offsets))
-                if bc.constant:
+                target = (bcs[i], nodes, np.add.outer(first, offsets))
+                if bcs[i].constant:
                     self._fill(values, target, 0.0)
                 else:
                     self._targets.append(target)
-        if not self._targets:
-            values.flags.writeable = False
+        values.flags.writeable = False
         self._constant_values = values
+        self._last = None  # (t, values) of the last time-dependent evaluation
 
     def _fill(self, out, target, t):
         """Write the values of one (bc, nodes, slots) target at time t."""
@@ -476,14 +470,21 @@ class Constraints:
         out[slots] = np.broadcast_to(vals, slots.shape)
 
     def fixed_values(self, t=0.0):
-        """Prescribed displacement values at the fixed frame dofs. When
-        every BC is constant, this is one read-only array for every t."""
+        """Prescribed displacement values at the fixed frame dofs, as a
+        read-only array. When every BC is constant, this is one array for
+        every t. Otherwise the values of the last t asked for are kept: a
+        march asks for each step's start after the previous step's end, so
+        both steps use the same values bit for bit, as the energy identity
+        needs."""
         if not self._targets:
             return self._constant_values
-        out = self._constant_values.copy()
-        for target in self._targets:
-            self._fill(out, target, t)
-        return out
+        if self._last is None or self._last[0] != t:
+            out = self._constant_values.copy()
+            for target in self._targets:
+                self._fill(out, target, t)
+            out.flags.writeable = False
+            self._last = (t, out)
+        return self._last[1]
 
     def _rotate_blocks(self, v, frames):
         """A new vector, v + 0.0, except that the 3-block x of v at the k-th
@@ -492,8 +493,8 @@ class Constraints:
         from 0.0 and adds in that order, so the two are equal bit for bit,
         signed zeros included."""
         out = v + 0.0
-        x = v.reshape(-1, 3)[self._slip_index]
-        out.reshape(-1, 3)[self._slip_index] = (
+        x = v.reshape(-1, 3)[self.slip_nodes]
+        out.reshape(-1, 3)[self.slip_nodes] = (
             0.0 + x[:, :1] * frames[:, 0] + x[:, 1:2] * frames[:, 1] + x[:, 2:] * frames[:, 2])
         return out
 
@@ -515,7 +516,7 @@ class Constraints:
 
     def reduce(self, matrix):
         """Symmetric elimination: rotate to frame coordinates and split."""
-        if self.slip_nodes:
+        if len(self.slip_nodes):
             a = (self.rotation.T @ matrix @ self.rotation).tocsr()
         else:
             a = matrix.tocsr()
@@ -540,16 +541,10 @@ class ConstrainedSystem:
             b = b - self.coupling @ fixed_values
         return b
 
-    def solve(self, rhs, fixed_values=None, solver=None):
-        """Solve for the full vector given a global rhs and fixed values."""
+    def solve(self, rhs, fixed_values, solver):
+        """Solve for the full vector given a global rhs, fixed values and solver."""
         con = self.constraints
-        if fixed_values is None:
-            fixed_values = np.zeros(len(con.fixed))
         b = self.reduced_rhs(rhs, fixed_values)
-        if solver is None:
-            from .dynamics import LinearSolver
-
-            solver = LinearSolver()
         w = np.zeros(con.space.n_dofs)
         w[con.free] = solver.solve(self.matrix, b)
         w[con.fixed] = fixed_values

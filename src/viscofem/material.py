@@ -29,13 +29,6 @@ def lame_from_engineering(E, nu):
     return mu, lam
 
 
-def engineering_from_lame(mu, lam):
-    """Inverse of lame_from_engineering."""
-    E = mu * (3.0 * lam + 2.0 * mu) / (lam + mu)
-    nu = lam / (2.0 * (lam + mu))
-    return E, nu
-
-
 @dataclass(frozen=True)
 class MaxwellArm:
     kappa: float  # arm stiffness modulus [Pa]
@@ -74,10 +67,6 @@ class MaterialModel:
     def from_engineering(cls, rho, E, nu, arms=()):
         mu, lam = lame_from_engineering(E, nu)
         return cls(rho, mu, lam, tuple(arms))
-
-    @property
-    def engineering(self):
-        return engineering_from_lame(self.mu, self.lam)
 
     @property
     def n_arms(self):

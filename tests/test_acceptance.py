@@ -21,7 +21,7 @@ from viscofem.material import MaterialModel, MaxwellArm, duhamel_stress, step_co
 from viscofem.mesh import BoundaryKind, BoundaryTag, box_face_tagger, build_box_mesh
 from viscofem.verify import ConserveConfig, conservation_experiment, convergence_study
 
-DIRECT = LinearSolver(method="direct", direct_threshold=10**8)
+DIRECT = LinearSolver(method="direct")
 REFERENCE_MATERIAL = MaterialModel.from_engineering(100.0, 1e5, 0.3, arms=((1e5, 1e-2),))
 
 

@@ -313,7 +313,9 @@ def test_timestep_change_rebuilds_stepper():
         assert abs(rec.total + rec.dissipated - total0) < 1e-11 * total0
 
 
-def test_cg_solver_matches_direct_and_reports_failure():
+def test_cg_solver_matches_direct_and_reports_failure(monkeypatch):
+    from viscofem import dynamics
+
     ops, con = make_problem(n=2, p=1)
     state = admissible_random_state(ops, con, 23)
     k = 0.02
@@ -322,7 +324,8 @@ def test_cg_solver_matches_direct_and_reports_failure():
     ).step(state)
     s_dir = ReducedStepper(ops, con, k, solver=DIRECT).step(state)
     assert np.abs(s_cg.u1 - s_dir.u1).max() < 1e-9 * max(np.abs(s_dir.u1).max(), 1e-30)
-    starved = LinearSolver(method="cg", rtol=1e-16, cap_factor=1e-9)
+    monkeypatch.setattr(dynamics, "CG_ITERATION_FACTOR", 1e-9)
+    starved = LinearSolver(method="cg", rtol=1e-16)
     with pytest.raises(SolverError) as err:
         ReducedStepper(ops, con, k, solver=starved).step(state)
     assert err.value.residual is not None
@@ -455,15 +458,16 @@ def test_ledger_columns_equal_direct_quadratic_forms():
     M, KE, D = ops.mass, ops.elastic, ops.deviatoric
     arms = ops.material.arms
     k = 0.01
-    res = simulate(ops, con, TimeGrid.uniform(0.0, 5 * k, 5),
-                   state0=distinct_arm_state(ops, con, 47), solver=DIRECT,
-                   keep_states=True)
+    state0 = distinct_arm_state(ops, con, 47)
+    states = [state0]
+    res = simulate(ops, con, TimeGrid.uniform(0.0, 5 * k, 5), state0=state0,
+                   solver=DIRECT, callback=states.append)
 
     def close(got, want):
         assert abs(got - want) <= 1e-13 * abs(want)
 
     dissipated = 0.0
-    for prev, state, rec in zip([None] + res.states[:-1], res.states, res.ledger):
+    for prev, state, rec in zip([None] + states[:-1], states, res.ledger):
         close(rec.kinetic, state.u1 @ (M @ state.u1))
         close(rec.elastic, state.u0 @ (KE @ state.u0))
         for arm, u, got in zip(arms, state.uve, rec.viscoelastic):
@@ -513,7 +517,7 @@ def _spd(n):
 
 def test_auto_resolution_by_reuse(monkeypatch):
     # a reused factor is direct up to FACTOR_DOF_BOUND free dofs, a
-    # one-shot solve up to direct_threshold; both are CG above their bound
+    # one-shot solve up to ONE_SHOT_DOF_BOUND; both are CG above their bound
     import scipy.sparse.linalg as spla
 
     from viscofem import dynamics
@@ -530,7 +534,8 @@ def test_auto_resolution_by_reuse(monkeypatch):
     for name in ("splu", "cg"):
         monkeypatch.setattr(spla, name, counted(name, getattr(spla, name)))
     monkeypatch.setattr(dynamics, "FACTOR_DOF_BOUND", 6)
-    solver = LinearSolver(direct_threshold=3)
+    monkeypatch.setattr(dynamics, "ONE_SHOT_DOF_BOUND", 3)
+    solver = LinearSolver()
 
     def path(run):
         calls.clear()
@@ -582,10 +587,11 @@ def test_uniform_grid_builds_one_stepper(monkeypatch, t_start, t_end, n_steps):
     builds = _count_builds(monkeypatch, ReducedStepper)
     state = admissible_random_state(ops, con, 17)
     state = State(t_start, state.u1, state.u0, state.uve)
-    res = simulate(ops, con, grid, state0=state, solver=DIRECT, keep_states=True)
+    states = [state]
+    res = simulate(ops, con, grid, state0=state, solver=DIRECT, callback=states.append)
     assert builds[0] == 1
     assert np.array_equal([rec.t for rec in res.ledger], grid.nodes)
-    assert np.array_equal([s.t for s in res.states], grid.nodes)
+    assert np.array_equal([s.t for s in states], grid.nodes)
     total0 = res.ledger[0].total
     for rec in res.ledger:
         assert abs(rec.total + rec.dissipated - total0) < 1e-11 * total0
@@ -635,6 +641,41 @@ def _moving_bottom_problem(n=2, p=1, material=MATERIAL):
     return ops, Constraints(space, {"bottom": shake})
 
 
+def _count_evaluations(bc):
+    """The times at which a Dirichlet or slip BC's value is evaluated from
+    now on, as a list that grows with each evaluation."""
+    times = []
+    attr = "value" if isinstance(bc, DirichletBC) else "normal_value"
+    value = getattr(bc, attr)
+
+    def counted(x, t):
+        times.append(t)
+        return value(x, t)
+
+    setattr(bc, attr, counted)
+    return times
+
+
+def test_static_solve_then_march_evaluates_moving_slip_once_per_time():
+    # the static pre-solve's values at t = 0 serve the first step's start,
+    # as in the seal: n + 1 evaluations for n steps
+    from viscofem.dynamics import static_solve
+    from viscofem.fespace import SlipBC
+    from viscofem.mesh import build_annulus_mesh
+
+    space = FeSpace(build_annulus_mesh(0.006, 0.01, 0.02, (1, 6, 2)), 1)
+    ops = OperatorSet(space, MATERIAL)
+    slip = SlipBC(lambda x, t: -6e-5 * (1.0 + 0.3 * np.sin(40.0 * t)) * x[:, 2])
+    con = Constraints(space, {"outer": DirichletBC(), "inner": slip})
+    evaluations = _count_evaluations(slip)
+    u0 = static_solve(ops, con, solver=DIRECT, t=0.0)
+    grid = TimeGrid.uniform(0.0, 0.05, 5)
+    state0 = State(0.0, np.zeros(space.n_dofs), u0, (np.zeros(space.n_dofs),))
+    res = simulate(ops, con, grid, state0=state0, solver=DIRECT)
+    assert np.abs(res.final.u0).max() > 0
+    assert evaluations == list(grid.nodes)
+
+
 def test_reduced_full_simulate_agree_on_jittered_grid(monkeypatch):
     ops, con = _moving_bottom_problem()
     # f = cos(3t + y) a = cos(3t) cos(y) a - sin(3t) sin(y) a and
@@ -668,18 +709,13 @@ def test_fixed_values_endpoint_reused_bit_identically(monkeypatch, cls):
     ref_state = state
     for _ in range(steps):
         ref_state = cls(ops, con, k, solver=DIRECT).step(ref_state)
-    calls = [0]
-    original = Constraints.fixed_values
-
-    def counting(self, t=0.0):
-        calls[0] += 1
-        return original(self, t)
-
-    monkeypatch.setattr(Constraints, "fixed_values", counting)
+    evaluations = _count_evaluations(con.spec["bottom"])
     stepper = cls(ops, con, k, solver=DIRECT)
     for _ in range(steps):
         state = stepper.step(state)
-    assert calls[0] == steps + 1
+    # the start value, then each step's end value, reused as the next start
+    assert len(evaluations) == len(set(evaluations)) == steps + 1
+    assert evaluations[0] == 0.0
     assert np.abs(ref_state.u0).max() > 0
     for a, b in [(state.u1, ref_state.u1), (state.u0, ref_state.u0),
                  *zip(state.uve, ref_state.uve)]:

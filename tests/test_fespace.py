@@ -135,7 +135,7 @@ def test_dirichlet_zero_values():
     mat = sp.csr_matrix(raw @ raw.T + space.n_dofs * np.eye(space.n_dofs))
     rhs = rng.standard_normal(space.n_dofs)
     system = Constraints(space, {"bottom": DirichletBC((0.0, 0.0, 0.0))}).reduce(mat)
-    u = system.solve(rhs, system.constraints.fixed_values(0.0))
+    u = system.solve(rhs, system.constraints.fixed_values(0.0), LinearSolver())
     fixed = system.constraints.fixed
     assert np.abs(u[fixed]).max() == 0.0
 
@@ -145,7 +145,7 @@ def test_dirichlet_identity_prescribed_value():
     mat = sp.identity(space.n_dofs, format="csr")
     rhs = np.zeros(space.n_dofs)
     system = Constraints(space, {"bottom": DirichletBC((1.0, 2.0, 3.0))}).reduce(mat)
-    u = system.solve(rhs, system.constraints.fixed_values(0.0))
+    u = system.solve(rhs, system.constraints.fixed_values(0.0), LinearSolver())
     bottom = space.label_nodes("bottom")
     assert np.allclose(u.reshape(-1, 3)[bottom], [1.0, 2.0, 3.0])
 
@@ -174,13 +174,13 @@ def test_slip_flat_face():
     for frame in con.slip_frames:
         assert np.abs(frame.T @ frame - np.eye(3)).max() < 1e-14
         assert np.allclose(frame[:, 0], [0, 0, 1])
-    u = system.solve(np.zeros(space.n_dofs), con.fixed_values(0.0))
+    u = system.solve(np.zeros(space.n_dofs), con.fixed_values(0.0), LinearSolver())
     top = space.label_nodes("top")
     uz = u.reshape(-1, 3)[top, 2]
     assert np.abs(uz - c).max() < 1e-12
     # u.n = 0 everywhere when nothing is prescribed
     system0 = Constraints(space, {"top": SlipBC(0.0)}).reduce(mat)
-    u0 = system0.solve(np.zeros(space.n_dofs), np.zeros(len(con.fixed)))
+    u0 = system0.solve(np.zeros(space.n_dofs), np.zeros(len(con.fixed)), LinearSolver())
     assert np.abs(u0.reshape(-1, 3)[top, 2]).max() < 1e-12
 
 
@@ -203,16 +203,36 @@ def test_slip_constrained_solve_tangential_free():
     assert np.abs(resid[con.free]).max() < 1e-9
 
 
+def _per_node_owners(con):
+    """Per prescribed node, the BC owning it, as dicts {node: bc} for the
+    Dirichlet and the slip nodes, rebuilt from ``spec`` and
+    ``label_nodes`` label by label: a later label overrides an earlier one
+    of its kind, and a Dirichlet node is no slip node."""
+    dirichlet, slip = {}, {}
+    for label, bc in con.spec.items():
+        table = dirichlet if isinstance(bc, DirichletBC) else slip
+        for nd in con.space.label_nodes(label):
+            table[int(nd)] = bc
+    for nd in dirichlet:
+        slip.pop(nd, None)
+    return dirichlet, slip
+
+
 def _per_node_fixed_values(con, t):
-    """The fixed values as a loop over the prescribed nodes evaluates them."""
+    """The fixed values as a loop over the prescribed nodes evaluates them,
+    with the owners of ``_per_node_owners``."""
+    dirichlet, slip = _per_node_owners(con)
     coords = con.space.dof_coords
-    pos = {dof: i for i, dof in enumerate(con.fixed)}
-    want = np.full(len(con.fixed), np.nan)
-    for nd, bc in con.dirichlet_nodes.items():
+    fixed = sorted([3 * nd + a for nd in dirichlet for a in range(3)]
+                   + [3 * nd for nd in slip])
+    assert np.array_equal(con.fixed, fixed)
+    pos = {dof: i for i, dof in enumerate(fixed)}
+    want = np.full(len(fixed), np.nan)
+    for nd, bc in dirichlet.items():
         val = np.broadcast_to(bc.value(coords[[nd]], t), (1, 3))[0]
         for a in range(3):
             want[pos[3 * nd + a]] = val[a]
-    for nd, bc in con.slip_nodes.items():
+    for nd, bc in slip.items():
         want[pos[3 * nd]] = np.atleast_1d(bc.normal_value(coords[[nd]], t))[0]
     return want
 
@@ -250,7 +270,7 @@ def test_fixed_values_match_per_node_evaluation():
     }
     for spec, n_callables in ((mixed, 2), (seal, 1)):
         con = Constraints(space, spec)
-        assert con.dirichlet_nodes and con.slip_nodes
+        assert len(con.dirichlet_nodes) and len(con.slip_nodes)
         for t in (0.0, 0.37, 0.5):
             evaluated.clear()
             got = con.fixed_values(t)
@@ -278,6 +298,67 @@ def test_constant_fixed_values_evaluated_once():
     assert np.array_equal(first, want)
 
 
+@pytest.mark.parametrize("order", ["slip-first", "slip-last"])
+def test_overlapping_labels_match_per_node_owners(order):
+    # "side" meets "bottom" and "top" along edges: a later Dirichlet label
+    # wins on the bottom edge, and Dirichlet wins over slip on the top
+    # edge whichever label comes first
+    space = _mixed_space()
+    moving = DirichletBC(lambda x, t: np.stack([x[:, 0] + t, -x[:, 1], x[:, 2] * t], axis=1))
+    spec = {"bottom": moving, "side": DirichletBC((0.1, -0.2, 0.3))}
+    slip = {"top": SlipBC(lambda x, t: x[:, 1] - t)}
+    spec = {**slip, **spec} if order == "slip-first" else {**spec, **slip}
+    con = Constraints(space, spec)
+    dirichlet, slip_owners = _per_node_owners(con)
+    assert np.array_equal(con.dirichlet_nodes, sorted(dirichlet))
+    assert np.array_equal(con.slip_nodes, sorted(slip_owners))
+    bottom, side, top = (set(space.label_nodes(lb).tolist()) for lb in ("bottom", "side", "top"))
+    assert bottom & side and top & side
+    assert all(dirichlet[nd] is spec["side"] for nd in bottom & side)
+    assert not (top & side) & set(slip_owners)
+    for t in (0.0, 0.25):
+        got = con.fixed_values(t)
+        assert np.array_equal(got, _per_node_fixed_values(con, t))
+    # the side's constant value at a node of the bottom edge
+    nd = min(bottom & side)
+    assert np.array_equal(got[np.searchsorted(con.fixed, 3 * nd + np.arange(3))],
+                          [0.1, -0.2, 0.3])
+
+
+def test_bc_shared_by_two_labels():
+    space = _mixed_space()
+    shake = DirichletBC(lambda x, t: np.outer(np.sin(7.0 * t) * (1.0 + x[:, 2]),
+                                              [1e-3, -2e-3, 5e-4]))
+    con = Constraints(space, {"bottom": shake, "side": shake})
+    union = np.union1d(space.label_nodes("bottom"), space.label_nodes("side"))
+    assert np.array_equal(con.dirichlet_nodes, union)
+    for t in (0.0, 0.3):
+        got = con.fixed_values(t)
+        assert np.isfinite(got).all()
+        assert np.array_equal(got, _per_node_fixed_values(con, t))
+
+
+def test_fixed_values_keep_last_time():
+    # a time-dependent set evaluates once per new time and returns the
+    # same read-only array while the time is asked for again
+    space = _mixed_space()
+    times = []
+
+    def lift(x, t):
+        times.append(t)
+        return x[:, 0] * t
+
+    con = Constraints(space, {"bottom": DirichletBC(), "top": SlipBC(lift)})
+    first = con.fixed_values(0.5)
+    assert not first.flags.writeable
+    assert con.fixed_values(0.5) is first
+    second = con.fixed_values(0.75)
+    assert second is not first and not second.flags.writeable
+    assert con.fixed_values(0.5) is not first
+    assert times == [0.5, 0.75, 0.5]
+    assert np.array_equal(con.fixed_values(0.5), first)
+
+
 def test_reduced_rhs_of_zero_values_equals_product_path():
     space = _mixed_space()
     rng = np.random.default_rng(4)
@@ -299,7 +380,7 @@ def _per_node_rotation(con):
     nodes builds them: normals accumulated facet by facet, one frame and
     one 3x3 block per node."""
     space, mesh = con.space, con.space.mesh
-    acc = {nd: np.zeros(3) for nd in con.slip_nodes}
+    acc = {int(nd): np.zeros(3) for nd in con.slip_nodes}
     for label, bc in con.spec.items():
         if not isinstance(bc, SlipBC):
             continue
@@ -360,11 +441,11 @@ def test_frame_maps_equal_rotation_products(kind, p):
         tagger = box_face_tagger(faces={"z-": BoundaryTag(BoundaryKind.DIRICHLET, "bottom")})
         space = FeSpace(build_box_mesh(2, tagger=tagger), p)
         con = Constraints(space, {"bottom": DirichletBC()})
-        assert not con.slip_nodes
+        assert not len(con.slip_nodes)
     else:
         space = FeSpace(build_annulus_mesh(0.5, 1.0, 0.4, (2, 12, 3)), p)
         con = Constraints(space, {"outer": DirichletBC(), "inner": SlipBC(0.1)})
-        assert con.slip_nodes
+        assert len(con.slip_nodes)
     rng = np.random.default_rng(5)
     u = rng.standard_normal(space.n_dofs)
     u[rng.random(space.n_dofs) < 0.3] = 0.0

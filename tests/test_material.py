@@ -7,7 +7,6 @@ from viscofem.material import (
     MaterialModel,
     MaxwellArm,
     duhamel_stress,
-    engineering_from_lame,
     lame_from_engineering,
     step_coefficients,
 )
@@ -30,7 +29,9 @@ def test_lame_round_trip():
         E = 10 ** rng.uniform(3, 9)
         nu = rng.uniform(-0.9, 0.49)
         mu, lam = lame_from_engineering(E, nu)
-        E2, nu2 = engineering_from_lame(mu, lam)
+        # the inverse relations
+        E2 = mu * (3.0 * lam + 2.0 * mu) / (lam + mu)
+        nu2 = lam / (2.0 * (lam + mu))
         assert abs(E2 - E) < 1e-12 * E
         assert abs(nu2 - nu) < 1e-12
 
@@ -48,8 +49,7 @@ def test_material_validation():
     with pytest.raises(ValueError):
         MaterialModel(rho=1.0, mu=1.0, lam=0.0, arms=((1.0, -2.0),))
     mat = MaterialModel.from_engineering(100.0, 1e5, 0.3, arms=((1e5, 1e-2),))
-    E, nu = mat.engineering
-    assert abs(E - 1e5) < 1e-6 and abs(nu - 0.3) < 1e-12
+    assert (mat.mu, mat.lam) == lame_from_engineering(1e5, 0.3)
     assert mat.arms[0] == MaxwellArm(1e5, 1e-2)
 
 
