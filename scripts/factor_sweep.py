@@ -5,9 +5,13 @@ For each mesh, builds the reduced Schur matrix of one seal-material step,
 M + k^2/4 K_E + (k/2)(sum_m alpha_m kappa_m) D with k = 1/600 s (the seal
 workload's step), and measures:
 
+* the space's fill-reducing order (``fespace.nested_dissection`` of its
+  nodes, which ``Constraints.free`` follows): seconds, the median of five
+  runs;
 * the factorization of ``LinearSolver("direct")``, SuperLU in symmetric
-  mode (MMD on A'+A, diagonal pivots): set-up seconds, L + U nonzeros
-  and their size at 12 bytes each, and seconds per solve;
+  mode on the matrix in that order (``NATURAL``, diagonal pivots): set-up
+  seconds, L + U nonzeros and their size at 12 bytes each, and seconds
+  per solve;
 * Jacobi-CG to a relative residual of 1e-12 from a zero start: iterations
   and seconds per solve;
 * the break-even step count, factor_s / (cg_s - solve_s): a march of
@@ -94,6 +98,7 @@ def timed(fn, repeat):
 
 
 def row(label, space):
+    _, order_s = timed(lambda: fespace.nested_dissection(space.dof_coords, space.cell_dofs), 5)
     a = schur(space, label)
     n = a.shape[0]
     b = np.random.default_rng(0).standard_normal(n)
@@ -113,7 +118,7 @@ def row(label, space):
                                     callback=count), 1)
     return {
         "mesh": label, "free_dofs": n, "matrix_nnz": int(a.nnz),
-        "factor_s": round(factor_s, 4), "factor_nnz": fill,
+        "order_s": round(order_s, 5), "factor_s": round(factor_s, 4), "factor_nnz": fill,
         "factor_mb": round(fill * 12 / 2**20, 1),
         "solve_ms": round(1e3 * solve_s, 3),
         "cg_iters": iters[0], "cg_ms": round(1e3 * cg_s, 2),

@@ -406,7 +406,9 @@ def assemble_volume_load(space: FeSpace, fields, degree=None):
     are evaluated ``ELEMENT_CHUNK`` elements at a time, so the memory their
     evaluation takes stays bounded on fine meshes, and one after another
     on the same points, so fields derived from one evaluation can share
-    it."""
+    it. A field that is a method of an object keeping that shared work
+    (``release_points``, as ``verify.ManufacturedSolution`` has) has the
+    object release it when the pass ends."""
     vd = volume_data(space, degree if degree is not None else load_degree(space))
     out = [np.zeros(space.n_dofs) for _ in fields]
     for chunk in vd.chunks():
@@ -417,6 +419,10 @@ def assemble_volume_load(space: FeSpace, fields, degree=None):
             f = np.asarray(field(x), dtype=float).reshape(points.shape)
             contrib = np.einsum("eq,qn,eqa->ena", wdet, vd.N, f)
             np.add.at(vec, vdofs, contrib.reshape(len(contrib), -1))
+    for field in fields:
+        release = getattr(getattr(field, "__self__", None), "release_points", None)
+        if release is not None:
+            release()
     return out
 
 

@@ -62,11 +62,12 @@ class SolverError(RuntimeError):
 
 # free dofs up to which ``auto`` factorizes a matrix whose solver is reused
 # over a march (``prepare``); above it, Jacobi-CG. From the sweep of
-# symmetric-mode factor time and fill against free dofs in BENCH_7.json
-# (scripts/factor_sweep.py, one thread): the largest meshes below it, box
-# and annulus at 25,024-26,460 free dofs, factor in 6-18 s to 29-40 M
-# nonzeros (330-450 MB); the next, 45,000, takes 23 s and 73 M (840 MB),
-# and fill grows faster than the dof count
+# symmetric-mode factor time and fill against free dofs in BENCH_17.json
+# (scripts/factor_sweep.py, one thread, in the space's nested-dissection
+# order): the largest meshes below it, box and annulus at 25,024-26,460
+# free dofs, factor in 2.4-4.3 s to 23-28 M nonzeros (270-320 MB); the
+# next, the 45,000-dof box, takes 7.4 s and 52 M (600 MB), and fill grows
+# faster than the dof count
 FACTOR_DOF_BOUND = 30000
 # free dofs up to which ``auto`` factorizes a matrix solved for one
 # right-hand side (``solve``), which pays the whole factorization
@@ -79,11 +80,14 @@ class LinearSolver:
     """Sparse solver for the SPD systems of the steppers and static solves.
 
     method: 'auto' (default), 'direct' or 'cg'. 'direct' is SuperLU in
-    symmetric mode: minimum degree ordering on A'+A and diagonal pivots,
-    so its fill and solve cost follow the symmetric structure of the
-    matrix. 'cg' is Jacobi-preconditioned CG to relative residual
-    ``rtol``, at most ``CG_ITERATION_FACTOR * n`` iterations,
-    warm-started from the previous solution of the same ``prepare``.
+    symmetric mode with diagonal pivots, on the matrix as numbered
+    (``NATURAL``): the space supplies the fill-reducing order, since
+    ``Constraints.free`` lists the free dofs in its nested-dissection
+    ``node_order``, so every reduced matrix arrives ordered. Its fill and
+    solve cost follow the symmetric structure of the matrix. 'cg' is
+    Jacobi-preconditioned CG to relative residual ``rtol``, at most
+    ``CG_ITERATION_FACTOR * n`` iterations, warm-started from the previous
+    solution of the same ``prepare``.
 
     'auto' chooses by how a matrix is used. A solver from ``prepare``
     serves every step of a march, so its factorization is paid once: it
@@ -121,7 +125,7 @@ class LinearSolver:
         if self._resolve(n, reused) == "direct":
             try:
                 factor = spla.splu(
-                    matrix.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                    matrix.tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.0,
                     options={"SymmetricMode": True},
                 )
             except (RuntimeError, MemoryError) as exc:  # singular, or fill too large

@@ -17,6 +17,7 @@ prescribed strongly and the tangential components stay free.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, reduce
 
 import numpy as np
 import scipy.sparse as sp
@@ -137,28 +138,26 @@ def reference_basis(p, points):
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != 4:
         raise ValueError("barycentric points must have 4 components")
-    nodes = reference_nodes(p)
-    nq = pts.shape[0]
-    values = np.empty((nq, len(nodes)))
-    dlam = np.empty((nq, len(nodes), 4))
-    for m, alpha in enumerate(nodes):
-        # N = prod_d prod_{r<alpha_d} (p*lam_d - r)/(alpha_d - r)
-        factors = np.ones((nq, 4))
-        dfactors = np.zeros((nq, 4))
-        for d in range(4):
-            if alpha[d] == 0:
-                continue
-            terms = np.stack(
-                [(p * pts[:, d] - r) / (alpha[d] - r) for r in range(alpha[d])]
-            )
-            factors[:, d] = np.prod(terms, axis=0)
-            for r in range(alpha[d]):
-                others = np.prod(np.delete(terms, r, axis=0), axis=0)
-                dfactors[:, d] += others * p / (alpha[d] - r)
-        values[:, m] = np.prod(factors, axis=1)
-        for d in range(4):
-            rest = np.prod(np.delete(factors, d, axis=1), axis=1)
-            dlam[:, m, d] = dfactors[:, d] * rest
+    alpha = np.array(reference_nodes(p))  # (m, 4)
+    # N = prod_d prod_{r<alpha_d} t_rd with t_rd = (p*lam_d - r)/(alpha_d - r),
+    # every node at once: terms[r, q, m, d], padded with 1.0 for r >= alpha_d.
+    # Each product multiplies its factors in order from 1.0, and a factor of
+    # 1.0 leaves it exact, so the values equal a node-by-node evaluation's
+    r = np.arange(p)[:, None, None, None]
+    live = r < alpha
+    denom = np.where(live, alpha - r, 1)
+    terms = np.where(live, (p * pts[None, :, None, :] - r) / denom, 1.0)
+    factors = reduce(np.multiply, terms, 1.0)  # (q, m, d)
+    # d/dlam_d of the product: sum_r (prod_{s != r} t_sd) p / (alpha_d - r),
+    # added in r order from 0.0, with 0.0 for the padding
+    dfactors = 0.0
+    for i in range(p):
+        others = reduce(np.multiply, (terms[s] for s in range(p) if s != i), 1.0)
+        dfactors = dfactors + np.where(live[i], others * p / denom[i], 0.0)
+    values = np.prod(factors, axis=2)
+    rest = [reduce(np.multiply, (factors[..., e] for e in range(4) if e != d), 1.0)
+            for d in range(4)]
+    dlam = np.stack([dfactors[..., d] * rest[d] for d in range(4)], axis=2)
     gradients = np.einsum("qmd,di->qmi", dlam, _GRAD_LAMBDA)
     return values, gradients
 
@@ -175,6 +174,112 @@ def _number_entities(vertex_tuples, n_vertices):
         keys = keys * n_vertices + tuples[..., j]
     distinct, index = np.unique(keys, return_inverse=True)
     return index.reshape(keys.shape), len(distinct)
+
+
+# parts of the node graph with at most this many nodes are not dissected
+DISSECTION_LEAF_NODES = 16
+
+
+def nested_dissection(coords, cells):
+    """A geometric nested dissection of the node graph in which two nodes
+    are adjacent when a cell (a row of ``cells``) holds both: (rank,
+    splits), the rank of each node and one row (first, left, right,
+    separator) per dissected part. A part holds the ranks from ``first``
+    on: its left child's ``left`` ranks, its right child's ``right``, then
+    its ``separator`` ranks, so children come before their separator.
+
+    A part of more than ``DISSECTION_LEAF_NODES`` nodes is split along its
+    longest coordinate extent. The candidate planes are the nodes'
+    coordinate value at the part's median and the next distinct values
+    below and above it. The separator of a plane is its nodes, plus, where
+    cells of the part straddle the plane, the nodes of those cells on one
+    side of it (curved boundaries put few nodes on any coordinate plane).
+    Each plane and side is scored by separator size + |left - right| / 4
+    and the best is kept; a plane no cell straddles scores its nodes alone
+    on both sides. Within a leaf or a separator, the nodes keep the order
+    of the last coordinate sort, which breaks ties by the order before it.
+
+    All parts of one level are split together, in array operations over
+    the level's nodes and the cells.
+    """
+    n = len(coords)
+    cells = np.ascontiguousarray(np.asarray(cells).T)  # one row per local node
+    entries = cells.ravel()
+    rank = np.empty(n, dtype=np.int64)
+    splits = []
+    nodes = np.arange(n)  # the unranked nodes, grouped by part
+    part = np.zeros(n, dtype=np.int64)  # the part of each of ``nodes``
+    start = np.zeros(1, dtype=np.int64)  # the first rank of each part
+    while len(nodes):
+        size = np.bincount(part, minlength=len(start))
+        first = np.cumsum(size) - size
+        in_leaf = (size <= DISSECTION_LEAF_NODES)[part]
+        rank[nodes[in_leaf]] = (start[part] + np.arange(len(nodes)) - first[part])[in_leaf]
+        # the parts left to split, numbered anew
+        split = np.nonzero(size > DISSECTION_LEAF_NODES)[0]
+        if not len(split):
+            break
+        nodes, part = nodes[~in_leaf], np.searchsorted(split, part[~in_leaf])
+        start, size = start[split], size[split]
+        first = np.cumsum(size) - size
+        n_parts = len(start)
+
+        # the longest extent of each part, and the nodes' coordinate along
+        # it, in ascending order within each part
+        x = coords[nodes]
+        extent = np.maximum.reduceat(x, first) - np.minimum.reduceat(x, first)
+        c = x[np.arange(len(nodes)), np.argmax(extent, axis=1)[part]]
+        by_coord = np.lexsort((c, part))
+        nodes, c = nodes[by_coord], c[by_coord]
+
+        # for each node, the coordinates its cells span: a cell holds the
+        # unranked nodes of one part only, and a plane strictly inside a
+        # cell's span has nodes of the cell on both sides
+        low = np.full(n, np.inf)
+        high = np.full(n, -np.inf)
+        low[nodes] = high[nodes] = c
+        reach_lo, reach_hi = low.copy(), high.copy()
+        np.minimum.at(reach_lo, entries, np.tile(low[cells].min(axis=0), len(cells)))
+        np.maximum.at(reach_hi, entries, np.tile(high[cells].max(axis=0), len(cells)))
+        reach_lo, reach_hi = reach_lo[nodes, None], reach_hi[nodes, None]
+
+        # runs of equal coordinate within a part, and the three around each
+        # part's median node: [part, plane] -> run
+        new_run = np.ones(len(nodes), dtype=bool)
+        new_run[1:] = (c[1:] != c[:-1]) | (part[1:] != part[:-1])
+        run_first = np.nonzero(new_run)[0]
+        run_end = np.append(run_first[1:], len(nodes))
+        run = np.cumsum(new_run) - 1
+        cand = np.clip(run[first + size // 2][:, None] + np.arange(-1, 2), 0, len(run_first) - 1)
+        plane = c[run_first[cand]]
+        on_plane = run_end[cand] - run_first[cand]
+        balance = (run_first[cand] - first[:, None]) - ((first + size)[:, None] - run_end[cand])
+
+        # the separator of a plane and side: the plane's nodes, and the nodes
+        # on that side of the cells straddling the plane
+        at = plane[part]
+        col = c[:, None]
+        sides = np.stack([(col < at) & (reach_hi > at), (col > at) & (reach_lo < at)], axis=2)
+        extra = np.add.reduceat(sides, first, dtype=np.int64)
+        score = on_plane[..., None] + extra + np.abs(balance[..., None] + [-1, 1] * extra) / 4.0
+        in_part = part[run_first[cand]] == np.arange(n_parts)[:, None]
+        best = np.argmin(np.where(in_part[..., None], score, np.inf).reshape(n_parts, 6), axis=1)
+        pick = best[part]
+        sides = sides.reshape(len(nodes), 6)[np.arange(len(nodes)), pick]
+        at = at[np.arange(len(nodes)), pick // 2]
+        sep = (c == at) | sides
+        right_side = ~sep & (c > at)
+        n_left = np.bincount(part[~sep & ~right_side], minlength=n_parts)
+        n_right = np.bincount(part[right_side], minlength=n_parts)
+        before = np.cumsum(sep) - sep
+        rank[nodes[sep]] = (start + n_left + n_right - before[first])[part[sep]] + before[sep]
+        splits.append(np.stack([start, n_left, n_right, size - n_left - n_right], axis=1))
+
+        # the children: left then right of each part, in the order of
+        # ``nodes``, which the coordinate sort grouped that way
+        start = np.stack([start, start + n_left], axis=1).ravel()
+        nodes, part = nodes[~sep], (2 * part + right_side)[~sep]
+    return rank, np.concatenate(splits or [np.zeros((0, 4), dtype=np.int64)])
 
 
 class FeSpace:
@@ -262,6 +367,16 @@ class FeSpace:
     def n_dofs(self):
         return 3 * self.n_scalar_dofs
 
+    @cached_property
+    def node_order(self):
+        """The scalar nodes in fill-reducing order, the ``nested_dissection``
+        of the dof coordinates and the cells, computed once, when first
+        read."""
+        rank, _ = nested_dissection(self.dof_coords, self.cell_dofs)
+        order = np.empty(self.n_scalar_dofs, dtype=np.int64)
+        order[rank] = np.arange(self.n_scalar_dofs)
+        return order
+
     def facet_scalar_dofs(self, facets):
         """Global scalar dofs supported on boundary facets: an array for one
         facet index, one row per facet for an array of indices."""
@@ -344,12 +459,15 @@ class Constraints:
 
     Owns the prescribed nodes (``dirichlet_nodes`` and ``slip_nodes``,
     sorted node arrays), the nodal frames (n, t1, t2) of the slip nodes,
-    the fixed frame-dof set, and the prescribed values. Constrained solves
-    work in frame coordinates W with U = R W, where the orthogonal change
-    of basis R is the identity except at the slip nodes' 3x3 blocks, whose
-    columns are their frames. ``to_frame`` and ``from_frame`` apply R' and
-    R by rotating those blocks only; the sparse ``rotation`` R serves the
-    matrix products of ``reduce`` and the full stepper.
+    the fixed frame-dof set (sorted), the free frame dofs in the space's
+    nested-dissection order (``free``), and the prescribed values. So a
+    reduced matrix comes numbered for a fill-reducing factorization.
+    Constrained solves work in frame coordinates W with U = R W, where the
+    orthogonal change of basis R is the identity except at the slip nodes'
+    3x3 blocks, whose columns are their frames. ``to_frame`` and
+    ``from_frame`` apply R' and R by rotating those blocks only; the sparse
+    ``rotation`` R serves the matrix products of ``reduce`` and the full
+    stepper.
     """
 
     def __init__(self, space: FeSpace, spec: dict):
@@ -430,9 +548,17 @@ class Constraints:
         # slip node's frame
         self.fixed = np.sort(np.concatenate([
             (3 * self.dirichlet_nodes[:, None] + np.arange(3)).ravel(), 3 * self.slip_nodes]))
+
+    @cached_property
+    def free(self):
+        """The free frame dofs in the space's ``node_order``, a node's free
+        components together in component order, so a reduced matrix is
+        numbered for a fill-reducing factorization. Formed when first read,
+        which a space's order is too."""
+        dofs = (3 * self.space.node_order[:, None] + np.arange(3)).ravel()
         mask = np.ones(self.space.n_dofs, dtype=bool)
         mask[self.fixed] = False
-        self.free = np.nonzero(mask)[0]
+        return dofs[mask[dofs]]
 
     # -- values ---------------------------------------------------------
 

@@ -152,6 +152,12 @@ class ManufacturedSolution:
             self._table = _PointTable(x)
         return self._table
 
+    def release_points(self):
+        """Drop the _PointTable of the last batch: a pass over the mesh
+        calls this when it ends, so the factors of its last chunk are not
+        kept for the solution's life."""
+        self._table = None
+
     def shape(self, x):
         table = self._points(x)
         out = np.empty((len(table.x), 3))
@@ -374,6 +380,7 @@ def error_norms(state: State, exact: ManufacturedSolution, operators: OperatorSe
 
         du0 = exact.displacement_factor(t) * shape - vd.value(state.u0, chunk)
         l2 += np.sum(wdet * np.einsum("eqa,eqa->eq", du0, du0))
+    exact.release_points()
     return float(np.sqrt(kin + ela + sum(ve, 0.0))), float(np.sqrt(l2))
 
 

@@ -433,6 +433,11 @@ def test_seal_scenario_tiny(tmp_path):
     path = write_cfg(tmp_path, BASE_SEAL)
     out = tmp_path / "o"
     assert main(["seal", "--config", path, "--out", str(out)]) == 0
+    # a second run gives the same bytes: the factorization's order depends
+    # only on the space
+    assert main(["seal", "--config", path, "--out", str(tmp_path / "again")]) == 0
+    assert ((out / "seal_pressure.csv").read_bytes()
+            == (tmp_path / "again" / "seal_pressure.csv").read_bytes())
     lines = (out / "seal_pressure.csv").read_text().strip().splitlines()
     assert lines[0] == "omega,station,p_min,p_max"
     assert len(lines) == 2

@@ -495,3 +495,167 @@ def test_facet_local_matches_per_vertex_search(kind, p):
             want[i, s] = int(np.where(tet == gv)[0][0])
     assert space.facet_local.dtype == want.dtype
     assert np.array_equal(space.facet_local, want)
+
+
+def _per_node_reference_basis(p, points):
+    """The nodal basis evaluated node by node and factor by factor, with
+    np.delete for the products that leave one factor out."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    nodes = reference_nodes(p)
+    nq = pts.shape[0]
+    values = np.empty((nq, len(nodes)))
+    dlam = np.empty((nq, len(nodes), 4))
+    for m, alpha in enumerate(nodes):
+        factors = np.ones((nq, 4))
+        dfactors = np.zeros((nq, 4))
+        for d in range(4):
+            if alpha[d] == 0:
+                continue
+            terms = np.stack(
+                [(p * pts[:, d] - r) / (alpha[d] - r) for r in range(alpha[d])]
+            )
+            factors[:, d] = np.prod(terms, axis=0)
+            for r in range(alpha[d]):
+                others = np.prod(np.delete(terms, r, axis=0), axis=0)
+                dfactors[:, d] += others * p / (alpha[d] - r)
+        values[:, m] = np.prod(factors, axis=1)
+        for d in range(4):
+            rest = np.prod(np.delete(factors, d, axis=1), axis=1)
+            dlam[:, m, d] = dfactors[:, d] * rest
+    grad_lambda = np.array([[-1.0, -1.0, -1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                            [0.0, 0.0, 1.0]])
+    return values, np.einsum("qmd,di->qmi", dlam, grad_lambda)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_reference_basis_bit_equal_to_per_node_evaluation(p):
+    space = FeSpace(build_box_mesh(2), p)
+    # the volume rules of the forms and the loads, the facet points of the
+    # loads' facet rule in each owner embedding, and the reference nodes
+    # the nodal stress recovery evaluates at
+    point_sets = [quadrature(2 * p).points, quadrature(2 * p + 2).points]
+    _, first = np.unique(space.facet_local, axis=0, return_index=True)
+    point_sets += [space.facet_barycentric_in_owner(f, triangle_quadrature(2 * p + 2).points)
+                   for f in first]
+    point_sets.append(np.array([np.array(a) / p for a in reference_nodes(p)]))
+    assert len(point_sets) > 3
+    for points in point_sets:
+        got = reference_basis(p, points)
+        want = _per_node_reference_basis(p, points)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+# -- the space's nested-dissection order -------------------------------------
+
+
+def _annulus_slip_constraints(p):
+    from viscofem.mesh import build_annulus_mesh
+
+    space = FeSpace(build_annulus_mesh(0.5, 1.0, 0.4, (2, 8, 2)), p)
+    return Constraints(space, {"outer": DirichletBC((0.0, 0.0, 0.0)), "inner": SlipBC(0.0)})
+
+
+def _box_clamped_constraints(p):
+    tagger = box_face_tagger(faces={"z-": BoundaryTag(BoundaryKind.DIRICHLET, "bottom")})
+    space = FeSpace(build_box_mesh(3, tagger=tagger), p)
+    return Constraints(space, {"bottom": DirichletBC((0.0, 0.0, 0.0))})
+
+
+@pytest.mark.parametrize("make", [_box_clamped_constraints, _annulus_slip_constraints])
+@pytest.mark.parametrize("p", [1, 2])
+def test_free_dofs_hold_each_free_dof_once_by_node_rank(make, p):
+    con = make(p)
+    space = con.space
+    mask = np.ones(space.n_dofs, dtype=bool)
+    mask[con.fixed] = False
+    assert np.array_equal(np.sort(con.free), np.nonzero(mask)[0])
+    # node rank, then component: a node's free components are adjacent
+    rank = np.empty(space.n_scalar_dofs, dtype=np.int64)
+    rank[space.node_order] = np.arange(space.n_scalar_dofs)
+    node_rank = rank[con.free // 3]
+    assert np.all(np.diff(node_rank) >= 0)
+    assert np.all(np.diff(con.free)[np.diff(node_rank) == 0] > 0)
+    assert not np.array_equal(con.free, np.nonzero(mask)[0])
+
+
+def test_node_order_depends_only_on_the_space():
+    from viscofem.mesh import build_annulus_mesh
+
+    for build in (lambda: build_box_mesh(3), lambda: build_annulus_mesh(0.5, 1.0, 0.4, (2, 8, 2))):
+        mesh = build()
+        orders = [FeSpace(mesh, 2).node_order, FeSpace(mesh, 2).node_order,
+                  FeSpace(build(), 2).node_order]
+        assert np.array_equal(np.sort(orders[0]), np.arange(len(orders[0])))
+        for order in orders[1:]:
+            assert np.array_equal(order, orders[0])
+
+
+def test_node_order_computed_once_for_all_systems_of_a_space(monkeypatch):
+    import scipy.sparse.linalg as spla
+
+    from viscofem import fespace
+    from viscofem.dynamics import OperatorSet, ReducedStepper, static_solve
+    from viscofem.material import MaterialModel
+
+    calls = []
+    dissect = fespace.nested_dissection
+    monkeypatch.setattr(fespace, "nested_dissection",
+                        lambda *args: calls.append(1) or dissect(*args))
+    orderings = []
+    splu = spla.splu
+    monkeypatch.setattr(spla, "splu", lambda *args, **kwargs: orderings.append(
+        kwargs["permc_spec"]) or splu(*args, **kwargs))
+
+    def tagger(centroid, normal):
+        if abs(centroid[2]) < 1e-10:
+            return BoundaryTag(BoundaryKind.DIRICHLET, "bottom")
+        if abs(centroid[2] - 1.0) < 1e-10 and centroid[0] <= 0.5:
+            return BoundaryTag(BoundaryKind.DIRICHLET, "held")
+        return BoundaryTag(BoundaryKind.NEUMANN, "free")
+
+    space = FeSpace(build_box_mesh(3, tagger=tagger), 2)
+    ops = OperatorSet(space, MaterialModel.from_engineering(
+        100.0, 1e5, 0.3, arms=((1e5, 1e-2),)))
+    zero = DirichletBC((0.0, 0.0, 0.0))
+    held = Constraints(space, {"bottom": zero, "held": DirichletBC((0.0, 0.0, 0.1))})
+    released = Constraints(space, {"bottom": zero})
+    # constraints that are never reduced never order the space
+    assert calls == []
+    direct = LinearSolver("direct")
+    static_solve(ops, held, solver=direct)
+    ReducedStepper(ops, held, 0.01, solver=direct)
+    ReducedStepper(ops, released, 0.01, solver=direct)
+    assert calls == [1]
+    assert orderings == ["NATURAL"] * 3
+
+
+def _separator_violations(space):
+    """The splits of the space's dissection whose children share a cell."""
+    from viscofem.fespace import nested_dissection
+
+    rank, splits = nested_dissection(space.dof_coords, space.cell_dofs)
+    assert np.array_equal(np.sort(rank), np.arange(space.n_scalar_dofs))
+    assert len(splits) > 2
+    cell_rank = rank[space.cell_dofs]
+    bad = []
+    for first, left, right, _ in splits:
+        in_left = ((cell_rank >= first) & (cell_rank < first + left)).any(axis=1)
+        right_first = first + left
+        in_right = ((cell_rank >= right_first) & (cell_rank < right_first + right)).any(axis=1)
+        if np.any(in_left & in_right):
+            bad.append((first, left, right))
+    return bad
+
+
+@pytest.mark.parametrize("kind, p", [("box", 1), ("box", 3), ("annulus", 1), ("annulus", 3),
+                                     ("seal annulus", 2)])
+def test_every_separator_separates(kind, p):
+    from viscofem.mesh import build_annulus_mesh
+
+    meshes = {
+        "box": lambda: build_box_mesh(4),
+        "annulus": lambda: build_annulus_mesh(0.5, 1.0, 0.4, (2, 12, 3)),
+        "seal annulus": lambda: build_annulus_mesh(0.006, 0.01, 0.02, (3, 16, 4)),
+    }
+    assert _separator_violations(FeSpace(meshes[kind](), p)) == []

@@ -21,6 +21,7 @@ def test_factor_sweep_prints_json(capsys):
     assert [row["mesh"] for row in out["rows"]] == ["box n=8 P1", "box n=4 P2"]
     for row in out["rows"]:
         assert row["free_dofs"] > 0 and row["factor_nnz"] > 0 and row["cg_iters"] > 0
+        assert row["order_s"] > 0
 
 
 def test_setup_memory_prints_json(monkeypatch, capsys):

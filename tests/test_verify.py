@@ -510,3 +510,17 @@ def test_error_norms_evaluate_each_shape_factor_once_per_chunk(monkeypatch):
     # per chunk: the shape V and its gradient share two factors per axis,
     # each of orders 0 and 1
     assert len(calls) == 12 * -(-len(ops.space.mesh.tets) // 7)
+
+
+def test_passes_over_the_mesh_release_the_point_table():
+    from viscofem.assembly import body_term_vectors
+
+    material = MaterialModel.from_engineering(100.0, 1e5, 0.3, arms=_arms(2))
+    ops, _ = unit_cube_problem(material, 2, 1)
+    exact = ManufacturedSolution(material)
+    body_term_vectors(ops.space, [field for _, field in exact.loads().body_terms])
+    assert exact._table is None
+    exact.shape(ops.space.dof_coords)
+    assert exact._table is not None
+    error_norms(State.zero(ops.space, 2), exact, ops)
+    assert exact._table is None
