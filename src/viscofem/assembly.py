@@ -500,27 +500,23 @@ def stress_from_gradients(grad_u0, grad_ve, mu, lam):
     return sigma + dev
 
 
-def arm_weighted_sum(space: FeSpace, material, uve):
-    """sum_m kappa_m uve_m (zero without arms): the one internal field whose
-    deviatoric strain is the stress of all arms together."""
-    terms = (arm.kappa * u for arm, u in zip(material.arms, uve))
-    return sum(terms, np.zeros(space.n_dofs))
-
-
-def state_stress(gradient, space: FeSpace, material, u0, uve):
+def state_stress(gradient, material, u0, uve):
     """Total stress where ``gradient`` (u -> grad u) evaluates, from one
-    displacement and one arm-weighted internal-field gradient."""
-    grad_ve = gradient(arm_weighted_sum(space, material, uve))
+    displacement and the gradient of ``material.kappa @ uve``, the one
+    internal field whose deviatoric strain is the stress of all arms
+    together (zero without arms)."""
+    grad_ve = gradient(material.kappa @ uve)
     return stress_from_gradients(gradient(u0), grad_ve, material.mu, material.lam)
 
 
 def recover_nodal_stress(space: FeSpace, material, u0, uve):
     """Elementwise stress averaged to the scalar dofs (one 3x3 per node),
-    formed one chunk of elements at a time."""
+    formed one chunk of elements at a time, from the displacement and the
+    internal fields, an (M, n) array or a sequence of M rows."""
     nodes = np.array([np.array(a) / space.p for a in space.ref_nodes])
     _, dN = reference_basis(space.p, nodes)
     jinv, _ = element_geometry(space)
-    weighted = arm_weighted_sum(space, material, uve)
+    weighted = material.kappa @ np.reshape(uve, (-1, len(u0)))
     out = np.zeros((space.n_scalar_dofs, 3, 3))
     for chunk in _chunks(len(jinv)):
         G = _physical_gradients(dN, jinv[chunk])

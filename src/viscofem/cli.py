@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -220,7 +220,7 @@ def compute_contact_pressure(state: State, space: FeSpace, slip_label,
     if len(facets) == 0:
         raise ValueError(f"no facets labelled {slip_label!r}")
     fd = facet_data(space, degree=2 * space.p, label=slip_label)
-    sigma = state_stress(fd.gradient, space, material, state.u0, state.uve)
+    sigma = state_stress(fd.gradient, material, state.u0, state.uve)
     traction_n = np.einsum("fqab,fa,fb->fq", sigma, fd.normals, fd.normals)
     areas = fd.warea.sum(axis=1)
     facet_mean = -(fd.warea * traction_n).sum(axis=1) / areas
@@ -289,8 +289,7 @@ def run_seal_frequency(space, ops, material, r_in, sweep: SealSweepConfig,
         space, {"outer": DirichletBC((0.0, 0.0, 0.0)), "inner": SlipBC(u_n)}
     )
     u0 = static_solve(ops, con, solver=solver, t=0.0)
-    state0 = State(0.0, np.zeros(space.n_dofs), u0,
-                   tuple(np.zeros(space.n_dofs) for _ in material.arms))
+    state0 = replace(State.zero(space, material.n_arms), u0=u0)
     n_steps = sweep.cycles * sweep.steps_per_cycle
     grid = TimeGrid.uniform(0.0, sweep.cycles / omega, n_steps)
     measure_from = n_steps - sweep.measure_cycles * sweep.steps_per_cycle
@@ -379,20 +378,11 @@ def _vtk_fields(space, state, material):
     )
 
 
-def run_convergence(cfg: RunConfig, out_dir: Path, long_run=False):
+def run_convergence(cfg: RunConfig, out_dir: Path):
     sec = cfg.section("convergence")
-    if long_run:
-        # full-resolution sweep: cubic elements, meshes down to h=1/5, and
-        # timesteps down to 1/128: 40 rows, about half a minute on one
-        # core of a 2-vCPU Xeon
-        default_h = tuple(1.0 / n for n in range(1, 6))
-        default_k = tuple(0.5**i for i in range(8))
-        default_p = (3,)
-    else:
-        default_h, default_k, default_p = (0.5, 0.25), (0.25, 0.125), (1,)
-    hs = sec.get_floats("h", default_h)
-    ks = sec.get_floats("k", default_k)
-    ps = sec.get_ints("p", default_p)
+    hs = sec.get_floats("h", (0.5, 0.25))
+    ks = sec.get_floats("k", (0.25, 0.125))
+    ps = sec.get_ints("p", (1,))
     reference = sec.get_str("reference", "exact")
     if reference not in ("exact", "fine_k"):
         raise ConfigError(
@@ -433,7 +423,7 @@ def run_convergence(cfg: RunConfig, out_dir: Path, long_run=False):
     return 0
 
 
-def run_conserve(cfg: RunConfig, out_dir: Path, long_run=False):
+def run_conserve(cfg: RunConfig, out_dir: Path):
     sec = cfg.section("conserve")
     geo = cfg.section("geometry")
     time_sec = cfg.section("time")
@@ -467,7 +457,7 @@ def run_conserve(cfg: RunConfig, out_dir: Path, long_run=False):
     return 0
 
 
-def run_seal(cfg: RunConfig, out_dir: Path, long_run=False):
+def run_seal(cfg: RunConfig, out_dir: Path):
     sec = cfg.section("seal")
     sweep = SealSweepConfig(
         frequencies=sec.get_floats("frequencies", (1.0, 15.0)),
@@ -486,7 +476,7 @@ def run_seal(cfg: RunConfig, out_dir: Path, long_run=False):
     return 0
 
 
-def run_single(cfg: RunConfig, out_dir: Path, long_run=False):
+def run_single(cfg: RunConfig, out_dir: Path):
     from .verify import ManufacturedSolution, unit_cube_problem
 
     geo = cfg.section("geometry")
@@ -536,10 +526,6 @@ def main(argv=None):
     parser.add_argument("scenario", choices=sorted(_SCENARIOS))
     parser.add_argument("--config", required=True, help="run configuration file")
     parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument(
-        "--long", action="store_true",
-        help="enable long-running presets (full-resolution sweeps)",
-    )
     args = parser.parse_args(argv)
     try:
         cfg = parse_config(args.config)
@@ -552,7 +538,7 @@ def main(argv=None):
             args.out or cfg.section("output").get_str("directory", "out")
         )
         out_dir.mkdir(parents=True, exist_ok=True)
-        return _SCENARIOS[args.scenario](cfg, out_dir, long_run=args.long)
+        return _SCENARIOS[args.scenario](cfg, out_dir)
     except ValueError as exc:  # a ConfigError, or a library input check
         print(f"config error: {exc}", file=sys.stderr)
         return 2

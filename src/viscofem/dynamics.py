@@ -11,6 +11,10 @@ primary path eliminates all internal fields before the solve:
 * the per-arm reconstruction
       uve_new = alpha (u1_new + u1) + beta uve.
 
+A state holds its M internal fields as the rows of one (M, n) array, so
+the recursion, the rhs arm sum and the arms' energies and dissipation are
+whole-array expressions over the material's ``kappa`` and ``tau``.
+
 A full coupled (2+M)-block stepper solving velocities, displacements and
 all internal fields simultaneously is kept as a cross-validation oracle;
 both paths produce identical states up to solver tolerance.
@@ -36,20 +40,14 @@ very values the previous step ended on, as the energy identity needs.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import (
-    arm_weighted_sum,
-    assemble_load,
-    assemble_mass,
-    assemble_strain_operators,
-    combine_loads,
-)
+from .assembly import assemble_load, assemble_mass, assemble_strain_operators, combine_loads
 from .fespace import Constraints, FeSpace
 from .material import MaterialModel, step_coefficients
 
@@ -161,17 +159,26 @@ class LinearSolver:
 @dataclass(frozen=True)
 class State:
     """Nodal coefficients at a time node: velocity, displacement, and the
-    per-arm internal fields."""
+    internal fields, one row of the (M, n) array ``uve`` per arm. ``uve``
+    may be given as a sequence of rows (none for no arms); a row whose
+    length is not n raises ``ValueError``."""
 
     t: float
     u1: np.ndarray
     u0: np.ndarray
-    uve: tuple = field(default_factory=tuple)
+    uve: np.ndarray = ()
+
+    def __post_init__(self):
+        n = len(self.u1)
+        uve = np.asarray(self.uve, dtype=float) if len(self.uve) else np.zeros((0, n))
+        if uve.ndim != 2 or uve.shape[1] != n:
+            raise ValueError(f"internal fields of shape {uve.shape} for {n} dofs")
+        object.__setattr__(self, "uve", uve)
 
     @classmethod
     def zero(cls, space: FeSpace, n_arms, t=0.0):
         n = space.n_dofs
-        return cls(t, np.zeros(n), np.zeros(n), tuple(np.zeros(n) for _ in range(n_arms)))
+        return cls(t, np.zeros(n), np.zeros(n), np.zeros((n_arms, n)))
 
 
 @dataclass(frozen=True)
@@ -221,7 +228,7 @@ class Products(NamedTuple):
     elastic_u1: np.ndarray
     dev_u1: np.ndarray
     elastic_u0: np.ndarray
-    dev_uve: tuple  # D uve_m per arm
+    dev_uve: np.ndarray  # (M, n), row m is D uve_m
 
 
 class OperatorSet:
@@ -251,7 +258,7 @@ class OperatorSet:
         u1 = state.u1
         return self.keep_products(state, Products(
             self.mass @ u1, self.elastic @ u1, self.deviatoric @ u1,
-            self.elastic @ state.u0, tuple(self.deviatoric @ u for u in state.uve),
+            self.elastic @ state.u0, (self.deviatoric @ state.uve.T).T,
         ))
 
     def keep_products(self, state: State, products: Products) -> Products:
@@ -265,8 +272,7 @@ def energy(state: State, operators: OperatorSet, dissipated=0.0) -> EnergyReport
     """Kinetic, elastic and per-arm viscoelastic squared energy norms, each
     the state's own vector dotted with its operator product."""
     prod = operators.products(state)
-    ve = tuple(arm.kappa * float(u @ du)
-               for arm, u, du in zip(operators.material.arms, state.uve, prod.dev_uve))
+    ve = tuple((operators.material.kappa * np.vecdot(state.uve, prod.dev_uve)).tolist())
     return EnergyReport(state.t, float(state.u1 @ prod.mass_u1),
                         float(state.u0 @ prod.elastic_u0), ve, dissipated)
 
@@ -274,11 +280,12 @@ def energy(state: State, operators: OperatorSet, dissipated=0.0) -> EnergyReport
 def dissipation_increment(prev: State, nxt: State, operators: OperatorSet, k):
     """Dissipated work of one step: sum_m (2 k / tau_m) |||mid uve_m|||^2
     where the midpoint is the interval average of the linear-in-time field,
-    mid'D mid = (a + b)'(Da + Db) / 4 from the two states' products."""
-    terms = zip(operators.material.arms, prev.uve, nxt.uve,
-                operators.products(prev).dev_uve, operators.products(nxt).dev_uve)
-    return sum(((0.5 / arm.tau) * float(k) * arm.kappa * float((a + b) @ (da + db))
-                for arm, a, b, da, db in terms), 0.0)
+    mid'D mid = (a + b)'(Da + Db) / 4 from the two states' products; the
+    arms' terms are summed in arm order."""
+    mat = operators.material
+    both = operators.products(prev).dev_uve + operators.products(nxt).dev_uve
+    terms = (0.5 / mat.tau) * float(k) * mat.kappa * np.vecdot(prev.uve + nxt.uve, both)
+    return float(sum(terms, 0.0))
 
 
 def advance_displacement(u0_prev, u1_prev, u1_next, k):
@@ -287,11 +294,10 @@ def advance_displacement(u0_prev, u1_prev, u1_next, k):
 
 
 def reconstruct_ve(u1_prev, u1_next, uve_prev, coeffs):
-    """Per-arm internal-field update for one timestep."""
+    """Internal-field update for one timestep, row m of the (M, n) result
+    alpha_m (u1_prev + u1_next) + beta_m uve_prev[m]."""
     s = u1_prev + u1_next
-    return tuple(
-        a * s + b * u for a, b, u in zip(coeffs.alpha, coeffs.beta, uve_prev)
-    )
+    return coeffs.alpha[:, None] * s + coeffs.beta[:, None] * uve_prev
 
 
 def load_time_integral(loads, space: FeSpace, t_prev, t_next):
@@ -347,12 +353,12 @@ class ReducedStepper:
         self.k = float(k)
         self.loads = loads
         self.solver = solver or LinearSolver()
-        arms = operators.material.arms
-        self.coeffs = step_coefficients(arms, self.k)
+        mat = operators.material
+        self.coeffs = step_coefficients(mat.arms, self.k)
         # the arms enter the Schur matrix and the rhs only through D times
         # sum_m kappa_m alpha_m and kappa_m (1 + beta_m)
-        self._alpha_kappa = sum(m.kappa * a for m, a in zip(arms, self.coeffs.alpha))
-        self._beta_kappa = [m.kappa * (1.0 + b) for m, b in zip(arms, self.coeffs.beta)]
+        self._alpha_kappa = float(mat.kappa @ self.coeffs.alpha)
+        self._beta_kappa = mat.kappa * (1.0 + self.coeffs.beta)
         # a sparse sum drops exact zeros, as the per-arm sum did: the zeros
         # stored in the pattern of K_E and D would only grow the factor.
         # M + (k^2/4) K_E is copied to its own size: scipy sizes a sum's
@@ -368,9 +374,7 @@ class ReducedStepper:
     def rhs(self, state: State, t_next=None):
         ops, k = self.ops, self.k
         prod = ops.products(state)
-        ve = self._alpha_kappa * prod.dev_u1
-        for c, du in zip(self._beta_kappa, prod.dev_uve):
-            ve += c * du
+        ve = self._alpha_kappa * prod.dev_u1 + self._beta_kappa @ prod.dev_uve
         b = (prod.mass_u1 - (k * k / 4.0) * prod.elastic_u1 - k * prod.elastic_u0
              - (k / 2.0) * ve)
         if self.loads is not None:
@@ -387,10 +391,7 @@ class ReducedStepper:
         d_prev = con.fixed_values(state.t)
         d_next = con.fixed_values(t_next)
         w_fixed = _constraint_velocities(d_prev, d_next, con.to_frame(state.u1)[con.fixed], k)
-        w = np.zeros(con.space.n_dofs)
-        w[con.free] = self._solve_free(self.system.reduced_rhs(b, w_fixed))
-        w[con.fixed] = w_fixed
-        u1_next = con.from_frame(w)
+        u1_next = con.expand(self._solve_free(self.system.reduced_rhs(b, w_fixed)), w_fixed)
         nxt = State(t_next, u1_next,
                     advance_displacement(state.u0, state.u1, u1_next, k),
                     reconstruct_ve(state.u1, u1_next, state.uve, self.coeffs))
@@ -413,10 +414,11 @@ class FullStepper:
     Solves velocities, displacements, and every internal field
     simultaneously with a sparse direct factorization. Requires a
     nonempty Dirichlet set so the displacement and internal blocks are
-    definite. The block matrix is not symmetric, so it is always
-    LU-factorized: ``solver`` may be None or a 'direct' or 'auto'
-    LinearSolver, and a 'cg' one raises ``ValueError``.
-    ``step(state, t_next)`` treats ``k`` and ``t_next`` as
+    definite. Each nonzero block is a multiple of M, K_E or D, so the
+    reduced block matrix joins multiples of their three reductions. It is
+    not symmetric, so it is always LU-factorized: ``solver`` may be None
+    or a 'direct' or 'auto' LinearSolver, and a 'cg' one raises
+    ``ValueError``. ``step(state, t_next)`` treats ``k`` and ``t_next`` as
     ``ReducedStepper.step`` does.
     """
 
@@ -429,55 +431,40 @@ class FullStepper:
         self.con = constraints
         self.k = float(k)
         self.loads = loads
-        self.coeffs = step_coefficients(operators.material.arms, self.k)
-        arms = operators.material.arms
-        m_arms = len(arms)
-        n_blocks = 2 + m_arms
-        kk = self.k
-        blocks = [[None] * n_blocks for _ in range(n_blocks)]
-        blocks[0][0] = operators.mass
-        blocks[0][1] = (kk / 2.0) * operators.elastic
-        blocks[1][0] = (-kk / 2.0) * operators.elastic
-        blocks[1][1] = operators.elastic
-        for m, arm in enumerate(arms):
-            K = arm.kappa * operators.deviatoric
-            blocks[0][2 + m] = (kk / 2.0) * K
-            blocks[2 + m][0] = (-kk / 2.0) * K
-            blocks[2 + m][2 + m] = (1.0 + kk / (2.0 * arm.tau)) * K
-        big = sp.bmat(blocks, format="csr")
+        mat = operators.material
+        self.coeffs = step_coefficients(mat.arms, self.k)
+        h = self.k / 2.0
+        mass, elastic, dev = (constraints.reduce(a) for a in (
+            operators.mass, operators.elastic, operators.deviatoric))
 
-        n = operators.space.n_dofs
-        rot = constraints.rotation
-        self._rot_big = sp.block_diag([rot] * n_blocks, format="csr")
-        fixed = constraints.fixed
-        self._fixed_big = np.concatenate(
-            [fixed + i * n for i in range(n_blocks)]
-        ) if len(fixed) else np.zeros(0, dtype=np.int64)
-        mask = np.ones(n_blocks * n, dtype=bool)
-        mask[self._fixed_big] = False
-        self._free_big = np.nonzero(mask)[0]
-        reduced = (self._rot_big.T @ big @ self._rot_big).tocsr()
-        self._a_ff = reduced[self._free_big][:, self._free_big].tocsc()
-        self._a_fx = reduced[self._free_big][:, self._fixed_big].tocsr()
-        if self._a_ff.shape[0]:
-            self._lu = spla.splu(self._a_ff)
-        self._n_blocks = n_blocks
+        def joined(part):
+            """The block matrix of the ``part`` ("matrix" or "coupling") of
+            every block's reduction."""
+            m, e, d = (getattr(system, part) for system in (mass, elastic, dev))
+            blocks = [[None] * (2 + mat.n_arms) for _ in range(2 + mat.n_arms)]
+            blocks[0][:2] = [m, h * e]
+            blocks[1][:2] = [-h * e, e]
+            for i, (kappa, tau) in enumerate(zip(mat.kappa, mat.tau)):
+                blocks[0][2 + i] = (h * kappa) * d
+                blocks[2 + i][0] = (-h * kappa) * d
+                blocks[2 + i][2 + i] = ((1.0 + self.k / (2.0 * tau)) * kappa) * d
+            return sp.bmat(blocks, format="csc")
+
+        a_ff = joined("matrix")
+        self._solve_free = spla.splu(a_ff).solve if a_ff.shape[0] else np.asarray
+        self._coupling = joined("coupling")
 
     def step(self, state: State, t_next=None) -> State:
         ops, con, k = self.ops, self.con, self.k
         t_next = state.t + k if t_next is None else float(t_next)
-        n = ops.space.n_dofs
-        arms, D = ops.material.arms, ops.deviatoric
+        mat, D = ops.material, ops.deviatoric
         r0 = ops.mass @ state.u1 - (k / 2.0) * (ops.elastic @ state.u0)
-        r0 -= (k / 2.0) * (D @ arm_weighted_sum(ops.space, ops.material, state.uve))
+        r0 -= (k / 2.0) * (D @ (mat.kappa @ state.uve))
         if self.loads is not None:
             r0 += load_time_integral(self.loads, ops.space, state.t, t_next)
         r1 = ops.elastic @ (state.u0 + (k / 2.0) * state.u1)
-        rhs = [r0, r1]
-        for arm, uve in zip(arms, state.uve):
-            w = (k / 2.0) * state.u1 + (1.0 - k / (2.0 * arm.tau)) * uve
-            rhs.append(arm.kappa * (D @ w))
-        rhs = np.concatenate(rhs)
+        w = (k / 2.0) * state.u1 + (1.0 - k / (2.0 * mat.tau))[:, None] * state.uve
+        rhs = np.vstack([r0, r1, mat.kappa[:, None] * (D @ w.T).T])
 
         # prescribed values per block: trapezoidal velocities, prescribed
         # displacements at t_next, and the internal-field recursion
@@ -485,24 +472,12 @@ class FullStepper:
         d_fix = con.fixed_values(t_next)
         u1_prev = con.to_frame(state.u1)[con.fixed]
         v_fix = _constraint_velocities(d_prev, d_fix, u1_prev, k)
-        fixed_vals = [v_fix, d_fix]
-        for a, b, uve in zip(self.coeffs.alpha, self.coeffs.beta, state.uve):
-            uve_prev = con.to_frame(uve)[con.fixed]
-            fixed_vals.append(a * (v_fix + u1_prev) + b * uve_prev)
-        fixed_vals = np.concatenate(fixed_vals) if len(con.fixed) else np.zeros(0)
+        uve_prev = con.to_frame(state.uve)[:, con.fixed]
+        fixed = np.vstack([v_fix, d_fix, reconstruct_ve(u1_prev, v_fix, uve_prev, self.coeffs)])
 
-        b_frame = (self._rot_big.T @ rhs)[self._free_big]
-        if len(fixed_vals):
-            b_frame = b_frame - self._a_fx @ fixed_vals
-        w = np.zeros(self._n_blocks * n)
-        if self._a_ff.shape[0]:
-            w[self._free_big] = self._lu.solve(b_frame)
-        w[self._fixed_big] = fixed_vals
-        x = self._rot_big @ w
-        u1 = x[:n]
-        u0 = x[n : 2 * n]
-        uve = tuple(x[(2 + m) * n : (3 + m) * n] for m in range(len(arms)))
-        return State(t_next, u1, u0, uve)
+        b = con.to_frame(rhs)[:, con.free].ravel() - self._coupling @ fixed.ravel()
+        x = con.expand(self._solve_free(b).reshape(len(rhs), len(con.free)), fixed)
+        return State(t_next, x[0], x[1], x[2:])
 
 
 def static_solve(operators: OperatorSet, constraints: Constraints, loads=None,
@@ -538,11 +513,15 @@ def simulate(operators: OperatorSet, constraints: Constraints, grid: TimeGrid,
     name raises ``ValueError``. ``callback`` (if given) is invoked with
     each new State. Returns the ledger and the final state. The scheme is
     unconditionally stable, so a step whose ledger energy is not finite
-    (bad input or a solver fault) raises ``SolverError``.
+    (bad input or a solver fault) raises ``SolverError``. A ``state0``
+    whose internal fields are not one row per arm of the material raises
+    ``ValueError``.
     """
+    shape = (operators.material.n_arms, operators.space.n_dofs)
     if state0 is None:
-        state0 = State.zero(operators.space, operators.material.n_arms,
-                            float(grid.nodes[0]))
+        state0 = State.zero(operators.space, shape[0], float(grid.nodes[0]))
+    if state0.uve.shape != shape:
+        raise ValueError(f"state0 has internal fields {state0.uve.shape}, need {shape}")
     steppers = {"reduced": ReducedStepper, "full": FullStepper}
     if stepper not in steppers:
         raise ValueError(f"unknown stepper {stepper!r}: expected 'reduced' or 'full'")

@@ -465,9 +465,10 @@ class Constraints:
     Constrained solves work in frame coordinates W with U = R W, where the
     orthogonal change of basis R is the identity except at the slip nodes'
     3x3 blocks, whose columns are their frames. ``to_frame`` and
-    ``from_frame`` apply R' and R by rotating those blocks only; the sparse
-    ``rotation`` R serves the matrix products of ``reduce`` and the full
-    stepper.
+    ``from_frame`` apply R' and R, to a vector or to each row of an array
+    of them, by rotating those blocks only; the sparse ``rotation`` R
+    serves only the matrix products of ``reduce``. ``expand`` joins the
+    free and fixed frame values of a solve into Cartesian vectors.
     """
 
     def __init__(self, space: FeSpace, spec: dict):
@@ -615,13 +616,15 @@ class Constraints:
     def _rotate_blocks(self, v, frames):
         """A new vector, v + 0.0, except that the 3-block x of v at the k-th
         slip node becomes 0.0 + sum_c x[c] frames[k, c], the terms added in
-        c order. The sparse product with the rotation starts each row's sum
-        from 0.0 and adds in that order, so the two are equal bit for bit,
-        signed zeros included."""
-        out = v + 0.0
-        x = v.reshape(-1, 3)[self.slip_nodes]
-        out.reshape(-1, 3)[self.slip_nodes] = (
-            0.0 + x[:, :1] * frames[:, 0] + x[:, 1:2] * frames[:, 1] + x[:, 2:] * frames[:, 2])
+        c order; each row of a 2-D v is rotated so. The sparse product with
+        the rotation starts each row's sum from 0.0 and adds in that order,
+        so the two are equal bit for bit, signed zeros included."""
+        out = np.ascontiguousarray(v) + 0.0  # C order, so reshape gives a view
+        blocks = v.shape[:-1] + (self.space.n_scalar_dofs, 3)
+        x = v.reshape(blocks)[..., self.slip_nodes, :]
+        out.reshape(blocks)[..., self.slip_nodes, :] = (
+            0.0 + x[..., :1] * frames[:, 0] + x[..., 1:2] * frames[:, 1]
+            + x[..., 2:] * frames[:, 2])
         return out
 
     def to_frame(self, u):
@@ -634,11 +637,18 @@ class Constraints:
         coordinates, back in Cartesian ones."""
         return self._rotate_blocks(w, self.slip_frames.transpose(0, 2, 1))
 
+    def expand(self, free_values, fixed_values):
+        """R w of the frame vector w that holds ``free_values`` at the free
+        dofs and ``fixed_values`` at the fixed ones; of 2-D values, one
+        vector per row."""
+        w = np.zeros(free_values.shape[:-1] + (self.space.n_dofs,))
+        w[..., self.free] = free_values
+        w[..., self.fixed] = fixed_values
+        return self.from_frame(w)
+
     def apply_values(self, u, t=0.0):
         """Overwrite the constrained components of u with prescribed values."""
-        w = self.to_frame(u)
-        w[self.fixed] = self.fixed_values(t)
-        return self.from_frame(w)
+        return self.expand(self.to_frame(u)[self.free], self.fixed_values(t))
 
     def reduce(self, matrix):
         """Symmetric elimination: rotate to frame coordinates and split."""
@@ -669,10 +679,6 @@ class ConstrainedSystem:
 
     def solve(self, rhs, fixed_values, solver):
         """Solve for the full vector given a global rhs, fixed values and solver."""
-        con = self.constraints
         b = self.reduced_rhs(rhs, fixed_values)
-        w = np.zeros(con.space.n_dofs)
-        w[con.free] = solver.solve(self.matrix, b)
-        w[con.fixed] = fixed_values
-        return con.from_frame(w)
+        return self.constraints.expand(solver.solve(self.matrix, b), fixed_values)
 

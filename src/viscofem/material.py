@@ -4,7 +4,10 @@ An elastic branch (Lame parameters mu, lambda) in parallel with M
 spring-dashpot arms, each carrying a shear-type modulus kappa_m and a
 relaxation time tau_m. Arm m contributes the deviatoric stress
 kappa_m * dev(u_ve_m), where the internal field u_ve_m is the
-exponentially weighted running integral of the velocity.
+exponentially weighted running integral of the velocity. The model keeps
+the arms' moduli and relaxation times as two read-only arrays, ``kappa``
+and ``tau``, indexed like the rows of a state's (M, n) internal fields,
+so every per-arm formula is a whole-array expression.
 
 Also provides the per-timestep update coefficients of the internal-field
 recursion and an adaptive-quadrature convolution used as an oracle for
@@ -43,7 +46,9 @@ class MaxwellArm:
 
 @dataclass(frozen=True)
 class MaterialModel:
-    """Density, elastic Lame pair, and the Maxwell arms."""
+    """Density, elastic Lame pair, and the Maxwell arms; ``kappa`` and
+    ``tau`` hold the arms' moduli and relaxation times as read-only
+    arrays of length M."""
 
     rho: float
     mu: float
@@ -62,6 +67,10 @@ class MaterialModel:
             "arms",
             tuple(a if isinstance(a, MaxwellArm) else MaxwellArm(*a) for a in self.arms),
         )
+        for name in ("kappa", "tau"):
+            values = np.array([getattr(a, name) for a in self.arms], dtype=float)
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
 
     @classmethod
     def from_engineering(cls, rho, E, nu, arms=()):
@@ -91,9 +100,8 @@ def step_coefficients(arms, k) -> StepCoefficients:
     if k <= 0:
         raise ValueError("timestep must be positive")
     taus = np.array([arm.tau for arm in arms], dtype=float)
-    alpha = k / (2.0 + k / taus) if len(taus) else np.zeros(0)
-    beta = (2.0 - k / taus) / (2.0 + k / taus) if len(taus) else np.zeros(0)
-    return StepCoefficients(float(k), alpha, beta)
+    return StepCoefficients(float(k), k / (2.0 + k / taus),
+                            (2.0 - k / taus) / (2.0 + k / taus))
 
 
 def duhamel_stress(arm: MaxwellArm, strain_rate_history, t, rtol=1e-10):

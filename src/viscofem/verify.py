@@ -489,9 +489,8 @@ def _discrete_error(state, reference, operators):
     du0 = state.u0 - reference.u0
     total = float(du1 @ (operators.mass @ du1))
     total += float(du0 @ (operators.elastic @ du0))
-    for arm, a, b in zip(operators.material.arms, state.uve, reference.uve):
-        d = a - b
-        total += arm.kappa * float(d @ (operators.deviatoric @ d))
+    d = state.uve - reference.uve  # per arm, added in arm order
+    total = sum(operators.material.kappa * np.vecdot(d, (operators.deviatoric @ d.T).T), total)
     l2 = float(du0 @ (operators.mass @ du0)) / operators.material.rho
     return np.sqrt(total), np.sqrt(l2)
 
@@ -625,8 +624,7 @@ def conservation_experiment(config: ConserveConfig = None) -> ConservationResult
     released = Constraints(space, {"bottom": zero})
 
     u0 = static_solve(ops, held, solver=solver)
-    state0 = State(0.0, np.zeros(space.n_dofs), u0,
-                   tuple(np.zeros(space.n_dofs) for _ in material.arms))
+    state0 = replace(State.zero(space, material.n_arms), u0=u0)
 
     n_hold = int(round(cfg.release_time / cfg.k))
     n_free = int(round((cfg.end_time - cfg.release_time) / cfg.k))

@@ -72,7 +72,7 @@ def _smooth_random_loads(seed):
 
 
 @pytest.mark.parametrize("p", [1, 2])
-@pytest.mark.parametrize("n_arms", [1, 5])
+@pytest.mark.parametrize("n_arms", [0, 1, 5])
 def test_criterion_2_reduced_full_equivalence(p, n_arms):
     arms = tuple((1e5 / (m + 1), 10.0 ** (m - 2)) for m in range(n_arms))
     material = MaterialModel.from_engineering(100.0, 1e5, 0.3, arms=arms)

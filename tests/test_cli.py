@@ -330,7 +330,7 @@ def test_contact_pressure_equals_facet_loop_bit_for_bit(p):
     nodes, p_vals = compute_contact_pressure(state, space, "inner", mat)
     # oracle: the facet means averaged onto the nodes one facet at a time
     fd = facet_data(space, degree=2 * p, label="inner")
-    sigma = state_stress(fd.gradient, space, mat, state.u0, state.uve)
+    sigma = state_stress(fd.gradient, mat, state.u0, state.uve)
     traction_n = np.einsum("fqab,fa,fb->fq", sigma, fd.normals, fd.normals)
     areas = fd.warea.sum(axis=1)
     facet_mean = -(fd.warea * traction_n).sum(axis=1) / areas

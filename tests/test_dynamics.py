@@ -116,6 +116,36 @@ def test_operator_set_assembles_kernels_once(monkeypatch, n_arms):
     assert sum(sp.issparse(v) for v in vars(ops).values()) == 3
 
 
+def test_state_stores_internal_fields_as_rows():
+    # a tuple of rows, an (M, n) array and an empty tuple are all kept as
+    # one (M, n) array; a row of another length than u1 raises
+    u = np.arange(6.0)
+    rows = (u + 1.0, u + 2.0)
+    for uve, n_arms in ((rows, 2), (np.stack(rows), 2), ((), 0)):
+        state = State(0.0, u, u, uve)
+        assert isinstance(state.uve, np.ndarray) and state.uve.shape == (n_arms, 6)
+    assert np.array_equal(State(0.0, u, u, rows).uve, np.stack(rows))
+    assert State(0.0, u, u).uve.shape == (0, 6)
+    for bad in ((u[:5],), (u, u[:5]), np.zeros((2, 7))):
+        with pytest.raises(ValueError):
+            State(0.0, u, u, bad)
+
+
+def test_simulate_rejects_state0_of_another_arm_count():
+    # the Schur matrix of a 2-arm material uses both arms, so a 1-arm state0
+    # would march with one arm in the rhs, the recursion and the ledger
+    material = MaterialModel.from_engineering(100.0, 1e5, 0.3,
+                                              arms=((1e5, 1e-2), (3e4, 0.3)))
+    ops, con = make_problem(n=1, p=1, material=material)
+    grid = TimeGrid.uniform(0.0, 0.1, 2)
+    for stepper in ("reduced", "full"):
+        with pytest.raises(ValueError, match="internal fields"):
+            simulate(ops, con, grid, state0=State.zero(ops.space, 1), solver=DIRECT,
+                     stepper=stepper)
+    assert simulate(ops, con, grid, state0=State.zero(ops.space, 2),
+                    solver=DIRECT).final.uve.shape == (2, ops.space.n_dofs)
+
+
 def test_zero_state_stays_zero():
     ops, con = make_problem()
     state = State.zero(ops.space, 1)
@@ -375,6 +405,7 @@ def test_simulate_step_makes_three_products(n_arms):
     # a reduced step forms M, K_E and D times the new velocity and carries the
     # new state's K_E u0 and D uve_m; the first step also forms K_E u1 and
     # D u1 of state0, whose ledger record formed M u1, K_E u0 and D uve_m
+    # (one product with the (n, M) array uve.T counts as M)
     arms = tuple((1e5 / (m + 1), 10.0 ** (m - 2)) for m in range(n_arms))
     material = MaterialModel.from_engineering(100.0, 1e5, 0.3, arms=arms)
     ops, con = make_problem(n=1, p=1, material=material)
@@ -382,8 +413,8 @@ def test_simulate_step_makes_three_products(n_arms):
 
     class Counting(type(ops.mass)):
         def __matmul__(self, other):
-            if id(self) in counted and np.ndim(other) == 1:
-                counted[id(self)] += 1
+            if id(self) in counted:
+                counted[id(self)] += 1 if np.ndim(other) == 1 else other.shape[1]
             return super().__matmul__(other)
 
     for name in ("mass", "elastic", "deviatoric"):
@@ -408,7 +439,7 @@ def test_full_march_takes_direct_products_of_every_state():
         direct = (ops.mass @ state.u1, ops.elastic @ state.u1, ops.deviatoric @ state.u1,
                   ops.elastic @ state.u0, *(ops.deviatoric @ u for u in state.uve))
         assert all(np.array_equal(a, b)
-                   for a, b in zip(prod[:4] + prod.dev_uve, direct))
+                   for a, b in zip((*prod[:4], *prod.dev_uve), direct))
         seen.append(state)
 
     simulate(ops, con, TimeGrid.uniform(0.0, 0.05, 5), solver=DIRECT,
@@ -448,7 +479,7 @@ def test_carried_products_match_direct_over_long_slip_march():
     assert carried is kept[-1] and len(kept) == 401
     direct = (ops.mass @ final.u1, ops.elastic @ final.u1, ops.deviatoric @ final.u1,
               ops.elastic @ final.u0, *(ops.deviatoric @ u for u in final.uve))
-    for got, want in zip(carried[:4] + carried.dev_uve, direct):
+    for got, want in zip((*carried[:4], *carried.dev_uve), direct):
         assert np.abs(want).max() > 0
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 

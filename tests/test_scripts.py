@@ -32,3 +32,17 @@ def test_setup_memory_prints_json(monkeypatch, capsys):
     assert out["n"] == 2 and out["dofs"] == 3 * 3**3
     assert out["energy_error"] > 0 and out["l2_error"] > 0
     assert out["load_vectors_s"] >= 0
+
+
+def test_arm_sweep_prints_json(monkeypatch, capsys):
+    module = _load("arm_sweep")
+    monkeypatch.setattr(module, "N", 2)
+    monkeypatch.setattr(module, "ARMS", (0, 2))
+    monkeypatch.setattr(module, "STEPS", 3)
+    module.main()
+    out = json.loads(capsys.readouterr().out)
+    assert out["dofs"] == 3 * 5**3 and 0 < out["free_dofs"] < out["dofs"]
+    assert [row["arms"] for row in out["rows"]] == [0, 2]
+    for row in out["rows"]:
+        assert row["schur_nnz"] > 0 and row["factor_nnz"] > 0
+        assert row["build_s"] > 0 and row["step_ms"] > 0 and row["ledger_ms"] > 0
