@@ -12,7 +12,6 @@ from .assembly import (
 )
 from .dynamics import (
     EnergyReport,
-    FullStepper,
     LinearSolver,
     OperatorSet,
     ReducedStepper,
@@ -41,7 +40,6 @@ from .material import (
     MaterialModel,
     MaxwellArm,
     StepCoefficients,
-    duhamel_stress,
     lame_from_engineering,
     step_coefficients,
 )

@@ -39,11 +39,13 @@ from .material import MaterialModel
 from .mesh import build_annulus_mesh
 from .verify import (
     ConserveConfig,
+    ManufacturedSolution,
     conservation_experiment,
     convergence_study,
     cube_cells,
     error_norms,
     step_count,
+    unit_cube_problem,
     write_ledger_csv,
 )
 from .vtkio import write_vtk
@@ -477,8 +479,6 @@ def run_seal(cfg: RunConfig, out_dir: Path):
 
 
 def run_single(cfg: RunConfig, out_dir: Path):
-    from .verify import ManufacturedSolution, unit_cube_problem
-
     geo = cfg.section("geometry")
     time_sec = cfg.section("time")
     n = geo.get_int("n", 4)

@@ -15,10 +15,6 @@ A state holds its M internal fields as the rows of one (M, n) array, so
 the recursion, the rhs arm sum and the arms' energies and dissipation are
 whole-array expressions over the material's ``kappa`` and ``tau``.
 
-A full coupled (2+M)-block stepper solving velocities, displacements and
-all internal fields simultaneously is kept as a cross-validation oracle;
-both paths produce identical states up to solver tolerance.
-
 With zero loads the step satisfies an exact energy identity: the change
 of kinetic + elastic + viscoelastic energy equals minus the dissipation
 increment sum_m (2 k / tau_m) * |||midpoint uve_m|||^2, which the energy
@@ -29,8 +25,7 @@ A state's products M u1, K_E u1, D u1, K_E u0 and D uve_m
 adjacent steps and the next rhs. The reduced step forms only the first
 three; K_E u0 and D uve_m follow from the old state's products by the
 same linear updates that give u0 and uve_m, so a step makes 3 sparse
-products for any arm count. The full stepper's states get direct
-products, so its ledger checks the carried ones.
+products for any arm count.
 
 At the fixed frame dofs a step sets the velocity so that the trapezoidal
 displacement update reproduces the prescribed values exactly. It takes
@@ -44,7 +39,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .assembly import assemble_load, assemble_mass, assemble_strain_operators, combine_loads
@@ -85,7 +79,9 @@ class LinearSolver:
     solve cost follow the symmetric structure of the matrix. 'cg' is
     Jacobi-preconditioned CG to relative residual ``rtol``, at most
     ``CG_ITERATION_FACTOR * n`` iterations, warm-started from the previous
-    solution of the same ``prepare``.
+    solution of the same ``prepare``. An ``rtol`` outside (0, 1) raises
+    ``ValueError``: CG could never reach one <= 0, and would accept its
+    start vector for one >= 1.
 
     'auto' chooses by how a matrix is used. A solver from ``prepare``
     serves every step of a march, so its factorization is paid once: it
@@ -97,6 +93,8 @@ class LinearSolver:
     def __init__(self, method="auto", rtol=1e-12):
         if method not in ("auto", "direct", "cg"):
             raise ValueError(f"unknown solver method {method!r}")
+        if not 0.0 < rtol < 1.0:
+            raise ValueError(f"tolerance {rtol!r} must lie in (0, 1)")
         self.method = method
         self.rtol = rtol
 
@@ -408,78 +406,6 @@ class ReducedStepper:
         return nxt
 
 
-class FullStepper:
-    """Coupled (2+M)-block midpoint stepper; cross-validation oracle.
-
-    Solves velocities, displacements, and every internal field
-    simultaneously with a sparse direct factorization. Requires a
-    nonempty Dirichlet set so the displacement and internal blocks are
-    definite. Each nonzero block is a multiple of M, K_E or D, so the
-    reduced block matrix joins multiples of their three reductions. It is
-    not symmetric, so it is always LU-factorized: ``solver`` may be None
-    or a 'direct' or 'auto' LinearSolver, and a 'cg' one raises
-    ``ValueError``. ``step(state, t_next)`` treats ``k`` and ``t_next`` as
-    ``ReducedStepper.step`` does.
-    """
-
-    def __init__(self, operators: OperatorSet, constraints: Constraints, k,
-                 loads=None, solver=None):
-        if solver is not None and solver.method == "cg":
-            raise ValueError("the full stepper LU-factorizes its nonsymmetric "
-                             "block matrix; it cannot use a 'cg' solver")
-        self.ops = operators
-        self.con = constraints
-        self.k = float(k)
-        self.loads = loads
-        mat = operators.material
-        self.coeffs = step_coefficients(mat.arms, self.k)
-        h = self.k / 2.0
-        mass, elastic, dev = (constraints.reduce(a) for a in (
-            operators.mass, operators.elastic, operators.deviatoric))
-
-        def joined(part):
-            """The block matrix of the ``part`` ("matrix" or "coupling") of
-            every block's reduction."""
-            m, e, d = (getattr(system, part) for system in (mass, elastic, dev))
-            blocks = [[None] * (2 + mat.n_arms) for _ in range(2 + mat.n_arms)]
-            blocks[0][:2] = [m, h * e]
-            blocks[1][:2] = [-h * e, e]
-            for i, (kappa, tau) in enumerate(zip(mat.kappa, mat.tau)):
-                blocks[0][2 + i] = (h * kappa) * d
-                blocks[2 + i][0] = (-h * kappa) * d
-                blocks[2 + i][2 + i] = ((1.0 + self.k / (2.0 * tau)) * kappa) * d
-            return sp.bmat(blocks, format="csc")
-
-        a_ff = joined("matrix")
-        self._solve_free = spla.splu(a_ff).solve if a_ff.shape[0] else np.asarray
-        self._coupling = joined("coupling")
-
-    def step(self, state: State, t_next=None) -> State:
-        ops, con, k = self.ops, self.con, self.k
-        t_next = state.t + k if t_next is None else float(t_next)
-        mat, D = ops.material, ops.deviatoric
-        r0 = ops.mass @ state.u1 - (k / 2.0) * (ops.elastic @ state.u0)
-        r0 -= (k / 2.0) * (D @ (mat.kappa @ state.uve))
-        if self.loads is not None:
-            r0 += load_time_integral(self.loads, ops.space, state.t, t_next)
-        r1 = ops.elastic @ (state.u0 + (k / 2.0) * state.u1)
-        w = (k / 2.0) * state.u1 + (1.0 - k / (2.0 * mat.tau))[:, None] * state.uve
-        rhs = np.vstack([r0, r1, mat.kappa[:, None] * (D @ w.T).T])
-
-        # prescribed values per block: trapezoidal velocities, prescribed
-        # displacements at t_next, and the internal-field recursion
-        d_prev = con.fixed_values(state.t)
-        d_fix = con.fixed_values(t_next)
-        u1_prev = con.to_frame(state.u1)[con.fixed]
-        v_fix = _constraint_velocities(d_prev, d_fix, u1_prev, k)
-        uve_prev = con.to_frame(state.uve)[:, con.fixed]
-        fixed = np.vstack([v_fix, d_fix, reconstruct_ve(u1_prev, v_fix, uve_prev, self.coeffs)])
-
-        b = con.to_frame(rhs)[:, con.free].ravel() - self._coupling @ fixed.ravel()
-        x = con.expand(self._solve_free(b).reshape(len(rhs), len(con.free)), fixed)
-        return State(t_next, x[0], x[1], x[2:])
-
-
 def static_solve(operators: OperatorSet, constraints: Constraints, loads=None,
                  t=0.0, solver=None):
     """Elastostatic displacement with the given essential constraints."""
@@ -498,7 +424,7 @@ class SimulationResult:
 
 
 def simulate(operators: OperatorSet, constraints: Constraints, grid: TimeGrid,
-             loads=None, state0=None, solver=None, callback=None, stepper="reduced"):
+             loads=None, state0=None, solver=None, callback=None):
     """March the dynamics over a time grid, tracking the energy ledger.
 
     One stepper, and so one Schur build and factorization, serves every
@@ -508,9 +434,7 @@ def simulate(operators: OperatorSet, constraints: Constraints, grid: TimeGrid,
     (``np.linspace``) grid vary by that much, and a truly non-uniform grid
     rebuilds at every real change of step. Each step advances by the
     stepper's ``k`` and lands on the grid node ``t_next``, so every state
-    and ledger time equals a node. ``stepper`` is "reduced"
-    (``ReducedStepper``) or "full" (``FullStepper``, the oracle); another
-    name raises ``ValueError``. ``callback`` (if given) is invoked with
+    and ledger time equals a node. ``callback`` (if given) is invoked with
     each new State. Returns the ledger and the final state. The scheme is
     unconditionally stable, so a step whose ledger energy is not finite
     (bad input or a solver fault) raises ``SolverError``. A ``state0``
@@ -522,24 +446,20 @@ def simulate(operators: OperatorSet, constraints: Constraints, grid: TimeGrid,
         state0 = State.zero(operators.space, shape[0], float(grid.nodes[0]))
     if state0.uve.shape != shape:
         raise ValueError(f"state0 has internal fields {state0.uve.shape}, need {shape}")
-    steppers = {"reduced": ReducedStepper, "full": FullStepper}
-    if stepper not in steppers:
-        raise ValueError(f"unknown stepper {stepper!r}: expected 'reduced' or 'full'")
-    cls = steppers[stepper]
     state = state0
     ledger = [energy(state, operators, 0.0)]
-    stepper_obj = None
+    stepper = None
     dissipated = 0.0
     eps = np.finfo(float).eps
     for t_prev, t_next in zip(grid.nodes[:-1], grid.nodes[1:]):
         k = t_next - t_prev
-        if stepper_obj is None or (
-            abs(k - stepper_obj.k) > 4.0 * eps * max(abs(t_prev), abs(t_next))
+        if stepper is None or (
+            abs(k - stepper.k) > 4.0 * eps * max(abs(t_prev), abs(t_next))
         ):
-            stepper_obj = None  # release the old factorization first
-            stepper_obj = cls(operators, constraints, k, loads, solver)
-        nxt = stepper_obj.step(state, t_next)
-        dissipated += dissipation_increment(state, nxt, operators, stepper_obj.k)
+            stepper = None  # release the old factorization first
+            stepper = ReducedStepper(operators, constraints, k, loads, solver)
+        nxt = stepper.step(state, t_next)
+        dissipated += dissipation_increment(state, nxt, operators, stepper.k)
         ledger.append(energy(nxt, operators, dissipated))
         if not np.isfinite(ledger[-1].total + dissipated):
             raise SolverError(f"non-finite energy at t = {t_next!r}")

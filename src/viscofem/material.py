@@ -10,15 +10,13 @@ and ``tau``, indexed like the rows of a state's (M, n) internal fields,
 so every per-arm formula is a whole-array expression.
 
 Also provides the per-timestep update coefficients of the internal-field
-recursion and an adaptive-quadrature convolution used as an oracle for
-the discrete update.
+recursion.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 
 def lame_from_engineering(E, nu):
@@ -102,28 +100,3 @@ def step_coefficients(arms, k) -> StepCoefficients:
     taus = np.array([arm.tau for arm in arms], dtype=float)
     return StepCoefficients(float(k), k / (2.0 + k / taus),
                             (2.0 - k / taus) / (2.0 + k / taus))
-
-
-def duhamel_stress(arm: MaxwellArm, strain_rate_history, t, rtol=1e-10):
-    """Arm stress via the convolution integral, starting from zero stress.
-
-    sigma(t) = integral_0^t kappa * exp(-(t-s)/tau) * rate(s) ds,
-    evaluated componentwise with adaptive quadrature to relative
-    tolerance ``rtol``. ``strain_rate_history(s)`` may return a scalar
-    or an arbitrary fixed-shape array.
-    """
-    if t < 0:
-        raise ValueError("time must be nonnegative")
-    probe = np.asarray(strain_rate_history(0.0), dtype=float)
-    out = np.zeros_like(probe, dtype=float)
-    if t == 0:
-        return out if probe.shape else 0.0
-    flat = out.reshape(-1)
-    for i in range(flat.size):
-        def integrand(s, i=i):
-            rate = np.asarray(strain_rate_history(s), dtype=float).reshape(-1)
-            return np.exp(-(t - s) / arm.tau) * rate[i]
-
-        val, _ = quad(integrand, 0.0, t, epsabs=0.0, epsrel=rtol, limit=200)
-        flat[i] = arm.kappa * val
-    return out if probe.shape else float(flat[0])

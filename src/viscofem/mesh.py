@@ -73,11 +73,6 @@ class Mesh:
     def n_tets(self):
         return self.tets.shape[0]
 
-    def tet_volumes(self):
-        """Signed volumes of all tets (positive for a valid mesh)."""
-        v = self.vertices[self.tets]
-        return np.linalg.det(v[:, 1:] - v[:, :1]) / 6.0
-
     def facet_areas(self):
         v = self.vertices[self.boundary_facets]
         cr = np.cross(v[:, 1] - v[:, 0], v[:, 2] - v[:, 0])
@@ -88,9 +83,6 @@ class Mesh:
         v = self.vertices[self.boundary_facets]
         cr = np.cross(v[:, 1] - v[:, 0], v[:, 2] - v[:, 0])
         return cr / np.linalg.norm(cr, axis=1)[:, None]
-
-    def facet_centroids(self):
-        return self.vertices[self.boundary_facets].mean(axis=1)
 
     def tag_index(self, label):
         for i, tag in enumerate(self.tags):

@@ -285,37 +285,6 @@ class ManufacturedSolution:
             traction.append((arm_coef, self.deviatoric_traction))
         return LoadSpec(body_terms=tuple(body), traction_terms=tuple(traction))
 
-    def strong_residual(self, t, x, dt=1e-6, dx=1e-6):
-        """Finite-difference check of the strong equations; returns the
-        worst residual relative to the magnitude of the equation terms."""
-        x = np.atleast_2d(x)
-        mat = self.material
-        du1 = (self.velocity(t + dt, x) - self.velocity(t - dt, x)) / (2 * dt)
-        div_fd = np.zeros((len(x), 3))
-        for i in range(3):
-            step = np.zeros(3)
-            step[i] = dx
-            div_fd += (
-                self.stress(t, x + step)[:, :, i] - self.stress(t, x - step)[:, :, i]
-            ) / (2 * dx)
-        f = self.body_force(x, t)
-        scale1 = max(
-            np.abs(mat.rho * du1).max(), np.abs(div_fd).max(), np.abs(f).max(), 1e-30
-        )
-        r1 = np.abs(mat.rho * du1 - div_fd - f).max() / scale1
-
-        du0 = (self.displacement(t + dt, x) - self.displacement(t - dt, x)) / (2 * dt)
-        u1 = self.velocity(t, x)
-        scale2 = max(np.abs(u1).max(), 1e-30)
-        r2 = np.abs(du0 - u1).max() / scale2
-
-        r3 = 0.0
-        for m, arm in enumerate(mat.arms):
-            duve = (self.ve_field(m, t + dt, x) - self.ve_field(m, t - dt, x)) / (2 * dt)
-            resid = duve + self.ve_field(m, t, x) / arm.tau - u1
-            r3 = max(r3, np.abs(resid).max() / scale2)
-        return max(r1, r2, r3)
-
 
 def unit_cube_problem(material, n, p):
     """Mesh, space, operators and bottom-clamped constraints for the
@@ -461,15 +430,6 @@ class ConvergenceTable:
                 rate = np.log2(ea / eb) / np.log2(ha / hb) if eb > 0 else np.inf
                 out.append((float(rate), bool(saturated)))
         return out
-
-    def lsq_rate(self, axis, column="energy_error"):
-        """Least-squares slope of log error vs log axis over all
-        successful rows; the numerical analogue of reading a straight
-        line off a log-log convergence plot."""
-        rows = self.ok_rows()
-        x = np.log([getattr(r, axis) for r in rows])
-        y = np.log([getattr(r, column) for r in rows])
-        return float(np.polyfit(x, y, 1)[0])
 
     def to_csv(self, path):
         with open(path, "w") as fh:

@@ -18,6 +18,7 @@ from viscofem.dynamics import OperatorSet
 from viscofem.fespace import FeSpace
 from viscofem.material import MaterialModel
 from viscofem.mesh import BoundaryKind, BoundaryTag, box_face_tagger, build_box_mesh
+from oracles import tet_volumes
 
 MU, LAM, RHO, KAPPA = 0.4, 0.6, 100.0, 2.5
 
@@ -549,7 +550,7 @@ def _subdivided_load_functional(space, f, w, t):
     rule = quadrature(8)
     mesh = space.mesh
     vcoords = mesh.vertices[mesh.tets]
-    vols = mesh.tet_volumes()
+    vols = tet_volumes(mesh)
     wcell = w.reshape(-1, 3)[space.cell_dofs]
     total = 0.0
     for child in _red_children():

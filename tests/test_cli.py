@@ -579,6 +579,19 @@ def test_unknown_solver_method_exit_code(tmp_path, capsys, method):
     assert "[solver]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("method", ["cg", "direct"])
+@pytest.mark.parametrize("tolerance", ["0", "-1", "1"])
+def test_out_of_range_solver_tolerance_exit_code(tmp_path, capsys, method, tolerance):
+    # CG to a relative residual <= 0 runs its whole iteration cap and fails,
+    # and one >= 1 accepts its start vector: both are config errors
+    body = _with(_with(BASE_SINGLE, "solver", "method", method),
+                 "solver", "tolerance", tolerance)
+    code = main(["single", "--config", write_cfg(tmp_path, body),
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "[solver]" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("scenario, edits", [
     ("single", [("geometry", "n", "0")]),
     ("single", [("discretization", "p", "4")]),
@@ -643,6 +656,7 @@ FUZZ_VALUES = {
     ("material", "nu"): ["0.3", "0.5", "-1", "0.499"],
     ("material", "arms"): ["1e5:1e-2", "", "1e5:0", "1e5:-1", "3e4:0.3 1e3:5", "1e5"],
     ("solver", "method"): ["direct", "cg", "auto", "bogus"],
+    ("solver", "tolerance"): ["1e-12", "0", "-1", "1"],
 }
 FUZZ_DEGREE_VALUES = {("discretization", "p"): ["1", "2", "0", "4"]}
 FUZZ_MARCH_VALUES = {
@@ -714,3 +728,21 @@ def test_fuzzed_config_exit_code_in_contract(data):
         path.write_text(body)
         code = main([scenario, "--config", str(path), "--out", str(Path(tmp) / "o")])
     assert code in (0, 2, 3)
+
+
+def test_package_import_leaves_out_scipy_integrate():
+    # scipy.integrate adds about 16 MB to the peak RSS of every process, and
+    # only the tests' convolution oracle uses it
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import viscofem
+
+    code = ("import sys, viscofem, viscofem.cli, viscofem.verify; "
+            "print('scipy.integrate' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(Path(viscofem.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -3,7 +3,6 @@ import numpy as np
 import pytest
 
 from viscofem.dynamics import (
-    FullStepper,
     LinearSolver,
     OperatorSet,
     ReducedStepper,
@@ -20,6 +19,7 @@ from viscofem.assembly import LoadSpec
 from viscofem.fespace import Constraints, DirichletBC, FeSpace
 from viscofem.material import MaterialModel, MaxwellArm, step_coefficients
 from viscofem.mesh import BoundaryKind, BoundaryTag, box_face_tagger, build_box_mesh
+from oracles import FullStepper, simulate_full
 
 MATERIAL = MaterialModel.from_engineering(100.0, 1e5, 0.3, arms=((1e5, 1e-2),))
 DIRECT = LinearSolver(method="direct")
@@ -138,10 +138,9 @@ def test_simulate_rejects_state0_of_another_arm_count():
                                               arms=((1e5, 1e-2), (3e4, 0.3)))
     ops, con = make_problem(n=1, p=1, material=material)
     grid = TimeGrid.uniform(0.0, 0.1, 2)
-    for stepper in ("reduced", "full"):
+    for march in (simulate, simulate_full):
         with pytest.raises(ValueError, match="internal fields"):
-            simulate(ops, con, grid, state0=State.zero(ops.space, 1), solver=DIRECT,
-                     stepper=stepper)
+            march(ops, con, grid, state0=State.zero(ops.space, 1), solver=DIRECT)
     assert simulate(ops, con, grid, state0=State.zero(ops.space, 2),
                     solver=DIRECT).final.uve.shape == (2, ops.space.n_dofs)
 
@@ -442,8 +441,8 @@ def test_full_march_takes_direct_products_of_every_state():
                    for a, b in zip((*prod[:4], *prod.dev_uve), direct))
         seen.append(state)
 
-    simulate(ops, con, TimeGrid.uniform(0.0, 0.05, 5), solver=DIRECT,
-             state0=distinct_arm_state(ops, con, 53), callback=check, stepper="full")
+    simulate_full(ops, con, TimeGrid.uniform(0.0, 0.05, 5), solver=DIRECT,
+                  state0=distinct_arm_state(ops, con, 53), callback=check)
     assert len(seen) == 5
 
 
@@ -723,7 +722,7 @@ def test_reduced_full_simulate_agree_on_jittered_grid(monkeypatch):
     assert np.ptp(grid.steps) > 1e-14 * grid.steps.max()
     full_builds = _count_builds(monkeypatch, FullStepper)
     red = simulate(ops, con, grid, loads=loads, solver=DIRECT)
-    ful = simulate(ops, con, grid, loads=loads, stepper="full")
+    ful = simulate_full(ops, con, grid, loads=loads)
     assert full_builds[0] == 1
     sr, sf = red.final, ful.final
     assert sr.t == sf.t == grid.nodes[-1]
@@ -773,30 +772,19 @@ def test_time_grid_rejects_non_finite_nodes(bad):
         TimeGrid.uniform(0.0, bad, 4)
 
 
-@pytest.mark.parametrize("name", ["Reduced", "ful", ""])
-def test_simulate_rejects_unknown_stepper(monkeypatch, name):
-    # a misspelt name must not fall through to the full-stepper oracle
-    ops, con = make_problem(n=1, p=1)
-    full_builds = _count_builds(monkeypatch, FullStepper)
-    with pytest.raises(ValueError, match="unknown stepper"):
-        simulate(ops, con, TimeGrid.uniform(0.0, 0.1, 2), solver=DIRECT, stepper=name)
-    assert full_builds[0] == 0
-
-
 def test_full_stepper_rejects_cg_solver():
     # the oracle LU-factorizes its nonsymmetric block matrix whatever the
     # solver, so a 'cg' request must not silently run SuperLU
     ops, con = make_problem(n=1, p=1)
     grid = TimeGrid.uniform(0.0, 0.1, 2)
     with pytest.raises(ValueError, match="cg"):
-        simulate(ops, con, grid, solver=LinearSolver("cg"), stepper="full")
+        simulate_full(ops, con, grid, solver=LinearSolver("cg"))
     with pytest.raises(ValueError, match="cg"):
         FullStepper(ops, con, 0.05, solver=LinearSolver("cg"))
     state = admissible_random_state(ops, con, 8)
     want = FullStepper(ops, con, 0.05).step(state)
     one_step = TimeGrid.uniform(0.0, 0.05, 1)
     for solver in (None, LinearSolver("auto"), DIRECT):
-        got = simulate(ops, con, one_step, state0=state, solver=solver,
-                       stepper="full").final
+        got = simulate_full(ops, con, one_step, state0=state, solver=solver).final
         assert all(np.array_equal(a, b) for a, b in zip(
             (got.u1, got.u0, *got.uve), (want.u1, want.u0, *want.uve)))

@@ -6,10 +6,10 @@ import pytest
 from viscofem.material import (
     MaterialModel,
     MaxwellArm,
-    duhamel_stress,
     lame_from_engineering,
     step_coefficients,
 )
+from oracles import duhamel_stress
 
 
 def test_lame_simple_values():
