@@ -59,7 +59,7 @@ def row(space, con, m):
     schur = stepper.system.matrix
     factor = solver.prepare(schur).__self__  # ``prepare`` returns the factor's bound solve
     fields = 1e-3 * np.random.default_rng(m).standard_normal((2 + m, space.n_dofs))
-    u1, u0, *uve = (con.apply_values(v) for v in fields)
+    u1, u0, *uve = (con.expand(con.to_frame(v)[con.free], con.fixed_values(0.0)) for v in fields)
     state = dynamics.State(0.0, u1, u0, uve)
     step_s, ledger_s = [], []
     for _ in range(STEPS):

@@ -12,7 +12,9 @@ ceil((d+1)/2)^dim points.
 Essential constraints (Dirichlet and slip) are imposed by symmetric
 elimination. Slip nodes are rotated into an orthonormal frame (n, t1, t2)
 built from area-weighted facet normals; the normal component is
-prescribed strongly and the tangential components stay free.
+prescribed strongly and the tangential components stay free. One frame
+kernel, ``_frame_sum``, rotates the slip nodes' 3-blocks of vectors and
+of matrices alike; no other dof is touched.
 """
 from __future__ import annotations
 
@@ -20,7 +22,6 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.special import roots_jacobi, roots_legendre
 
 from .mesh import Mesh
@@ -454,6 +455,16 @@ def _row_norms(v):
     return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
 
 
+def _frame_sum(x, frames):
+    """sum_c x[..., c] F[..., c, :] for F = frames, started from 0.0 and
+    added in c order: x F for each 3-vector x along x's last axis, with one
+    3x3 F per 3-vector by broadcasting. A sparse product with the change
+    of basis sums each entry so, and the two are equal bit for bit, signed
+    zeros included."""
+    return (0.0 + x[..., :1] * frames[..., 0, :] + x[..., 1:2] * frames[..., 1, :]
+            + x[..., 2:] * frames[..., 2, :])
+
+
 class Constraints:
     """Essential constraint bookkeeping for a space.
 
@@ -464,10 +475,10 @@ class Constraints:
     reduced matrix comes numbered for a fill-reducing factorization.
     Constrained solves work in frame coordinates W with U = R W, where the
     orthogonal change of basis R is the identity except at the slip nodes'
-    3x3 blocks, whose columns are their frames. ``to_frame`` and
-    ``from_frame`` apply R' and R, to a vector or to each row of an array
-    of them, by rotating those blocks only; the sparse ``rotation`` R
-    serves only the matrix products of ``reduce``. ``expand`` joins the
+    3x3 blocks, whose columns are their frames. R is never formed:
+    ``to_frame`` and ``from_frame`` apply R' and R, to a vector or to each
+    row of an array of them, and ``reduce`` forms R'AR, by rotating those
+    blocks only, with the one kernel ``_frame_sum``. ``expand`` joins the
     free and fixed frame values of a solve into Cartesian vectors.
     """
 
@@ -491,7 +502,6 @@ class Constraints:
         self.dirichlet_nodes = np.nonzero(dirichlet >= 0)[0]
         self.slip_nodes = np.nonzero(slip >= 0)[0]
         self._build_frames()
-        self._build_rotation()
         self._build_fixed()
         self._build_targets(dirichlet, slip)
 
@@ -526,23 +536,6 @@ class Constraints:
         t1 /= _row_norms(t1)[:, None]
         t2 = np.cross(n, t1)
         self.slip_frames = np.stack([n, t1, t2], axis=2)
-
-    def _build_rotation(self):
-        n = self.space.n_dofs
-        if not len(self.slip_nodes):
-            self.rotation = sp.identity(n, format="csr")
-            return
-        nodes = self.slip_nodes
-        comp = np.arange(3)
-        # frame blocks of the slip nodes, then the identity on the other nodes
-        block = (3 * nodes[:, None, None] + comp[:, None]).repeat(3, axis=2)
-        in_frame = np.zeros(self.space.n_scalar_dofs, dtype=bool)
-        in_frame[nodes] = True
-        plain = (3 * np.nonzero(~in_frame)[0][:, None] + comp).ravel()
-        rows = np.concatenate([block.ravel(), plain])
-        cols = np.concatenate([block.transpose(0, 2, 1).ravel(), plain])
-        data = np.concatenate([self.slip_frames.ravel(), np.ones(len(plain))])
-        self.rotation = sp.csr_matrix((data, (rows, cols)), shape=(n, n))
 
     def _build_fixed(self):
         # the three slots of each Dirichlet node, the normal slot of each
@@ -615,16 +608,12 @@ class Constraints:
 
     def _rotate_blocks(self, v, frames):
         """A new vector, v + 0.0, except that the 3-block x of v at the k-th
-        slip node becomes 0.0 + sum_c x[c] frames[k, c], the terms added in
-        c order; each row of a 2-D v is rotated so. The sparse product with
-        the rotation starts each row's sum from 0.0 and adds in that order,
-        so the two are equal bit for bit, signed zeros included."""
+        slip node becomes ``_frame_sum(x, frames[k])``; each row of a 2-D v
+        is rotated so."""
         out = np.ascontiguousarray(v) + 0.0  # C order, so reshape gives a view
         blocks = v.shape[:-1] + (self.space.n_scalar_dofs, 3)
-        x = v.reshape(blocks)[..., self.slip_nodes, :]
-        out.reshape(blocks)[..., self.slip_nodes, :] = (
-            0.0 + x[..., :1] * frames[:, 0] + x[..., 1:2] * frames[:, 1]
-            + x[..., 2:] * frames[:, 2])
+        out.reshape(blocks)[..., self.slip_nodes, :] = _frame_sum(
+            v.reshape(blocks)[..., self.slip_nodes, :], frames)
         return out
 
     def to_frame(self, u):
@@ -646,16 +635,31 @@ class Constraints:
         w[..., self.fixed] = fixed_values
         return self.from_frame(w)
 
-    def apply_values(self, u, t=0.0):
-        """Overwrite the constrained components of u with prescribed values."""
-        return self.expand(self.to_frame(u)[self.free], self.fixed_values(t))
+    def _rotate_matrix(self, matrix):
+        """R'AR of the matrix A as CSR. Only the slip nodes' 3-blocks are
+        rotated: a block B of their block rows becomes F'B, then a block B
+        of their block columns BF. The result equals the sparse products
+        R'AR bit for bit, in their index order too, and like them it drops
+        exact zeros. A method of its own, so the block copy is freed before
+        ``reduce`` splits."""
+        a = matrix.tobsr(blocksize=(3, 3), copy=True)
+        slot = np.full(self.space.n_scalar_dofs, -1)
+        slot[self.slip_nodes] = np.arange(len(self.slip_nodes))
+        block_row = slot[np.repeat(np.arange(len(a.indptr) - 1), np.diff(a.indptr))]
+        block_col = slot[a.indices]
+        blocks, frames = a.data, self.slip_frames
+        on = block_row >= 0  # F'B = (B'F)'
+        blocks[on] = _frame_sum(blocks[on].transpose(0, 2, 1),
+                                frames[block_row[on], None]).transpose(0, 2, 1)
+        on = block_col >= 0
+        blocks[on] = _frame_sum(blocks[on], frames[block_col[on], None])
+        a = a.tocsr()
+        a.eliminate_zeros()
+        return a
 
     def reduce(self, matrix):
         """Symmetric elimination: rotate to frame coordinates and split."""
-        if len(self.slip_nodes):
-            a = (self.rotation.T @ matrix @ self.rotation).tocsr()
-        else:
-            a = matrix.tocsr()
+        a = self._rotate_matrix(matrix) if len(self.slip_nodes) else matrix.tocsr()
         rows = a[self.free]
         a_ff = rows[:, self.free].tocsr()
         a_fx = rows[:, self.fixed].tocsr()

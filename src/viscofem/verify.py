@@ -107,7 +107,8 @@ def _exp_moment_2(t, c):
 
 class ManufacturedSolution:
     """Closed-form exact solution of the viscoelastic dynamics on the
-    unit cube, with derived body force and Neumann traction."""
+    unit cube; ``loads`` gives its derived body force and Neumann
+    traction in time-separable form."""
 
     def __init__(self, material: MaterialModel, a1=0.2, a2=0.2):
         self.material = material
@@ -184,19 +185,8 @@ class ManufacturedSolution:
     def displacement(self, t, x):
         return self.displacement_factor(t) * self.shape(x)
 
-    def acceleration(self, t, x):
-        return self.time_factor_rate(t) * self.shape(x)
-
     def ve_field(self, m, t, x):
         return self.arm_factor(m, t) * self.shape(x)
-
-    def stress(self, t, x):
-        grad = self.shape_gradient(x)
-        mat = self.material
-        arms = sum(a.kappa * self.arm_factor(m, t) for m, a in enumerate(mat.arms))
-        return stress_from_gradients(
-            self.displacement_factor(t) * grad, arms * grad, mat.mu, mat.lam
-        )
 
     def _shape_divergences(self, x):
         """(L_E[V], L_D[V]): row-wise divergences of the elastic stress
@@ -229,24 +219,10 @@ class ManufacturedSolution:
         """L_D[V] = div dev eps(V) = lap V / 2 + grad div V / 6."""
         return self._shape_divergences(x)[1]
 
-    def stress_divergence(self, t, x):
-        """Row-wise divergence of the stress, analytically."""
-        elastic, deviatoric = self._shape_divergences(x)
-        out = self.displacement_factor(t) * elastic
-        for m, arm in enumerate(self.material.arms):
-            out += self.arm_factor(m, t) * arm.kappa * deviatoric
-        return out
-
-    def body_force(self, x, t):
-        return self.material.rho * self.acceleration(t, x) - self.stress_divergence(t, x)
-
     @staticmethod
     def _normal_component(sigma, x, normal):
         normal = np.broadcast_to(np.atleast_2d(normal), (len(np.atleast_2d(x)), 3))
         return np.einsum("nab,nb->na", sigma, normal)
-
-    def traction(self, x, t, normal):
-        return self._normal_component(self.stress(t, x), x, normal)
 
     def elastic_traction(self, x, normal):
         """sigma_E[V] n, the Hooke stress of the shape V on the normal."""

@@ -8,9 +8,11 @@ its ledger checks the reduced stepper's carried ones. ``simulate_full``
 marches it through ``dynamics.simulate`` itself.
 
 The other oracles are an adaptive-quadrature convolution for the
-internal-field update, a finite-difference check of the manufactured
-solution's strong equations, a least-squares convergence rate, and the
-tet volumes and facet centroids of a mesh.
+internal-field update; the manufactured solution's stress, body force and
+traction evaluated pointwise, and a finite-difference check of its strong
+equations; the slip frames and the sparse change of basis R built node by
+node; a least-squares convergence rate; and the tet volumes and facet
+centroids of a mesh.
 """
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ import scipy.sparse.linalg as spla
 from scipy.integrate import quad
 
 from viscofem import dynamics
+from viscofem.assembly import stress_from_gradients
 from viscofem.dynamics import (
     OperatorSet,
     State,
@@ -26,7 +29,7 @@ from viscofem.dynamics import (
     load_time_integral,
     reconstruct_ve,
 )
-from viscofem.fespace import Constraints
+from viscofem.fespace import Constraints, SlipBC
 from viscofem.material import MaxwellArm, step_coefficients
 
 
@@ -135,6 +138,39 @@ def duhamel_stress(arm: MaxwellArm, strain_rate_history, t, rtol=1e-10):
     return out if probe.shape else float(flat[0])
 
 
+def acceleration(ms, t, x):
+    """The exact acceleration of the ``ManufacturedSolution`` ``ms``."""
+    return ms.time_factor_rate(t) * ms.shape(x)
+
+
+def stress(ms, t, x):
+    """The exact stress of ``ms``: Hooke's of the displacement plus each
+    arm's kappa times its internal field's dev eps."""
+    grad = ms.shape_gradient(x)
+    mat = ms.material
+    arms = sum(a.kappa * ms.arm_factor(m, t) for m, a in enumerate(mat.arms))
+    return stress_from_gradients(ms.displacement_factor(t) * grad, arms * grad, mat.mu, mat.lam)
+
+
+def stress_divergence(ms, t, x):
+    """Row-wise divergence of the stress of ``ms``, analytically."""
+    out = ms.displacement_factor(t) * ms.elastic_divergence(x)
+    for m, arm in enumerate(ms.material.arms):
+        out += ms.arm_factor(m, t) * arm.kappa * ms.deviatoric_divergence(x)
+    return out
+
+
+def body_force(ms, x, t):
+    """The body force that makes ``ms`` solve the strong equations."""
+    return ms.material.rho * acceleration(ms, t, x) - stress_divergence(ms, t, x)
+
+
+def traction(ms, x, t, normal):
+    """The stress of ``ms`` on the (unit) normal, a row or one per point."""
+    sigma = stress(ms, t, x)
+    return np.einsum("nab,nb->na", sigma, np.broadcast_to(np.atleast_2d(normal), (len(sigma), 3)))
+
+
 def strong_residual(ms, t, x, dt=1e-6, dx=1e-6):
     """Finite-difference check of the strong equations of the
     ``ManufacturedSolution`` ``ms``; returns the worst residual relative
@@ -147,9 +183,9 @@ def strong_residual(ms, t, x, dt=1e-6, dx=1e-6):
         step = np.zeros(3)
         step[i] = dx
         div_fd += (
-            ms.stress(t, x + step)[:, :, i] - ms.stress(t, x - step)[:, :, i]
+            stress(ms, t, x + step)[:, :, i] - stress(ms, t, x - step)[:, :, i]
         ) / (2 * dx)
-    f = ms.body_force(x, t)
+    f = body_force(ms, x, t)
     scale1 = max(
         np.abs(mat.rho * du1).max(), np.abs(div_fd).max(), np.abs(f).max(), 1e-30
     )
@@ -166,6 +202,51 @@ def strong_residual(ms, t, x, dt=1e-6, dx=1e-6):
         resid = duve + ms.ve_field(m, t, x) / arm.tau - u1
         r3 = max(r3, np.abs(resid).max() / scale2)
     return max(r1, r2, r3)
+
+
+def per_node_rotation(con):
+    """The slip frames of the ``Constraints`` ``con`` and the sparse change
+    of basis R (identity but for the frames as the slip nodes' 3x3 blocks),
+    as a loop over the slip nodes builds them: normals accumulated facet by
+    facet, one frame and one block per node."""
+    space, mesh = con.space, con.space.mesh
+    acc = {int(nd): np.zeros(3) for nd in con.slip_nodes}
+    for label, bc in con.spec.items():
+        if not isinstance(bc, SlipBC):
+            continue
+        facets = mesh.facets_with_label(label)
+        for nodes, nrm, area in zip(space.facet_scalar_dofs(facets),
+                                    mesh.facet_normals()[facets], mesh.facet_areas()[facets]):
+            for nd in nodes:
+                if int(nd) in acc:
+                    acc[int(nd)] += area * nrm
+    frames, rows, cols, data = [], [], [], []
+    for nd, a in acc.items():
+        n = a / np.linalg.norm(a)
+        helper = np.zeros(3)
+        helper[np.argmin(np.abs(n))] = 1.0
+        t1 = np.cross(n, helper)
+        t1 /= np.linalg.norm(t1)
+        frame = np.column_stack([n, t1, np.cross(n, t1)])
+        frames.append(frame)
+        for i in range(3):
+            for j in range(3):
+                rows.append(3 * nd + i)
+                cols.append(3 * nd + j)
+                data.append(frame[i, j])
+    for nd in sorted(set(range(space.n_scalar_dofs)) - set(acc)):
+        for i in range(3):
+            rows.append(3 * nd + i)
+            cols.append(3 * nd + i)
+            data.append(1.0)
+    n_dofs = space.n_dofs
+    return np.array(frames), sp.csr_matrix((data, (rows, cols)), shape=(n_dofs, n_dofs))
+
+
+def apply_values(con, u, t=0.0):
+    """u with the constrained components of ``con`` overwritten by their
+    prescribed values at time t."""
+    return con.expand(con.to_frame(u)[con.free], con.fixed_values(t))
 
 
 def lsq_rate(table, axis, column="energy_error"):

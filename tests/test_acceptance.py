@@ -19,7 +19,7 @@ from viscofem.fespace import Constraints, DirichletBC, FeSpace, quadrature
 from viscofem.material import MaterialModel, MaxwellArm, step_coefficients
 from viscofem.mesh import BoundaryKind, BoundaryTag, box_face_tagger, build_box_mesh
 from viscofem.verify import ConserveConfig, conservation_experiment, convergence_study
-from oracles import FullStepper, duhamel_stress, lsq_rate
+from oracles import FullStepper, apply_values, duhamel_stress, lsq_rate
 
 DIRECT = LinearSolver(method="direct")
 REFERENCE_MATERIAL = MaterialModel.from_engineering(100.0, 1e5, 0.3, arms=((1e5, 1e-2),))
@@ -312,9 +312,9 @@ def test_criterion_6_monotone_decay_random_states():
         n = space.n_dofs
         state = State(
             0.0,
-            con.apply_values(rng.standard_normal(n), 0.0),
-            con.apply_values(rng.standard_normal(n), 0.0),
-            (con.apply_values(rng.standard_normal(n), 0.0),),
+            apply_values(con, rng.standard_normal(n), 0.0),
+            apply_values(con, rng.standard_normal(n), 0.0),
+            (apply_values(con, rng.standard_normal(n), 0.0),),
         )
         from viscofem.dynamics import energy
 

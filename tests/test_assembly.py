@@ -18,7 +18,7 @@ from viscofem.dynamics import OperatorSet
 from viscofem.fespace import FeSpace
 from viscofem.material import MaterialModel
 from viscofem.mesh import BoundaryKind, BoundaryTag, box_face_tagger, build_box_mesh
-from oracles import tet_volumes
+from oracles import body_force, tet_volumes
 
 MU, LAM, RHO, KAPPA = 0.4, 0.6, 100.0, 2.5
 
@@ -578,8 +578,8 @@ def test_manufactured_load_vs_refined_quadrature():
     space = FeSpace(build_box_mesh(4), 2)
     t = 0.7
     w = space.interpolate(lambda x: ms.velocity(t, x))
-    oracle = _subdivided_load_functional(space, ms.body_force, w, t)
-    body = lambda x: ms.body_force(x, t)
+    oracle = _subdivided_load_functional(space, lambda x, t: body_force(ms, x, t), w, t)
+    body = lambda x: body_force(ms, x, t)
     full = w @ assemble_volume_load(space, [body], degree=8)[0]
     assert abs(full - oracle) < 1e-10 * abs(oracle)
     # the configured default order is converged well past discretization needs

@@ -19,7 +19,7 @@ from viscofem.assembly import LoadSpec
 from viscofem.fespace import Constraints, DirichletBC, FeSpace
 from viscofem.material import MaterialModel, MaxwellArm, step_coefficients
 from viscofem.mesh import BoundaryKind, BoundaryTag, box_face_tagger, build_box_mesh
-from oracles import FullStepper, simulate_full
+from oracles import FullStepper, apply_values, simulate_full
 
 MATERIAL = MaterialModel.from_engineering(100.0, 1e5, 0.3, arms=((1e5, 1e-2),))
 DIRECT = LinearSolver(method="direct")
@@ -39,7 +39,7 @@ def make_problem(n=2, p=1, material=MATERIAL):
 def admissible_random_state(ops, con, seed, amp=0.01):
     rng = np.random.default_rng(seed)
     n = ops.space.n_dofs
-    fields = [con.apply_values(rng.standard_normal(n) * amp, 0.0) for _ in range(3)]
+    fields = [apply_values(con, rng.standard_normal(n) * amp, 0.0) for _ in range(3)]
     return State(0.0, fields[0], fields[1], (fields[2],) * ops.material.n_arms)
 
 
@@ -52,7 +52,7 @@ def distinct_arm_state(ops, con, seed, amp=0.01):
     """Admissible random state with a different internal field per arm."""
     rng = np.random.default_rng(seed)
     n = ops.space.n_dofs
-    u1, u0, *uve = [con.apply_values(rng.standard_normal(n) * amp, 0.0)
+    u1, u0, *uve = [apply_values(con, rng.standard_normal(n) * amp, 0.0)
                     for _ in range(2 + ops.material.n_arms)]
     return State(0.0, u1, u0, tuple(uve))
 

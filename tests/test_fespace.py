@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from viscofem.dynamics import LinearSolver
+from viscofem.dynamics import LinearSolver, OperatorSet
 from viscofem.fespace import (
     Constraints,
     DirichletBC,
@@ -16,7 +16,9 @@ from viscofem.fespace import (
     reference_nodes,
     triangle_quadrature,
 )
+from viscofem.material import MaterialModel
 from viscofem.mesh import BoundaryKind, BoundaryTag, box_face_tagger, build_box_mesh
+from oracles import per_node_rotation
 
 
 def exact_tet_monomial(a, b, c):
@@ -237,13 +239,13 @@ def _per_node_fixed_values(con, t):
     return want
 
 
-def _mixed_space():
+def _mixed_space(p=2):
     tagger = box_face_tagger(faces={
         "z-": BoundaryTag(BoundaryKind.DIRICHLET, "bottom"),
         "x-": BoundaryTag(BoundaryKind.DIRICHLET, "side"),
         "z+": BoundaryTag(BoundaryKind.SLIP, "top"),
     })
-    return FeSpace(build_box_mesh(2, tagger=tagger), 2)
+    return FeSpace(build_box_mesh(2, tagger=tagger), p)
 
 
 def test_fixed_values_match_per_node_evaluation():
@@ -375,55 +377,15 @@ def test_reduced_rhs_of_zero_values_equals_product_path():
     assert system.reduced_rhs(rhs, con.fixed_values(0.0)).tobytes() == want.tobytes()
 
 
-def _per_node_rotation(con):
-    """The slip frames and the rotation matrix as a loop over the slip
-    nodes builds them: normals accumulated facet by facet, one frame and
-    one 3x3 block per node."""
-    space, mesh = con.space, con.space.mesh
-    acc = {int(nd): np.zeros(3) for nd in con.slip_nodes}
-    for label, bc in con.spec.items():
-        if not isinstance(bc, SlipBC):
-            continue
-        facets = mesh.facets_with_label(label)
-        for nodes, nrm, area in zip(space.facet_scalar_dofs(facets),
-                                    mesh.facet_normals()[facets], mesh.facet_areas()[facets]):
-            for nd in nodes:
-                if int(nd) in acc:
-                    acc[int(nd)] += area * nrm
-    frames, rows, cols, data = [], [], [], []
-    for nd, a in acc.items():
-        n = a / np.linalg.norm(a)
-        helper = np.zeros(3)
-        helper[np.argmin(np.abs(n))] = 1.0
-        t1 = np.cross(n, helper)
-        t1 /= np.linalg.norm(t1)
-        frame = np.column_stack([n, t1, np.cross(n, t1)])
-        frames.append(frame)
-        for i in range(3):
-            for j in range(3):
-                rows.append(3 * nd + i)
-                cols.append(3 * nd + j)
-                data.append(frame[i, j])
-    for nd in sorted(set(range(space.n_scalar_dofs)) - set(acc)):
-        for i in range(3):
-            rows.append(3 * nd + i)
-            cols.append(3 * nd + i)
-            data.append(1.0)
-    n_dofs = space.n_dofs
-    return np.array(frames), sp.csr_matrix((data, (rows, cols)), shape=(n_dofs, n_dofs))
-
-
 @pytest.mark.parametrize("p", [1, 2])
 def test_batched_slip_frames_equal_per_node_loop(p):
     from viscofem.mesh import build_annulus_mesh
 
     space = FeSpace(build_annulus_mesh(0.5, 1.0, 0.4, (2, 12, 3)), p)
     con = Constraints(space, {"outer": DirichletBC(), "inner": SlipBC(0.1)})
-    frames, rotation = _per_node_rotation(con)
+    frames, _ = per_node_rotation(con)
     assert len(frames) == len(con.slip_nodes) > 0
     assert np.array_equal(con.slip_frames, frames)
-    for name in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(con.rotation, name), getattr(rotation, name))
 
 
 def _bits(v):
@@ -450,11 +412,38 @@ def test_frame_maps_equal_rotation_products(kind, p):
     u = rng.standard_normal(space.n_dofs)
     u[rng.random(space.n_dofs) < 0.3] = 0.0
     u[rng.random(space.n_dofs) < 0.3] = -0.0
-    for got, want in ((con.to_frame(u), con.rotation.T @ u),
-                      (con.from_frame(u), con.rotation @ u)):
+    _, rotation = per_node_rotation(con)
+    for got, want in ((con.to_frame(u), rotation.T @ u), (con.from_frame(u), rotation @ u)):
         assert np.array_equal(_bits(got), _bits(want))
-        # a new array: ``apply_values`` writes into the result
+        # a new array, which callers may write into
         assert not np.shares_memory(got, u)
+
+
+@pytest.mark.parametrize("kind, p", [("annulus", 1), ("annulus", 2), ("box", 3)])
+def test_reduce_equals_rotation_products(kind, p):
+    # rotating the slip nodes' blocks gives the sparse products R'AR bit
+    # for bit, and in their index order, which sets the order Jacobi-CG's
+    # products sum in
+    from viscofem.mesh import build_annulus_mesh
+
+    if kind == "box":
+        space = _mixed_space(p)
+        con = Constraints(space, {"bottom": DirichletBC(), "side": DirichletBC(),
+                                  "top": SlipBC(0.0)})
+    else:
+        space = FeSpace(build_annulus_mesh(0.5, 1.0, 0.4, (2, 12, 3)), p)
+        con = Constraints(space, {"outer": DirichletBC(), "inner": SlipBC(0.1)})
+    assert len(con.slip_nodes)
+    ops = OperatorSet(space, MaterialModel(1.0, 0.4, 0.6, arms=((2.5, 1.0),)))
+    _, rotation = per_node_rotation(con)
+    for a in (ops.mass, ops.elastic, ops.deviatoric, (ops.mass + ops.elastic).tocsr()):
+        system = con.reduce(a)
+        rows = (rotation.T @ a @ rotation).tocsr()[con.free]
+        for got, cols in ((system.matrix, con.free), (system.coupling, con.fixed)):
+            want = rows[:, cols].tocsr()
+            assert np.array_equal(got.indptr, want.indptr)
+            assert np.array_equal(got.indices, want.indices)
+            assert np.array_equal(_bits(got.data), _bits(want.data))
 
 
 def _row_unique_numbering(vertex_tuples, n_vertices):

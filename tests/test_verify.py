@@ -13,7 +13,7 @@ from viscofem.verify import (
     error_norms,
     unit_cube_problem,
 )
-from oracles import FullStepper, duhamel_stress, strong_residual
+from oracles import FullStepper, body_force, duhamel_stress, strong_residual, traction
 
 MATERIAL = MaterialModel.from_engineering(100.0, 1e5, 0.3, arms=((1e5, 1e-2),))
 DIRECT = LinearSolver(method="direct")
@@ -279,14 +279,14 @@ def _pointwise_body(space, exact, t):
     """(f(t), v) with the body force evaluated pointwise at time t."""
     from viscofem.assembly import assemble_volume_load
 
-    return assemble_volume_load(space, [lambda x: exact.body_force(x, t)])[0]
+    return assemble_volume_load(space, [lambda x: body_force(exact, x, t)])[0]
 
 
 def _pointwise_traction(space, exact, t):
     """(g(t), v)_Gamma_N with the traction evaluated pointwise at time t."""
     from viscofem.assembly import assemble_traction_load
 
-    return assemble_traction_load(space, lambda x, n: exact.traction(x, t, n))
+    return assemble_traction_load(space, lambda x, n: traction(exact, x, t, n))
 
 
 def _pointwise_time_integral(space, exact, t0, t1):
