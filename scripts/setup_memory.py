@@ -15,7 +15,12 @@ one JSON line:
 * ``load_vectors_s``: the wall time of the five load vectors;
 * ``error_norms_s`` and ``peak_rss_mb``: the error norms' wall time, and
   the peak after them;
-* ``energy_error`` and ``l2_error``: the two norms, for comparing runs.
+* ``energy_error`` and ``l2_error``: the two norms, for comparing runs;
+* ``pattern_bytes``: the bytes of the arrays of the space's cached
+  ``assembly.pattern``;
+* ``operators_s``: the wall time of one ``dynamics.OperatorSet`` build on
+  a fresh space over the same mesh (its geometry, pattern and the three
+  operators), timed after the peaks are read.
 
 The peak includes the interpreter and the imported libraries. Run from the
 root of the repository, one thread:
@@ -33,7 +38,7 @@ from time import perf_counter
 import numpy as np
 import scipy
 
-from viscofem import assembly, dynamics, material, verify
+from viscofem import assembly, dynamics, fespace, material, verify
 
 N = 32
 P = 1
@@ -70,6 +75,14 @@ def main():
     tic = perf_counter()
     energy, l2 = verify.error_norms(state, exact, ops)
     norms_s = perf_counter() - tic
+    peak = peak_rss_mb()
+    pattern_bytes = sum(a.nbytes for a in vars(assembly.pattern(space)).values()
+                        if isinstance(a, np.ndarray))
+
+    fresh = fespace.FeSpace(space.mesh, P)
+    tic = perf_counter()
+    dynamics.OperatorSet(fresh, mat)
+    operators_s = perf_counter() - tic
 
     print(json.dumps({
         "n": N,
@@ -80,9 +93,11 @@ def main():
         "setup_peak_rss_mb": round(setup_rss, 1),
         "load_vectors_s": round(loads_s, 3),
         "error_norms_s": round(norms_s, 3),
-        "peak_rss_mb": round(peak_rss_mb(), 1),
+        "peak_rss_mb": round(peak, 1),
         "energy_error": energy,
         "l2_error": l2,
+        "pattern_bytes": pattern_bytes,
+        "operators_s": round(operators_s, 3),
         "python": platform.python_version(),
         "numpy": np.__version__,
         "scipy": scipy.__version__,

@@ -10,12 +10,16 @@ Operators are scipy CSR matrices over interleaved vector dofs
 
 K_E = mu*S + lam*V and D = S/2 - V/3 combine the unit kernels
 S = integral(2*eps:eps) and V = integral(div*div); arm m acts through
-kappa_m*D. K_E and D share one CSR sparsity pattern, built once per
-space with a map from element-matrix entries to data slots, into which
-each chunk's element matrices are added slot by slot. M couples only
-equal components: it stores the scalar mass of each node pair at the
-entries (3i + a, 3j + a) alone, on its own pattern of a third as many
-entries, found from the same node pairs.
+kappa_m*D. The elements are affine, so each element integral is a
+reference integral, formed once with the form rule, times the element's
+Jacobian terms: M's element matrix is rho*det*M_ref, and the 3x3 blocks of
+K_E and D are one matrix product of the elements' Jacobian products by the
+reference tensor. The operators sit on a node-pair pattern, built once
+per space, which keeps the node pair of each element entry (i, j); each
+chunk's 3x3 blocks are added, in element order, into the CSR data of
+their node pairs. K_E and D share one pattern. M couples only equal
+components: it stores the scalar mass of each node pair at the entries
+(3i + a, 3j + a) alone, on its own pattern of a third as many entries.
 
 Element loops run over chunks of elements. Per element only the inverse
 Jacobian and the Jacobian determinant are kept, once per space; basis
@@ -149,7 +153,7 @@ class VolumeData:
     def points(self, chunk=slice(None)):
         """Physical quadrature points, (nc, nq, 3)."""
         mesh = self.space.mesh
-        return np.einsum("qv,eva->eqa", self.rule.points, mesh.vertices[mesh.tets[chunk]])
+        return self.rule.points @ mesh.vertices[mesh.tets[chunk]]
 
     def basis_gradients(self, chunk=slice(None)):
         """G[e,q,n,i] = d N_n / d x_i, (nc, nq, nloc, 3)."""
@@ -194,7 +198,7 @@ class FacetData:
         # physical basis gradients of the owner element at the facet points
         self.G = _physical_gradients(dn_ref, element_geometry(space)[0][owners])
         tri = mesh.vertices[mesh.boundary_facets[self.facets]]
-        self.points = np.einsum("qv,fva->fqa", rule.points, tri)
+        self.points = rule.points @ tri
         cr = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
         areas = 0.5 * np.linalg.norm(cr, axis=1)
         self.normals = cr / (2.0 * areas)[:, None]
@@ -248,106 +252,81 @@ def _read_only(vec):
 
 class Pattern:
     """CSR sparsity patterns of the element-to-element dof couplings of a
-    space, built once per space. ``indptr`` and ``indices`` couple every
-    component pair of two nodes (3i + a, 3j + b), and ``slot`` maps each
-    entry of an (ne, nld, nld) element matrix array, in C order, to its
-    data slot; every vector operator shares them. ``mass_indptr`` and
-    ``mass_indices`` hold only the equal-component entries (3i + a, 3j + a)
-    of the same node pairs, and ``mass_source`` the slot of the (0, 0)
-    entry of each one's node pair. All are read-only and in one index
-    dtype.
+    space, built once per space: ``indptr`` and ``indices`` couple every
+    component pair of two nodes (3i + a, 3j + b), shared by every vector
+    operator; ``mass_indptr`` and ``mass_indices`` only the entries
+    (3i + a, 3j + a), shared by every mass. All arrays are read-only and
+    in one index dtype.
 
-    The patterns are found on scalar node pairs s = (i, c), sorted, of
-    which row i holds rowlen[i] from sptr[i]. The vector pattern expands
-    each pair to its 3x3 block: entry (a, b) at slot
-    9 sptr[i] + 3 a rowlen[i] + 3 (s - sptr[i]) + b, column 3c + b, the
-    order a sort of the vector-dof pairs gives. The mass pattern keeps
-    entry (a, a) at slot 3 sptr[i] + a rowlen[i] + (s - sptr[i]),
-    column 3c + a, so the (0, 0) entry's mass slot is a third of its
-    vector slot."""
+    The node pairs s = (i, c) are sorted, row i holding rowlen[i] of them
+    from sptr[i]. The mass pattern stores entry (a, a) of pair s at slot
+    3 sptr[i] + a rowlen[i] + s - sptr[i], column 3c + a, so the pair's
+    entry a = 0 is at m = 2 sptr[i] + s, which ``mass_source`` gives for
+    every mass slot. The vector pattern, in the order a sort of the vector
+    dof pairs gives, stores entry (a, b) at 3 m + a stride[i] + b, column
+    3c + b, with stride[i] = 3 rowlen[i]. ``pair`` (ne, nloc*nloc) holds m
+    of each element entry (i, j), in C order, and ``stride`` (ne, nloc)
+    the stride of each element node."""
 
     def __init__(self, space: FeSpace):
         cd = space.cell_dofs
         ne, nloc = cd.shape
         ns = space.n_scalar_dofs
-        keys = (cd[:, :, None] * ns + cd[:, None, :]).ravel()
-        keys, pair = np.unique(keys, return_inverse=True)
-        rows = keys // ns
-        rowlen = np.bincount(rows, minlength=ns)
-        sptr = np.concatenate(([0], np.cumsum(rowlen)))
-        comp = np.arange(3)
+        keys, pair = np.unique((cd[:, :, None] * ns + cd[:, None, :]).ravel(),
+                               return_inverse=True)
         n_pairs = len(keys)
         n, nnz = 3 * ns, 9 * n_pairs
         index = np.int32 if max(n, nnz) < 2**31 else np.int64
-        in_row = np.arange(n_pairs) - sptr[rows]
-        columns = 3 * (keys % ns)
+        sptr = np.searchsorted(keys, np.arange(ns + 1) * ns)
+        rowlen = np.diff(sptr)
+        # the mass slots in order, row i, then component a, then pair s
+        row = np.repeat(np.arange(ns), 3 * rowlen)
+        slot = np.arange(3 * n_pairs)
+        comp = (slot - 3 * sptr[row]) // rowlen[row]
+        source = slot - comp * rowlen[row]
+        column = (3 * (keys % ns)[source - 2 * sptr[row]]).astype(index)
+        del row, slot
+        self.mass_source = _read_only(source.astype(index))
+        self.mass_indices = _read_only(column + comp.astype(index))
+        self.indices = _read_only((column[:, None] + np.arange(3, dtype=index)).ravel())
+        del source, column, comp
+        start = 3 * sptr[:-1, None] + rowlen[:, None] * np.arange(3)  # (ns, a)
+        self.mass_indptr = _read_only(np.append(start, 3 * n_pairs).astype(index))
+        self.indptr = _read_only(np.append(3 * start, nnz).astype(index))
+        mass_slot = (2 * sptr[keys // ns] + np.arange(n_pairs)).astype(index)
         del keys
-        # the vector pattern, from the slots of the blocks of all scalar
-        # pairs, (s, a, b)
-        row_start = 9 * sptr[:-1, None] + 3 * rowlen[:, None] * comp  # (ns, a)
-        block_slot = row_start[rows][:, :, None] + (3 * in_row[:, None] + comp)[:, None, :]
-        indices = np.empty(nnz, dtype=index)
-        indices[block_slot] = columns[:, None, None] + comp
-        del block_slot
-        self.indices = _read_only(indices)
-        self.indptr = _read_only(np.append(row_start.ravel(), nnz).astype(index))
-        # the mass pattern, and for each of its entries the slot of the
-        # same node pair's (0, 0) entry
-        mass_start = 3 * sptr[:-1, None] + rowlen[:, None] * comp  # (ns, a)
-        mass_slot = mass_start[rows] + in_row[:, None]  # (s, a)
-        del rows, in_row
-        mass_indices = np.empty(3 * n_pairs, dtype=index)
-        mass_indices[mass_slot] = columns[:, None] + comp
-        mass_source = np.empty(3 * n_pairs, dtype=index)
-        mass_source[mass_slot] = mass_slot[:, :1]
-        del mass_slot, columns
-        self.mass_indices, self.mass_source = _read_only(mass_indices), _read_only(mass_source)
-        self.mass_indptr = _read_only(np.append(mass_start.ravel(), 3 * n_pairs).astype(index))
-        pair = pair.astype(index)
-        # element entry (e, i, a, j, b) of the pair s = pair[e, i, j], with
-        # 9 sptr + 3 (s - sptr) = 6 sptr + 3 s, computed in the index dtype
-        # throughout (every partial sum is below nnz) and added into the
-        # array in place, so no temporary of the element entries' size is
-        # made; the pattern's other temporaries are freed before
-        sptr, rowlen, comp = sptr.astype(index), rowlen.astype(index), comp.astype(index)
-        row = cd[:, :, None, None, None]
-        slot = np.empty((ne, nloc, 3, nloc, 3), dtype=index)
-        np.add(6 * sptr[row] + 3 * pair.reshape(ne, nloc, 1, nloc, 1),
-               3 * rowlen[row] * comp[:, None, None], out=slot)
-        del pair
-        slot += comp
-        self.slot = _read_only(slot.reshape(-1))
+        self.pair = _read_only(mass_slot[pair].reshape(ne, nloc * nloc))
+        self.stride = _read_only((3 * rowlen).astype(index)[cd])
         self.shape = (n, n)
-        self.n_elements, self.nloc = ne, nloc
 
-    def assemble(self, element_matrices, mass=False):
-        """CSR matrices, one per array that ``element_matrices(chunk)``
-        returns for a slice of elements: each array is a vector element
-        matrix array (nc, nld, nld), on the vector pattern, or with
-        ``mass`` a scalar one (nc, nloc, nloc), whose sums the matrix
-        stores at every equal-component entry (3i + a, 3j + a), on the
-        mass pattern. The chunks hold at most ``OPERATOR_CHUNK_BYTES`` per
-        array, and each is added into the data slot by slot in element
-        order: the order a sum over all element matrices at once takes, so
-        the data, and the exact zeros where contributions cancel, do not
-        depend on the chunks."""
-        nloc, size = self.nloc, (3 * self.nloc) ** 2
+    def assemble(self, element_blocks, mass=False):
+        """CSR matrices, one per array that ``element_blocks(chunk)``
+        returns for a slice of elements: the 3x3 block of each element
+        entry (i, j), (nc, 9, nloc*nloc) as [e, 3a + b, nloc*i + j], on
+        the vector pattern, or with ``mass`` a scalar (nc, nloc*nloc),
+        stored at each entry (a, a), on the mass pattern. The chunks hold
+        at most ``OPERATOR_CHUNK_BYTES`` per array, each added into the
+        data slot by slot in element order, the order of a sum over all
+        elements at once: the data, and the exact zeros where
+        contributions cancel, do not depend on the chunks."""
+        ne, nloc = self.stride.shape
+        comp = np.arange(3)
         sums = None
-        for chunk in _chunks(self.n_elements, 8 * (nloc * nloc if mass else size)):
-            matrices = element_matrices(chunk)
+        for chunk in _chunks(ne, 8 * (1 if mass else 9) * nloc * nloc):
+            arrays = element_blocks(chunk)
             if sums is None:
-                n_sums = len(self.mass_indices if mass else self.indices)
-                sums = [np.zeros(n_sums) for _ in matrices]
-            slot = self.slot[chunk.start * size:chunk.stop * size]
-            if mass:
-                # a node pair's (0, 0) entry sits at three times its slot
-                # in the mass pattern
-                slot = (slot.reshape(-1, nloc, 3, nloc, 3)[:, :, 0, :, 0] // 3).ravel()
-            for out, dense in zip(sums, matrices):
-                np.add.at(out, slot, dense.ravel())
+                sums = [np.zeros(len(self.mass_indices if mass else self.indices)) for _ in arrays]
+            slot = self.pair[chunk].astype(np.intp)
+            if not mass:
+                # entry (a, b) of each block, (nc, a, b, i, j)
+                row = comp[:, None] * self.stride[chunk, None, :]  # (nc, a, i)
+                slot = 3 * slot.reshape(-1, 1, nloc, nloc) + row[..., None]
+                slot = slot[:, :, None] + comp[:, None, None]
+            for out, blocks in zip(sums, arrays):
+                np.add.at(out, slot.ravel(), blocks.ravel())
         if mass:
-            return [sp.csr_matrix((s[self.mass_source], self.mass_indices, self.mass_indptr),
-                                  shape=self.shape) for s in sums]
+            return [sp.csr_matrix((np.take(s, self.mass_source), self.mass_indices,
+                                   self.mass_indptr), shape=self.shape) for s in sums]
         return [sp.csr_matrix((s, self.indices, self.indptr), shape=self.shape) for s in sums]
 
 
@@ -357,48 +336,58 @@ def pattern(space: FeSpace) -> Pattern:
 
 def assemble_mass(space: FeSpace, rho):
     """Vector mass matrix with density rho, on the space's mass pattern:
-    it couples only equal components, each by the scalar mass."""
+    it couples only equal components, each by the scalar mass
+    rho det_e M_ref of the reference mass M_ref."""
     if rho <= 0:
         raise ValueError("density must be positive")
     vd = volume_data(space)
+    # M_ref[i, j] = integral of N_i N_j, exact under the form rule
+    ref = ((vd.rule.weights[:, None] * vd.N).T @ vd.N).ravel()
 
-    def element_matrices(chunk):
-        return (rho * np.einsum("eq,qi,qj->eij", vd.weights(chunk), vd.N, vd.N),)
+    def element_blocks(chunk):
+        return ((rho * vd.det[chunk])[:, None] * ref,)
 
-    (mass,) = pattern(space).assemble(element_matrices, mass=True)
+    (mass,) = pattern(space).assemble(element_blocks, mass=True)
     return mass
 
 
 def assemble_strain_operators(space: FeSpace, mu, lam):
     """(K_E, D) = (mu*S + lam*V, S/2 - V/3) on the space's ``pattern``,
-    from the unit kernels S = integral(2*eps:eps) and
-    V = integral(div*div) of one pass over the element gradients, formed
-    and added into both operators one chunk of elements at a time.
+    from the unit kernels S = integral(2*eps:eps) and V = integral(div*div),
+    formed and added into both operators one chunk of elements at a time.
+
+    On an affine element, integral(d_a N_i d_b N_j) = P[a, b] . R[i, j] over
+    (r, s), with P[a, b, r, s] = det Jinv[r, a] Jinv[s, b] and R the
+    reference integral of d_r N_i d_s N_j. So block (a, b) of entry (i, j)
+    is V = P[a, b] . R and S = P[a, b] . R' + delta_ab tr(P) . R, R' being R
+    with r, s swapped: the blocks of each operator are one matrix product of
+    the elements' 9 x 9 matrices P by a combination of R and R'.
 
     The kernels are combined per element, before the scatter, so that an
     entry whose element contributions cancel sums to an exact zero, which a
     sparse sum of the operators drops; combining the scattered kernels
     instead leaves rounding residues there that grow the LU factor."""
     vd = volume_data(space)
-    nld = 3 * vd.N.shape[1]
+    nn = vd.N.shape[1] ** 2
+    # R[r, s, i, j], exact under the form rule, and R with r, s swapped
+    ref = np.einsum("q,qir,qjs->rsij", vd.rule.weights, vd.dN, vd.dN).reshape(3, 3, nn)
+    swapped = np.swapaxes(ref, 0, 1).reshape(9, nn)
+    ref = ref.reshape(9, nn)
+    kernels = ((mu * swapped + lam * ref, mu), (0.5 * swapped - ref / 3.0, 0.5))
 
-    def element_matrices(chunk):
-        G = vd.basis_gradients(chunk)
-        gw = G * vd.weights(chunk)[:, :, None, None]
-        gg = np.einsum("eqik,eqjk->eij", gw, G, optimize=True)
-        # the optimized contractions return strided views; the element-wise
-        # work below runs faster on C-ordered copies
-        strain = np.ascontiguousarray(np.einsum("eqja,eqib->eiajb", gw, G, optimize=True))
-        for a in range(3):
-            strain[:, :, a, :, a] += gg
-        div = np.ascontiguousarray(np.einsum("eqia,eqjb->eiajb", gw, G, optimize=True))
-        elastic = mu * strain
-        elastic += lam * div
-        deviatoric = 0.5 * strain
-        deviatoric -= div / 3.0
-        return elastic.reshape(-1, nld, nld), deviatoric.reshape(-1, nld, nld)
+    def element_blocks(chunk):
+        jt = np.swapaxes(vd.jinv[chunk], 1, 2)  # jt[e, a, r] = Jinv[e, r, a]
+        scaled = vd.det[chunk, None, None] * jt
+        prod = (scaled[:, :, None, :, None] * jt[:, None, :, None, :]).reshape(-1, 9)
+        trace = (np.swapaxes(scaled, 1, 2) @ jt).reshape(-1, 9) @ ref  # (nc, nn)
+        blocks = []
+        for kernel, diagonal in kernels:
+            out = (prod @ kernel).reshape(len(jt), 9, nn)
+            out[:, ::4] += diagonal * trace[:, None]  # the entries (a, a)
+            blocks.append(out)
+        return blocks
 
-    return tuple(pattern(space).assemble(element_matrices))
+    return tuple(pattern(space).assemble(element_blocks))
 
 
 def assemble_volume_load(space: FeSpace, fields, degree=None):
@@ -417,7 +406,7 @@ def assemble_volume_load(space: FeSpace, fields, degree=None):
         x = points.reshape(-1, 3)
         for vec, field in zip(out, fields):
             f = np.asarray(field(x), dtype=float).reshape(points.shape)
-            contrib = np.einsum("eq,qn,eqa->ena", wdet, vd.N, f)
+            contrib = vd.N.T @ (wdet[..., None] * f)
             np.add.at(vec, vdofs, contrib.reshape(len(contrib), -1))
     for field in fields:
         release = getattr(getattr(field, "__self__", None), "release_points", None)
@@ -435,7 +424,7 @@ def assemble_traction_load(space: FeSpace, field, label=None):
         return out
     nrm = np.repeat(fd.normals, fd.points.shape[1], axis=0)
     g = np.asarray(field(fd.points.reshape(-1, 3), nrm), dtype=float)
-    contrib = np.einsum("fq,fqn,fqa->fna", fd.warea, fd.N, g.reshape(fd.points.shape))
+    contrib = np.swapaxes(fd.N, 1, 2) @ (fd.warea[..., None] * g.reshape(fd.points.shape))
     np.add.at(out, fd.vdofs, contrib.reshape(len(contrib), -1))
     return out
 
@@ -500,13 +489,33 @@ def stress_from_gradients(grad_u0, grad_ve, mu, lam):
     return sigma + dev
 
 
-def state_stress(gradient, material, u0, uve):
-    """Total stress where ``gradient`` (u -> grad u) evaluates, from one
-    displacement and the gradient of ``material.kappa @ uve``, the one
-    internal field whose deviatoric strain is the stress of all arms
-    together (zero without arms)."""
-    grad_ve = gradient(material.kappa @ uve)
-    return stress_from_gradients(gradient(u0), grad_ve, material.mu, material.lam)
+def surface_strain_maps(space: FeSpace, label):
+    """(nodes, normal, div) of the facets tagged ``label``: their sorted
+    scalar dofs, and two sparse maps from a displacement u to each node's
+    area-weighted mean, over its facets, of the facet means of the normal
+    strain n.eps(u).n and of div u, taken from the owning elements at the
+    facet quadrature of degree 2p. Cached per (space, label)."""
+
+    def build():
+        fd = facet_data(space, degree=2 * space.p, label=label)
+        areas = fd.warea.sum(axis=1)
+        # facet means of the basis gradients d N_i / d x_a, (nf, nloc, 3)
+        grad = np.einsum("fq,fqia->fia", fd.warea / areas[:, None], fd.G)
+        normal = (grad @ fd.normals[:, :, None]) * fd.normals[:, None, :]
+        facet_nodes = space.facet_scalar_dofs(fd.facets)
+        nf, k = facet_nodes.shape
+        nodes, node = np.unique(facet_nodes.ravel(), return_inverse=True)
+        average = sp.csr_matrix((np.repeat(areas, k), (node, np.repeat(np.arange(nf), k))),
+                                shape=(len(nodes), nf))
+        average = sp.diags(1.0 / average.sum(axis=1).A1) @ average
+        rows, cols = np.repeat(np.arange(nf), fd.vdofs.shape[1]), fd.vdofs.ravel()
+
+        def node_map(values):
+            return average @ sp.csr_matrix((values.ravel(), (rows, cols)), (nf, space.n_dofs))
+
+        return nodes, node_map(normal), node_map(grad)
+
+    return _cached(space, ("surface_strain", label), build)
 
 
 def recover_nodal_stress(space: FeSpace, material, u0, uve):

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .assembly import facet_data, recover_nodal_stress, state_stress, von_mises
+from .assembly import recover_nodal_stress, surface_strain_maps, von_mises
 from .dynamics import (
     LinearSolver,
     OperatorSet,
@@ -211,29 +211,19 @@ def compute_contact_pressure(state: State, space: FeSpace, slip_label,
                              material: MaterialModel):
     """Nodal contact pressure on a slip surface, compression positive.
 
-    The stress sigma = sigma_E(u0) + dev eps(sum_m kappa_m u_ve_m) is
-    evaluated from element gradients at facet quadrature points; the
-    quadrature average of -n.sigma.n per facet is area-averaged onto the
-    surface nodes.
+    The normal stress n.sigma.n of sigma = sigma_E(u0) + dev eps(w), with
+    w = sum_m kappa_m u_ve_m, is 2 mu n.eps(u0).n + lam div u0 + n.eps(w).n
+    - div w / 3. Its facet means, area-averaged onto the surface nodes, are
+    so two cached linear maps (``surface_strain_maps``) of combinations
+    of u0 and w.
 
     Returns (node_indices, pressures).
     """
-    facets = space.mesh.facets_with_label(slip_label)
-    if len(facets) == 0:
+    if len(space.mesh.facets_with_label(slip_label)) == 0:
         raise ValueError(f"no facets labelled {slip_label!r}")
-    fd = facet_data(space, degree=2 * space.p, label=slip_label)
-    sigma = state_stress(fd.gradient, material, state.u0, state.uve)
-    traction_n = np.einsum("fqab,fa,fb->fq", sigma, fd.normals, fd.normals)
-    areas = fd.warea.sum(axis=1)
-    facet_mean = -(fd.warea * traction_n).sum(axis=1) / areas
-
-    facet_nodes = space.facet_scalar_dofs(fd.facets)
-    acc_val, acc_area = np.zeros((2, space.n_scalar_dofs))
-    # np.add.at adds facet after facet, in the order of a loop over them
-    np.add.at(acc_val, facet_nodes, (areas * facet_mean)[:, None])
-    np.add.at(acc_area, facet_nodes, areas[:, None])
-    nodes = np.nonzero(acc_area > 0)[0]
-    return nodes, acc_val[nodes] / acc_area[nodes]
+    nodes, normal, div = surface_strain_maps(space, slip_label)
+    u0, w = state.u0, material.kappa @ state.uve
+    return nodes, -(normal @ (2.0 * material.mu * u0 + w) + div @ (material.lam * u0 - w / 3.0))
 
 
 # -- seal scenario ----------------------------------------------------------

@@ -136,13 +136,23 @@ def _coo_operator(space, dense):
     return sp.coo_matrix((dense.ravel(), (rows, cols)), shape=(space.n_dofs,) * 2).tocsr()
 
 
+def _element_matrices(blocks):
+    """Element matrices (ne, nld, nld) over the vector dofs 3i + a of each
+    element from its node-pair blocks (ne, 9, nloc*nloc), [e, 3a + b,
+    nloc*i + j]."""
+    ne, nloc = len(blocks), int(round(np.sqrt(blocks.shape[2])))
+    return blocks.reshape(ne, 3, 3, nloc, nloc).transpose(0, 3, 1, 4, 2).reshape(
+        ne, 3 * nloc, 3 * nloc)
+
+
 def _vector_element_mass(space, chunk=slice(None)):
-    """The 9x element mass matrices (nc, nld, nld): each scalar element
-    mass times the 3x3 identity, as M was formed on the vector pattern."""
+    """The element mass blocks on the vector pattern (nc, 9, nloc*nloc):
+    each scalar element mass, rho det_e M_ref as M is formed, at the
+    equal-component entries (a, a) and exact zeros elsewhere."""
     vd = volume_data(space)
-    nn = np.einsum("eq,qi,qj->eij", vd.weights(chunk), vd.N, vd.N)
-    nld = 3 * nn.shape[1]
-    return (RHO * np.einsum("eij,ab->eiajb", nn, np.eye(3))).reshape(-1, nld, nld)
+    ref = ((vd.rule.weights[:, None] * vd.N).T @ vd.N).ravel()
+    scalar = (RHO * vd.det[chunk])[:, None] * ref
+    return np.eye(3).reshape(1, 9, 1) * scalar[:, None, :]
 
 
 def full_pattern_mass(space):
@@ -169,7 +179,7 @@ def test_mass_keeps_a_third_of_the_shared_pattern(p):
     for name in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(ops.mass, name), getattr(full, name))
     # and the sums equal those of a COO conversion, whose order may differ
-    want = _coo_operator(space, _vector_element_mass(space))
+    want = _coo_operator(space, _element_matrices(_vector_element_mass(space)))
     want.eliminate_zeros()
     assert np.array_equal(ops.mass.indptr, want.indptr)
     assert np.array_equal(ops.mass.indices, want.indices)
@@ -221,9 +231,10 @@ def test_bincount_scatter_matches_coo_oracle(monkeypatch, n, p):
     operators(space)
     assert len(element_matrices) == 2
     cancelled_total = 0
-    for dense in element_matrices:
+    for blocks in element_matrices:
+        dense = _element_matrices(blocks)
         want = _coo_operator(space, dense)
-        (got,) = assemble(assembly.pattern(space), lambda chunk: (dense[chunk],))
+        (got,) = assemble(assembly.pattern(space), lambda chunk: (blocks[chunk],))
         assert np.array_equal(got.indptr, want.indptr)
         assert np.array_equal(got.indices, want.indices)
         assert np.abs(got.data - want.data).max() <= 1e-15 * np.abs(want.data).max()
@@ -254,7 +265,12 @@ def test_pattern_matches_vector_key_reference(kind, p):
     indptr, indices, slot = _vector_key_pattern(space)
     assert np.array_equal(got.indptr, indptr)
     assert np.array_equal(got.indices, indices)
-    assert np.array_equal(got.slot, slot)
+    # entry (a, b) of element entry (i, j) goes to slot 3 pair + a stride + b
+    ne, nloc = got.stride.shape
+    comp = np.arange(3)
+    pair = got.pair.reshape(ne, nloc, 1, nloc, 1).astype(np.int64)
+    stride = got.stride.reshape(ne, nloc, 1, 1, 1) * comp.reshape(3, 1, 1)
+    assert np.array_equal((3 * pair + stride + comp).ravel(), slot)
 
 
 def test_operators_bit_equal_across_element_chunks(monkeypatch):
@@ -309,7 +325,25 @@ def test_pattern_slot_in_index_dtype(space):
     from viscofem import assembly
 
     pat = assembly.pattern(space)
-    assert pat.slot.dtype == pat.indices.dtype == np.int32
+    arrays = (pat.pair, pat.stride, pat.indices, pat.indptr, pat.mass_indices,
+              pat.mass_indptr, pat.mass_source)
+    assert {a.dtype for a in arrays} == {np.dtype(np.int32)}
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_pattern_memory_grows_with_node_pairs(p):
+    # no array of the element entries' vector size, ne (3 nloc)^2: the
+    # pattern keeps one int32 per element entry (i, j), its CSR arrays and
+    # one map per mass slot
+    from viscofem import assembly
+
+    space = FeSpace(build_box_mesh(3), p)
+    pat = assembly.pattern(space)
+    ne, nloc = space.cell_dofs.shape
+    arrays = [a for a in vars(pat).values() if isinstance(a, np.ndarray)]
+    assert max(a.size for a in arrays) < ne * (3 * nloc) ** 2
+    nnz = len(pat.indices)
+    assert sum(a.nbytes for a in arrays) <= (ne * nloc**2 + 3 * nnz + 2 * space.n_dofs + 2) * 4
 
 
 def test_volume_data_chunks_match_whole_mesh_formulas(monkeypatch, space):
@@ -356,15 +390,20 @@ def test_volume_data_keeps_per_element_geometry_only(space):
         assert sum(a.nbytes for a in arrays) == tables + 10 * 8 * ne
 
 
-@pytest.mark.parametrize("n, p", [(1, 2), (2, 1)])
+@pytest.mark.parametrize("n, p", [(1, 2), (2, 1), ("annulus", 2), (1, 3)])
 def test_strain_operators_match_per_element_loop(n, p):
     # K_E and D from each element's strain tensors of its vector basis
-    # functions, one element and one quadrature point at a time
+    # functions, one element and one quadrature point at a time; the
+    # annulus's elements are not congruent, unlike the box's
     import scipy.sparse as sp
 
     from viscofem.fespace import quadrature, reference_basis
+    from viscofem.mesh import build_annulus_mesh
 
-    space = FeSpace(build_box_mesh(n), p)
+    if n == "annulus":
+        space = FeSpace(build_annulus_mesh(0.5, 1.0, 0.4, (1, 4, 1)), p)
+    else:
+        space = FeSpace(build_box_mesh(n), p)
     ops = operators(space)
     rule = quadrature(2 * p)
     _, dN = reference_basis(p, rule.points)

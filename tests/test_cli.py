@@ -318,8 +318,10 @@ def test_contact_pressure_single_element_hand_value():
 
 
 @pytest.mark.parametrize("p", [1, 2])
-def test_contact_pressure_equals_facet_loop_bit_for_bit(p):
-    from viscofem.assembly import facet_data, state_stress
+def test_contact_pressure_equals_facet_loop(p):
+    # the pressures come from cached linear maps, which sum in another
+    # order than the stress at the facet points does
+    from viscofem.assembly import facet_data, stress_from_gradients
 
     mat = MaterialModel.from_engineering(1100.0, 0.5e6, 0.39,
                                          arms=((3.5e6, 1e-2), (2.5e5, 1.0)))
@@ -330,7 +332,8 @@ def test_contact_pressure_equals_facet_loop_bit_for_bit(p):
     nodes, p_vals = compute_contact_pressure(state, space, "inner", mat)
     # oracle: the facet means averaged onto the nodes one facet at a time
     fd = facet_data(space, degree=2 * p, label="inner")
-    sigma = state_stress(fd.gradient, mat, state.u0, state.uve)
+    sigma = stress_from_gradients(fd.gradient(state.u0), fd.gradient(mat.kappa @ state.uve),
+                                  mat.mu, mat.lam)
     traction_n = np.einsum("fqab,fa,fb->fq", sigma, fd.normals, fd.normals)
     areas = fd.warea.sum(axis=1)
     facet_mean = -(fd.warea * traction_n).sum(axis=1) / areas
@@ -342,7 +345,8 @@ def test_contact_pressure_equals_facet_loop_bit_for_bit(p):
         acc_area[nds] += areas[i]
     want_nodes = np.nonzero(acc_area > 0)[0]
     assert np.array_equal(nodes, want_nodes)
-    assert np.array_equal(p_vals, acc_val[want_nodes] / acc_area[want_nodes])
+    want = acc_val[want_nodes] / acc_area[want_nodes]
+    assert np.abs(p_vals - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_contact_pressure_requires_slip_surface():

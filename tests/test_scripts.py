@@ -32,6 +32,7 @@ def test_setup_memory_prints_json(monkeypatch, capsys):
     assert out["n"] == 2 and out["dofs"] == 3 * 3**3
     assert out["energy_error"] > 0 and out["l2_error"] > 0
     assert out["load_vectors_s"] >= 0
+    assert out["operators_s"] > 0 and out["pattern_bytes"] > 0
 
 
 def test_arm_sweep_prints_json(monkeypatch, capsys):
