@@ -167,53 +167,37 @@ class VolumeData:
     def value(self, u, chunk=slice(None)):
         return _evaluate_field(self.N, self.cell_values(u, chunk))
 
-    def gradient(self, u, chunk=slice(None)):
-        """grad[e,q,a,i] = d u_a / d x_i."""
-        return _evaluate_field(self.basis_gradients(chunk), self.cell_values(u, chunk))
-
 
 class FacetData:
-    """Cached facet quadrature tables for a set of boundary facets."""
+    """Facet quadrature tables of one degree for a set of boundary facets:
+    the owners' basis values ``N`` and physical gradients ``G``, the
+    ``points``, and the mesh's unit ``normals`` and weights times twice the
+    area ``warea``. The basis is evaluated in one call, once per distinct
+    placement of a facet in its owner (``space.facet_local``)."""
 
     def __init__(self, space: FeSpace, degree: int, facets):
         self.space = space
         self.facets = np.asarray(facets, dtype=np.int64)
         rule = triangle_quadrature(degree)
         mesh = space.mesh
-        nq = len(rule.weights)
-        nloc = len(space.ref_nodes)
-        self.N = np.empty((len(self.facets), nq, nloc))
-        dn_ref = np.empty((len(self.facets), nq, nloc, 3))
-        # group facets by local-slot signature: only a handful of distinct
-        # barycentric embeddings exist, evaluate the basis once per group
-        sig = {}
-        for i, f in enumerate(self.facets):
-            sig.setdefault(tuple(space.facet_local[f]), []).append(i)
-        for key, idxs in sig.items():
-            bar = space.facet_barycentric_in_owner(self.facets[idxs[0]], rule.points)
-            vals, grads = reference_basis(space.p, bar)
-            self.N[idxs] = vals
-            dn_ref[idxs] = grads
+        nq, nloc = len(rule.weights), len(space.ref_nodes)
+        placements, placement = np.unique(space.facet_local[self.facets], axis=0,
+                                          return_inverse=True)
+        # the triangle's barycentric points in the owner's, per placement
+        bar = np.zeros((len(placements), nq, 4))
+        np.put_along_axis(bar, placements[:, None, :], rule.points, axis=2)
+        vals, grads = reference_basis(space.p, bar.reshape(-1, 4))
+        self.N = vals.reshape(len(placements), nq, nloc)[placement]
+        dn_ref = grads.reshape(len(placements), nq, nloc, 3)[placement]
         owners = mesh.facet_owner[self.facets]
         # physical basis gradients of the owner element at the facet points
         self.G = _physical_gradients(dn_ref, element_geometry(space)[0][owners])
-        tri = mesh.vertices[mesh.boundary_facets[self.facets]]
-        self.points = rule.points @ tri
-        cr = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
-        areas = 0.5 * np.linalg.norm(cr, axis=1)
-        self.normals = cr / (2.0 * areas)[:, None]
+        self.points = rule.points @ mesh.vertices[mesh.boundary_facets[self.facets]]
+        self.normals = mesh.facet_normals()[self.facets]
         # reference weights sum to 1/2; physical scale factor is 2*area
-        self.warea = rule.weights[None, :] * (2.0 * areas)[:, None]
+        self.warea = rule.weights[None, :] * (2.0 * mesh.facet_areas()[self.facets])[:, None]
         self.cell_dofs = space.cell_dofs[owners]
         self.vdofs = _vector_dofs(self.cell_dofs)
-
-    def value(self, u):
-        return _evaluate_field(self.N, u.reshape(-1, 3)[self.cell_dofs])
-
-    def gradient(self, u):
-        """grad[f,q,a,i] = d u_a / d x_i at the facet quadrature points,
-        taken from the owning element."""
-        return _evaluate_field(self.G, u.reshape(-1, 3)[self.cell_dofs])
 
 
 def _cached(space, key, build):

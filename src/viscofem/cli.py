@@ -529,7 +529,7 @@ def main(argv=None):
         )
         out_dir.mkdir(parents=True, exist_ok=True)
         return _SCENARIOS[args.scenario](cfg, out_dir)
-    except ValueError as exc:  # a ConfigError, or a library input check
+    except (ValueError, OSError) as exc:  # bad config or input, or unusable output
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except SolverError as exc:

@@ -438,14 +438,16 @@ def simulate(operators: OperatorSet, constraints: Constraints, grid: TimeGrid,
     each new State. Returns the ledger and the final state. The scheme is
     unconditionally stable, so a step whose ledger energy is not finite
     (bad input or a solver fault) raises ``SolverError``. A ``state0``
-    whose internal fields are not one row per arm of the material raises
-    ``ValueError``.
+    whose internal fields are not one row per arm of the material, or
+    whose time is not the grid's first node, raises ``ValueError``.
     """
     shape = (operators.material.n_arms, operators.space.n_dofs)
     if state0 is None:
         state0 = State.zero(operators.space, shape[0], float(grid.nodes[0]))
     if state0.uve.shape != shape:
         raise ValueError(f"state0 has internal fields {state0.uve.shape}, need {shape}")
+    if state0.t != grid.nodes[0]:
+        raise ValueError(f"state0 is at t = {state0.t!r}, the grid starts at {grid.nodes[0]!r}")
     state = state0
     ledger = [energy(state, operators, 0.0)]
     stepper = None

@@ -388,14 +388,6 @@ class FeSpace:
         """Sorted scalar dofs lying on all facets with the given label."""
         return np.unique(self.facet_scalar_dofs(self.mesh.facets_with_label(label)))
 
-    def facet_barycentric_in_owner(self, facet_index, tri_points):
-        """Map triangle barycentric points onto the owner tet's barycentric."""
-        tri_points = np.atleast_2d(tri_points)
-        out = np.zeros((tri_points.shape[0], 4))
-        for s, v in enumerate(self.facet_local[facet_index]):
-            out[:, v] = tri_points[:, s]
-        return out
-
     def interpolate(self, fn):
         """Nodal interpolation of fn(points (n,3)) -> (n,3) onto the space."""
         vals = np.asarray(fn(self.dof_coords), dtype=float)
@@ -407,45 +399,22 @@ class FeSpace:
 # -- essential constraints ---------------------------------------------
 
 
-def _as_vector_fn(value):
-    if callable(value):
-        return value
-    const = np.asarray(value, dtype=float)
-
-    def fn(x, t=0.0):
-        return np.broadcast_to(const, (len(np.atleast_2d(x)), 3))
-
-    return fn
-
-
-def _as_scalar_fn(value):
-    if callable(value):
-        return value
-    const = float(value)
-
-    def fn(x, t=0.0):
-        return np.full(len(np.atleast_2d(x)), const)
-
-    return fn
-
-
 class DirichletBC:
-    """Prescribed displacement vector on all nodes of a tag label: a
-    constant, or a function value(x, t) -> (n, 3)."""
+    """Prescribed displacement vector on all nodes of a tag label: ``value``,
+    a constant or a function value(x, t) of points x (n, 3), broadcast to (n, 3)."""
 
     def __init__(self, value=(0.0, 0.0, 0.0)):
-        self.constant = not callable(value)
-        self.value = _as_vector_fn(value)
+        self.value = value
 
 
 class SlipBC:
     """Prescribed displacement along the stored outward nodal normal;
     tangential components are traction-free (left unconstrained). The
-    normal value is a constant or a function normal_value(x, t) -> (n,)."""
+    normal value, kept as ``value``, is a constant or a function
+    normal_value(x, t), broadcast to (n,)."""
 
     def __init__(self, normal_value=0.0):
-        self.constant = not callable(normal_value)
-        self.normal_value = _as_scalar_fn(normal_value)
+        self.value = normal_value
 
 
 def _row_norms(v):
@@ -561,7 +530,7 @@ class Constraints:
         each kind: (bc, nodes, slots), with the positions in ``fixed`` of
         the nodes' values, (n, 3) for Dirichlet nodes and (n,) for the
         normal slot of slip nodes. The constant BCs' values are filled in
-        ``_constant_values`` here, once; only the others are kept in
+        ``_constant_values`` here, once; only the callable ones are kept in
         ``_targets``, to evaluate per time."""
         self._targets = []
         values = np.zeros(len(self.fixed))
@@ -571,23 +540,20 @@ class Constraints:
                 nodes = np.nonzero(owner == i)[0]
                 first = np.searchsorted(self.fixed, 3 * nodes)
                 target = (bcs[i], nodes, np.add.outer(first, offsets))
-                if bcs[i].constant:
-                    self._fill(values, target, 0.0)
-                else:
+                if callable(bcs[i].value):
                     self._targets.append(target)
+                else:
+                    self._fill(values, target, 0.0)
         values.flags.writeable = False
         self._constant_values = values
         self._last = None  # (t, values) of the last time-dependent evaluation
 
     def _fill(self, out, target, t):
-        """Write the values of one (bc, nodes, slots) target at time t."""
+        """Write one (bc, nodes, slots) target's value at time t, evaluated
+        at the nodes if callable, broadcast to the slots."""
         bc, nodes, slots = target
-        coords = self.space.dof_coords[nodes]
-        if isinstance(bc, DirichletBC):
-            vals = np.asarray(bc.value(coords, t), dtype=float)
-        else:
-            vals = np.atleast_1d(np.asarray(bc.normal_value(coords, t), dtype=float))
-        out[slots] = np.broadcast_to(vals, slots.shape)
+        vals = bc.value(self.space.dof_coords[nodes], t) if callable(bc.value) else bc.value
+        out[slots] = np.broadcast_to(np.asarray(vals, dtype=float), slots.shape)
 
     def fixed_values(self, t=0.0):
         """Prescribed displacement values at the fixed frame dofs, as a

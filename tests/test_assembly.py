@@ -1,8 +1,12 @@
 """Operator assembly against hand values and independent quadrature."""
+import itertools
+
 import numpy as np
 import pytest
 
 from viscofem.assembly import (
+    FacetData,
+    _evaluate_field,
     _vector_dofs,
     assemble_load,
     assemble_mass,
@@ -15,7 +19,7 @@ from viscofem.assembly import (
     von_mises,
 )
 from viscofem.dynamics import OperatorSet
-from viscofem.fespace import FeSpace
+from viscofem.fespace import FeSpace, reference_basis, triangle_quadrature
 from viscofem.material import MaterialModel
 from viscofem.mesh import BoundaryKind, BoundaryTag, box_face_tagger, build_box_mesh
 from oracles import body_force, tet_volumes
@@ -89,7 +93,7 @@ def test_deviatoric_identity_vs_pieces(space):
     K = KAPPA * operators(space).deviatoric
     w = _rand_field(space, 7)
     vd = volume_data(space, 2 * space.p + 2)
-    g = vd.gradient(w)
+    g = _evaluate_field(vd.basis_gradients(), vd.cell_values(w))
     eps = 0.5 * (g + np.swapaxes(g, -1, -2))
     div = np.einsum("eqaa->eq", g)
     oracle = KAPPA * np.sum(
@@ -360,7 +364,8 @@ def test_volume_data_chunks_match_whole_mesh_formulas(monkeypatch, space):
     ue = u.reshape(-1, 3)[space.cell_dofs]
     pairs = [
         (vd.value, np.einsum("qn,ena->eqa", vd.N, ue)),
-        (vd.gradient, np.einsum("eqni,ena->eqai", G, ue)),
+        (lambda u, chunk: _evaluate_field(vd.basis_gradients(chunk), vd.cell_values(u, chunk)),
+         np.einsum("eqni,ena->eqai", G, ue)),
     ]
     for evaluate, want in pairs:
         got = np.concatenate([evaluate(u, chunk) for chunk in chunks])
@@ -472,10 +477,14 @@ def test_stress_of_weighted_field_equals_per_arm_sum():
     vd = volume_data(space)
     u0 = rng.standard_normal(space.n_dofs)
     uve = rng.standard_normal((material.n_arms, space.n_dofs))
-    got = stress_from_gradients(vd.gradient(u0), vd.gradient(material.kappa @ uve), MU, LAM)
+
+    def gradient(u):
+        return _evaluate_field(vd.basis_gradients(), vd.cell_values(u))
+
+    got = stress_from_gradients(gradient(u0), gradient(material.kappa @ uve), MU, LAM)
 
     def strain(u):
-        g = vd.gradient(u)
+        g = gradient(u)
         return 0.5 * (g + np.swapaxes(g, -1, -2))
 
     def trace_id(e):
@@ -498,9 +507,10 @@ def test_field_evaluations_match_einsum_definitions(space):
     ue, uf = u.reshape(-1, 3)[space.cell_dofs], u.reshape(-1, 3)[fd.cell_dofs]
     pairs = [
         (vd.value(u), np.einsum("qn,ena->eqa", vd.N, ue)),
-        (vd.gradient(u), np.einsum("eqni,ena->eqai", vd.basis_gradients(), ue)),
-        (fd.value(u), np.einsum("fqn,fna->fqa", fd.N, uf)),
-        (fd.gradient(u), np.einsum("fqni,fna->fqai", fd.G, uf)),
+        (_evaluate_field(vd.basis_gradients(), ue),
+         np.einsum("eqni,ena->eqai", vd.basis_gradients(), ue)),
+        (_evaluate_field(fd.N, uf), np.einsum("fqn,fna->fqa", fd.N, uf)),
+        (_evaluate_field(fd.G, uf), np.einsum("fqni,fna->fqai", fd.G, uf)),
     ]
     for got, want in pairs:
         assert got.shape == want.shape
@@ -513,6 +523,60 @@ def test_field_evaluations_match_einsum_definitions(space):
     eps = 0.5 * (grad + grad.T)
     want = 2 * MU * eps + LAM * np.trace(eps) * np.eye(3)
     assert np.abs(sigma - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def _per_facet_tables(space, degree, facets):
+    """The facet tables of ``FacetData`` one facet at a time: the basis at
+    the facet's triangle points placed in its owner's barycentric
+    coordinates, and the normal and area from the facet's own cross
+    product."""
+    rule = triangle_quadrature(degree)
+    mesh = space.mesh
+    tables = {name: [] for name in ("N", "G", "points", "normals", "warea", "vdofs")}
+    for f in facets:
+        bar = np.zeros((len(rule.weights), 4))
+        bar[:, space.facet_local[f]] = rule.points
+        vals, grads = reference_basis(space.p, bar)
+        owner = mesh.facet_owner[f]
+        v = mesh.vertices[mesh.tets[owner]]
+        jinv = np.linalg.inv((v[1:] - v[:1]).T)
+        tri = mesh.vertices[mesh.boundary_facets[f]]
+        cr = np.cross(tri[1] - tri[0], tri[2] - tri[0])
+        norm = np.sqrt(np.sum(cr * cr))
+        tables["N"].append(vals)
+        tables["G"].append((grads.reshape(-1, 3) @ jinv).reshape(grads.shape))
+        tables["points"].append(rule.points @ tri)
+        tables["normals"].append(cr / norm)
+        tables["warea"].append(rule.weights * norm)
+        tables["vdofs"].append((3 * space.cell_dofs[owner][:, None] + np.arange(3)).ravel())
+    return {name: np.array(rows) for name, rows in tables.items()}
+
+
+@pytest.mark.parametrize("kind", ["box-p2", "annulus-p3"])
+def test_facet_data_bit_equal_to_per_facet_tables(kind):
+    # the owners' local vertices are reordered by the 12 even permutations
+    # in turn, which keep the orientation, so the facets take each of the
+    # 12 placements in their owners that a positively oriented tet allows
+    from viscofem.mesh import Mesh, build_annulus_mesh
+
+    if kind == "box-p2":
+        mesh, p = build_box_mesh(2), 2
+    else:
+        mesh, p = build_annulus_mesh(0.5, 1.0, 0.4, (2, 8, 2)), 3
+    even = [q for q in itertools.permutations(range(4))
+            if sum(a > b for a, b in itertools.combinations(q, 2)) % 2 == 0]
+    order = np.tile(np.arange(4), (mesh.n_tets, 1))
+    order[mesh.facet_owner] = np.array(even)[np.arange(len(mesh.facet_owner)) % len(even)]
+    mesh = Mesh(mesh.vertices, np.take_along_axis(mesh.tets, order, axis=1),
+                mesh.boundary_facets, mesh.facet_tags, mesh.facet_owner, mesh.tags)
+    space = FeSpace(mesh, p)
+    facets = np.arange(len(mesh.boundary_facets))
+    assert len(np.unique(space.facet_local, axis=0)) == 12
+    for degree in (2 * p, 2 * p + 2):
+        fd = FacetData(space, degree, facets)
+        for name, want in _per_facet_tables(space, degree, facets).items():
+            got = getattr(fd, name)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
 
 
 def test_load_constant_body_force(space):

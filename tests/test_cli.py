@@ -79,6 +79,21 @@ def test_missing_config_exit_code(tmp_path):
     assert main(["conserve", "--config", str(tmp_path / "nope.cfg")]) == 2
 
 
+@pytest.mark.parametrize("blocked", ["directory", "file"])
+def test_unusable_output_location_exit_code(tmp_path, capsys, blocked):
+    # an output directory below a regular file cannot be created; a
+    # directory where the ledger CSV goes cannot be written as a file
+    path = write_cfg(tmp_path, BASE_CONSERVE)
+    if blocked == "directory":
+        (tmp_path / "plain").write_text("")
+        out = tmp_path / "plain" / "sub"
+    else:
+        out = tmp_path / "o"
+        (out / "energy_ledger.csv").mkdir(parents=True)
+    assert main(["conserve", "--config", path, "--out", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_scenario_mismatch_is_config_error(tmp_path):
     path = write_cfg(tmp_path, BASE_CONSERVE)
     assert main(["single", "--config", path, "--out", str(tmp_path / "o")]) == 2
@@ -321,7 +336,7 @@ def test_contact_pressure_single_element_hand_value():
 def test_contact_pressure_equals_facet_loop(p):
     # the pressures come from cached linear maps, which sum in another
     # order than the stress at the facet points does
-    from viscofem.assembly import facet_data, stress_from_gradients
+    from viscofem.assembly import _evaluate_field, facet_data, stress_from_gradients
 
     mat = MaterialModel.from_engineering(1100.0, 0.5e6, 0.39,
                                          arms=((3.5e6, 1e-2), (2.5e5, 1.0)))
@@ -332,7 +347,11 @@ def test_contact_pressure_equals_facet_loop(p):
     nodes, p_vals = compute_contact_pressure(state, space, "inner", mat)
     # oracle: the facet means averaged onto the nodes one facet at a time
     fd = facet_data(space, degree=2 * p, label="inner")
-    sigma = stress_from_gradients(fd.gradient(state.u0), fd.gradient(mat.kappa @ state.uve),
+
+    def gradient(u):
+        return _evaluate_field(fd.G, u.reshape(-1, 3)[fd.cell_dofs])
+
+    sigma = stress_from_gradients(gradient(state.u0), gradient(mat.kappa @ state.uve),
                                   mat.mu, mat.lam)
     traction_n = np.einsum("fqab,fa,fb->fq", sigma, fd.normals, fd.normals)
     areas = fd.warea.sum(axis=1)

@@ -145,6 +145,17 @@ def test_simulate_rejects_state0_of_another_arm_count():
                     solver=DIRECT).final.uve.shape == (2, ops.space.n_dofs)
 
 
+def test_simulate_rejects_state0_off_the_grid_start():
+    # a state at t = 0.5 on a grid from 0 would take its first step's
+    # prescribed values at 0.5 but its length from the grid
+    ops, con = _moving_bottom_problem()
+    grid = TimeGrid.uniform(0.0, 0.2, 20)
+    for march in (simulate, simulate_full):
+        with pytest.raises(ValueError, match="grid starts"):
+            march(ops, con, grid, state0=State.zero(ops.space, ops.material.n_arms, 0.5),
+                  solver=DIRECT)
+
+
 def test_zero_state_stays_zero():
     ops, con = make_problem()
     state = State.zero(ops.space, 1)
@@ -675,14 +686,13 @@ def _count_evaluations(bc):
     """The times at which a Dirichlet or slip BC's value is evaluated from
     now on, as a list that grows with each evaluation."""
     times = []
-    attr = "value" if isinstance(bc, DirichletBC) else "normal_value"
-    value = getattr(bc, attr)
+    value = bc.value
 
     def counted(x, t):
         times.append(t)
         return value(x, t)
 
-    setattr(bc, attr, counted)
+    bc.value = counted
     return times
 
 

@@ -230,12 +230,16 @@ def _per_node_fixed_values(con, t):
     assert np.array_equal(con.fixed, fixed)
     pos = {dof: i for i, dof in enumerate(fixed)}
     want = np.full(len(fixed), np.nan)
+
+    def value(bc, nd):
+        return bc.value(coords[[nd]], t) if callable(bc.value) else bc.value
+
     for nd, bc in dirichlet.items():
-        val = np.broadcast_to(bc.value(coords[[nd]], t), (1, 3))[0]
+        val = np.broadcast_to(value(bc, nd), (1, 3))[0]
         for a in range(3):
             want[pos[3 * nd + a]] = val[a]
     for nd, bc in slip.items():
-        want[pos[3 * nd]] = np.atleast_1d(bc.normal_value(coords[[nd]], t))[0]
+        want[pos[3 * nd]] = np.atleast_1d(value(bc, nd))[0]
     return want
 
 
@@ -270,7 +274,16 @@ def test_fixed_values_match_per_node_evaluation():
         "bottom": DirichletBC((0.0, 0.0, 0.0)),
         "top": SlipBC(timed(lambda x, t: 0.01 * np.sin(15.0 * t) * x[:, 0])),
     }
-    for spec, n_callables in ((mixed, 2), (seal, 1)):
+    # the other forms a value is stored in: a scalar Dirichlet value, a
+    # callable giving one 3-vector for every node, and slip values as a
+    # scalar or a callable giving a 0-d scalar
+    forms = {
+        "bottom": DirichletBC(0.5),
+        "side": DirichletBC(timed(lambda x, t: np.array([t, -2.0 * t, 0.25]))),
+        "top": SlipBC(timed(lambda x, t: np.float64(0.1 - t))),
+    }
+    scalar_slip = {"side": DirichletBC((0.1, -0.2, 0.3)), "top": SlipBC(-0.25)}
+    for spec, n_callables in ((mixed, 2), (seal, 1), (forms, 2), (scalar_slip, 0)):
         con = Constraints(space, spec)
         assert len(con.dirichlet_nodes) and len(con.slip_nodes)
         for t in (0.0, 0.37, 0.5):
@@ -292,7 +305,7 @@ def test_constant_fixed_values_evaluated_once():
         raise AssertionError("a constant BC was evaluated after construction")
 
     for bc in spec.values():
-        bc.value = bc.normal_value = never
+        bc.value = never
     first = con.fixed_values(0.0)
     assert not first.flags.writeable
     for t in (0.0, 0.37, 2.5):
@@ -524,8 +537,11 @@ def test_reference_basis_bit_equal_to_per_node_evaluation(p):
     # the nodal stress recovery evaluates at
     point_sets = [quadrature(2 * p).points, quadrature(2 * p + 2).points]
     _, first = np.unique(space.facet_local, axis=0, return_index=True)
-    point_sets += [space.facet_barycentric_in_owner(f, triangle_quadrature(2 * p + 2).points)
-                   for f in first]
+    tri = triangle_quadrature(2 * p + 2).points
+    for f in first:
+        points = np.zeros((len(tri), 4))
+        points[:, space.facet_local[f]] = tri
+        point_sets.append(points)
     point_sets.append(np.array([np.array(a) / p for a in reference_nodes(p)]))
     assert len(point_sets) > 3
     for points in point_sets:
