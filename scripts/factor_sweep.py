@@ -17,6 +17,14 @@ workload's step), and measures:
 * the break-even step count, factor_s / (cg_s - solve_s): a march of
   more steps is cheaper on the factor.
 
+It also reduces the elastic operator K_E under the same constraints, the
+matrix of a static solve, and times one solve of it for one right-hand
+side three ways, each the median of three runs: the one-shot
+``LinearSolver("direct").solve`` (float32 factor refined in float64), the
+float64 factor-and-solve ``prepare(k_e)(b)``, and the one-shot Jacobi-CG
+``LinearSolver("cg").solve``. These are the costs that
+``dynamics.ONE_SHOT_DOF_BOUND`` weighs.
+
 Box meshes clamp their bottom face (P1 and P2); annulus meshes clamp the
 outer surface and put a slip condition on the inner one (P2), as the seal
 scenario does. Run from the root of the repository, one thread:
@@ -79,13 +87,15 @@ def constraints(space, label):
     })
 
 
-def schur(space, label):
+def reduced(space, label):
+    """The reduced Schur matrix of one step and the reduced K_E."""
     mat = material.MaterialModel.from_engineering(1100.0, 0.5e6, 0.39, arms=SEAL_ARMS)
     ops = dynamics.OperatorSet(space, mat)
     coeffs = material.step_coefficients(mat.arms, K)
     alpha_kappa = sum(m.kappa * a for m, a in zip(mat.arms, coeffs.alpha))
     a = ops.mass + (K * K / 4.0) * ops.elastic + ((K / 2.0) * alpha_kappa) * ops.deviatoric
-    return constraints(space, label).reduce(a).matrix
+    con = constraints(space, label)
+    return con.reduce(a).matrix, con.reduce(ops.elastic).matrix
 
 
 def timed(fn, repeat):
@@ -99,9 +109,13 @@ def timed(fn, repeat):
 
 def row(label, space):
     _, order_s = timed(lambda: fespace.nested_dissection(space.dof_coords, space.cell_dofs), 5)
-    a = schur(space, label)
+    a, k_e = reduced(space, label)
     n = a.shape[0]
     b = np.random.default_rng(0).standard_normal(n)
+    direct, cg = dynamics.LinearSolver("direct"), dynamics.LinearSolver("cg")
+    _, static_direct_s = timed(lambda: direct.solve(k_e, b), 3)
+    _, static_double_s = timed(lambda: direct.prepare(k_e)(b), 3)
+    _, static_cg_s = timed(lambda: cg.solve(k_e, b), 3)
     solve, factor_s = timed(lambda: dynamics.LinearSolver("direct").prepare(a), 1)
     factor = solve.__self__  # ``prepare`` returns the factor's bound solve
     fill = int(factor.L.nnz + factor.U.nnz)
@@ -124,6 +138,9 @@ def row(label, space):
         "cg_iters": iters[0], "cg_ms": round(1e3 * cg_s, 2),
         "break_even_steps": (round(factor_s / (cg_s - solve_s), 1)
                              if cg_s > solve_s else None),
+        "static_direct_ms": round(1e3 * static_direct_s, 2),
+        "static_double_ms": round(1e3 * static_double_s, 2),
+        "static_cg_ms": round(1e3 * static_cg_s, 2),
     }
 
 

@@ -535,6 +535,9 @@ def main(argv=None):
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:  # an input too large for this host
+        print(f"out of memory: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -642,6 +642,21 @@ def test_non_finite_state_exit_code(tmp_path, capsys):
     assert "non-finite energy" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scenario, key, value", [
+    ("conserve", "n", "1000000"),
+    ("single", "n", "1000000"),
+    ("seal", "divisions", "1000000 1000000 1000000"),
+])
+def test_out_of_memory_exit_code(tmp_path, capsys, scenario, key, value):
+    # the mesh's node array would outgrow the 64-bit address space, so its
+    # allocation fails before any memory is touched
+    body = {"conserve": BASE_CONSERVE, "single": BASE_SINGLE, "seal": BASE_SEAL}[scenario]
+    path = write_cfg(tmp_path, _with(body, "geometry", key, value))
+    assert main([scenario, "--config", path, "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("out of memory") and err.count("\n") == 1
+
+
 def test_example_config_sets_only_keys_the_cli_reads(tmp_path, monkeypatch):
     # a documented setting that no scenario reads is stale: record every key
     # the CLI asks for while it runs the tiny base configs, without --out
@@ -671,7 +686,9 @@ def test_example_config_sets_only_keys_the_cli_reads(tmp_path, monkeypatch):
 
 # values per (section, key) for the exit-code fuzz, which edits up to three
 # keys of a tiny base config: valid values, and ones that are malformed,
-# non-finite, out of range, empty or off the time grid. Marches stay short
+# non-finite, out of range, empty, off the time grid or too large to
+# allocate (a mesh whose arrays outgrow the 64-bit address space, so the
+# allocation fails before any memory is touched). Marches stay short
 # whatever is drawn: at most 20 steps each.
 FUZZ_VALUES = {
     ("material", "rho"): ["100", "0", "-1", "nan"],
@@ -684,7 +701,7 @@ FUZZ_VALUES = {
 FUZZ_DEGREE_VALUES = {("discretization", "p"): ["1", "2", "0", "4"]}
 FUZZ_MARCH_VALUES = {
     **FUZZ_DEGREE_VALUES,
-    ("geometry", "n"): ["1", "2", "0", "-1", "1.5", "x"],
+    ("geometry", "n"): ["1", "2", "0", "-1", "1.5", "x", "1000000"],
     ("time", "t"): ["0.2", "0.3", "0", "-0.2", "0.33", "nan"],
     ("time", "k"): ["0.05", "0.1", "0.07", "0", "-0.1", "inf"],
 }
@@ -698,7 +715,8 @@ FUZZ_SCENARIO_VALUES = {
     },
     "seal": {
         **FUZZ_DEGREE_VALUES,
-        ("geometry", "divisions"): ["2 8 2", "1 8 1", "2 2 2", "0 8 2", "2 8", "2 8.5 2"],
+        ("geometry", "divisions"): ["2 8 2", "1 8 1", "2 2 2", "0 8 2", "2 8", "2 8.5 2",
+                                    "1000000 1000000 1000000"],
         ("geometry", "r_inner"): ["0.006", "0.02", "0", "-0.006"],
         ("geometry", "length"): ["0.02", "0", "-0.02", "inf"],
         ("seal", "frequencies"): ["2", "1 3", "0", "-2", "", "nan"],

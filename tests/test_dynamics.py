@@ -591,6 +591,85 @@ def test_auto_resolution_by_reuse(monkeypatch):
     assert path(lambda: LinearSolver("cg").prepare(_spd(2))(np.ones(2))) == "cg"
 
 
+def _held_box_static_system(n=4, p=2):
+    """The reduced static system of a box clamped at its bottom and held
+    displaced on a strip of its lid, as the conserve scenario starts."""
+    def tagger(centroid, normal):
+        if abs(centroid[2]) < 1e-10:
+            return BoundaryTag(BoundaryKind.DIRICHLET, "bottom")
+        if abs(centroid[2] - 1.0) < 1e-10 and centroid[0] <= 0.4 + 1e-10:
+            return BoundaryTag(BoundaryKind.DIRICHLET, "held")
+        return BoundaryTag(BoundaryKind.NEUMANN, "free")
+
+    space = FeSpace(build_box_mesh(n, tagger=tagger), p)
+    ops = OperatorSet(space, MaterialModel.from_engineering(1100.0, 0.5e6, 0.39))
+    con = Constraints(space, {"bottom": DirichletBC((0.0, 0.0, 0.0)),
+                              "held": DirichletBC((0.004, -0.002, 0.2))})
+    system = con.reduce(ops.elastic)
+    return system.matrix, system.reduced_rhs(np.zeros(space.n_dofs), con.fixed_values(0.0))
+
+
+def _ill_conditioned_spd(n=8, cond=1e10):
+    import scipy.sparse as sp
+
+    q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((n, n)))
+    a = (q * np.logspace(0.0, -np.log10(cond), n)) @ q.T
+    return sp.csr_matrix((a + a.T) / 2.0)
+
+
+def _rounds_to_singular_in_float32():
+    import scipy.sparse as sp
+
+    # float32 rounds 1 - 1e-9 to 1
+    return sp.csr_matrix(np.array([[1.0, 1.0 - 1e-9], [1.0 - 1e-9, 1.0]]))
+
+
+def _record_splu(monkeypatch):
+    """Patch ``spla.splu`` to record the dtype of each matrix it factorizes."""
+    import scipy.sparse.linalg as spla
+
+    dtypes = []
+    original = spla.splu
+
+    def recording(matrix, *args, **kwargs):
+        dtypes.append(matrix.dtype)
+        return original(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", recording)
+    return dtypes
+
+
+def test_one_shot_direct_solve_refines_single_factor_to_double_accuracy(monkeypatch):
+    # the float32 factor's solution, refined in float64, agrees with the
+    # float64 factor's and meets LAPACK dsposv's residual bound
+    import scipy.sparse.linalg as spla
+
+    a, b = _held_box_static_system()
+    want = DIRECT.prepare(a)(b)
+    dtypes = _record_splu(monkeypatch)
+    got = DIRECT.solve(a, b)
+    assert dtypes == [np.float32]
+    assert np.abs(want).max() > 0
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    bound = np.sqrt(a.shape[0]) * np.finfo(float).eps * spla.norm(a, np.inf)
+    assert np.abs(b - a @ got).max() <= bound * np.abs(got).max()
+
+
+@pytest.mark.parametrize("matrix, single_factors", [
+    (1e40 * _spd(5), []),  # float32 cannot hold its entries: no single factor
+    (_ill_conditioned_spd(), [np.float32]),  # its refinement does not converge
+    (_rounds_to_singular_in_float32(), [np.float32]),  # its single factor fails
+], ids=["overflows-float32", "ill-conditioned", "singular-in-float32"])
+def test_one_shot_direct_solve_falls_back_to_double_factor(monkeypatch, matrix,
+                                                          single_factors):
+    b = np.random.default_rng(1).standard_normal(matrix.shape[0])
+    want = DIRECT.prepare(matrix)(b)
+    dtypes = _record_splu(monkeypatch)
+    got = DIRECT.solve(matrix, b)
+    assert dtypes == single_factors + [np.float64]
+    assert np.array_equal(got, want)
+
+
 def test_symmetric_factor_agrees_with_colamd():
     import scipy.sparse.linalg as spla
 

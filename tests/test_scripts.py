@@ -22,6 +22,8 @@ def test_factor_sweep_prints_json(capsys):
     for row in out["rows"]:
         assert row["free_dofs"] > 0 and row["factor_nnz"] > 0 and row["cg_iters"] > 0
         assert row["order_s"] > 0
+        assert row["static_direct_ms"] > 0 and row["static_double_ms"] > 0
+        assert row["static_cg_ms"] > 0
 
 
 def test_setup_memory_prints_json(monkeypatch, capsys):
