@@ -16,7 +16,12 @@ it measures:
 * the step: the median milliseconds of ``ReducedStepper.step`` over
   ``STEPS`` steps from a random admissible state;
 * the ledger: the median milliseconds of the same steps'
-  ``dissipation_increment`` and ``energy``.
+  ``dissipation_increment`` and ``energy``;
+* the memory: the tracemalloc peak, in MiB, of the allocations made while
+  the ``ReducedStepper`` is built (``build_traced_mib``) and while its
+  steps and ledger run (``march_traced_mib``), in a second, untimed pass
+  of the same build and steps. SuperLU allocates its factor in C, outside
+  tracemalloc, so the factor is not in these figures.
 
 Run from the root of the repository, one thread:
 
@@ -29,6 +34,7 @@ import json
 import platform
 import statistics
 import sys
+import tracemalloc
 from time import perf_counter
 
 import numpy as np
@@ -50,17 +56,9 @@ def arm_material(m):
     return material.MaterialModel.from_engineering(100.0, 1e5, 0.3, arms=arms)
 
 
-def row(space, con, m):
-    ops = dynamics.OperatorSet(space, arm_material(m))
-    solver = dynamics.LinearSolver("direct")
-    tic = perf_counter()
-    stepper = dynamics.ReducedStepper(ops, con, K, solver=solver)
-    build_s = perf_counter() - tic
-    schur = stepper.system.matrix
-    factor = solver.prepare(schur).__self__  # ``prepare`` returns the factor's bound solve
-    fields = 1e-3 * np.random.default_rng(m).standard_normal((2 + m, space.n_dofs))
-    u1, u0, *uve = (con.expand(con.to_frame(v)[con.free], con.fixed_values(0.0)) for v in fields)
-    state = dynamics.State(0.0, u1, u0, uve)
+def march(stepper, ops, state):
+    """``STEPS`` steps from ``state``, each followed by its ledger terms;
+    returns the seconds of each step and of each ledger."""
     step_s, ledger_s = [], []
     for _ in range(STEPS):
         tic = perf_counter()
@@ -71,12 +69,46 @@ def row(space, con, m):
         ledger_s.append(perf_counter() - toc)
         step_s.append(toc - tic)
         state = nxt
+    return step_s, ledger_s
+
+
+def traced_mib(fn):
+    """fn() and the tracemalloc peak, in MiB, of the allocations made while
+    it ran."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, round(peak / 2**20, 2)
+
+
+def row(space, con, m):
+    ops = dynamics.OperatorSet(space, arm_material(m))
+    solver = dynamics.LinearSolver("direct")
+    tic = perf_counter()
+    stepper = dynamics.ReducedStepper(ops, con, K, solver=solver)
+    build_s = perf_counter() - tic
+    schur_nnz = int(stepper.system.matrix.nnz)
+    # ``prepare`` returns the factor's bound solve
+    factor = solver.prepare(stepper.system.matrix).__self__
+    factor_nnz = int(factor.L.nnz + factor.U.nnz)
+    del factor
+    fields = 1e-3 * np.random.default_rng(m).standard_normal((2 + m, space.n_dofs))
+    u1, u0, *uve = (con.expand(con.to_frame(v)[con.free], con.fixed_values(0.0)) for v in fields)
+    state = dynamics.State(0.0, u1, u0, uve)
+    step_s, ledger_s = march(stepper, ops, state)
+    stepper = None  # release the factor before the traced pass builds its own
+    stepper, build_mib = traced_mib(
+        lambda: dynamics.ReducedStepper(ops, con, K, solver=solver))
+    _, march_mib = traced_mib(lambda: march(stepper, ops, state))
     return {
-        "arms": m, "schur_nnz": int(schur.nnz),
-        "factor_nnz": int(factor.L.nnz + factor.U.nnz),
+        "arms": m, "schur_nnz": schur_nnz, "factor_nnz": factor_nnz,
         "build_s": round(build_s, 4),
         "step_ms": round(1e3 * statistics.median(step_s), 3),
         "ledger_ms": round(1e3 * statistics.median(ledger_s), 3),
+        "build_traced_mib": build_mib, "march_traced_mib": march_mib,
     }
 
 
@@ -94,7 +126,11 @@ def main():
         "host": {"machine": platform.machine(), "python": platform.python_version(),
                  "numpy": np.__version__, "scipy": scipy.__version__},
         "n": N, "p": P, "dofs": space.n_dofs, "free_dofs": len(con.free), "k": K,
-        "steps": STEPS, "rows": rows,
+        "steps": STEPS,
+        "traced_mib": "tracemalloc peaks of the allocations made during the build and "
+                      "during the steps plus ledger; SuperLU's own allocations, the "
+                      "factor among them, are untraced",
+        "rows": rows,
     }, indent=1))
 
 

@@ -122,7 +122,13 @@ class LinearSolver:
         return "direct" if n <= bound else "cg"
 
     def prepare(self, matrix):
-        """Factorize once; returns solve(b) reusable across timesteps."""
+        """Factorize once; returns solve(b) reusable across timesteps.
+
+        On the direct path the factor is of ``matrix.tocsc()``, which is
+        ``matrix`` itself when it is CSC; a caller that passes CSR and
+        keeps it holds both copies while SuperLU runs. The returned solve
+        holds the factor, which keeps no reference to the matrix; the CG
+        solve holds ``matrix``, whose products it takes."""
         return self._prepare(matrix, reused=True)
 
     def solve(self, matrix, b):
@@ -192,6 +198,7 @@ def _refined_solve(matrix, b):
         factor = _factor(single)
     except (RuntimeError, MemoryError):
         return None
+    del single  # the factor holds no reference to it
     n = matrix.shape[0]
     tol = np.sqrt(n) * np.finfo(float).eps * spla.norm(matrix, np.inf)
     x, r = np.zeros(n), b
@@ -394,6 +401,16 @@ class ReducedStepper:
     step's own displacement update and ``reconstruct_ve``, and kept with
     ``OperatorSet.keep_products`` for the ledger and the next rhs.
 
+    Who holds which copy: the ``OperatorSet`` holds M, K_E and D; the
+    stepper holds the reduced system (``system``), whose ``matrix`` is the
+    reduced Schur matrix the solver uses, CSC on the direct path (the copy
+    SuperLU factorizes) and CSR on CG (the copy CG multiplies by), and its
+    solve (the factor, or CG's hold on ``system.matrix``). The full-size
+    Schur sum lives only until the reduction returns, and the reduced CSR
+    of the direct path only until its CSC copy is made, so while SuperLU
+    runs the only matrices alive are the three operators, the one CSC and
+    the small coupling block.
+
     ``step(state, t_next)`` advances by the stepper's own ``k``: the Schur
     matrix, the rhs, the constraint velocities and the displacement update
     all use it, so the discrete energy identity holds exactly. ``t_next``
@@ -420,11 +437,16 @@ class ReducedStepper:
         # M + (k^2/4) K_E is copied to its own size: scipy sizes a sum's
         # arrays for both terms' entries and trims them only when under half
         # are used, and with M on a third of K_E's pattern this sum uses
-        # three quarters
+        # three quarters. The sum is bound to no name, so it is freed as
+        # soon as ``reduce`` returns
         k = self.k
-        schur = ((operators.mass + (k * k / 4.0) * operators.elastic).copy()
-                 + ((k / 2.0) * self._alpha_kappa) * operators.deviatoric)
-        self.system = constraints.reduce(schur)
+        self.system = constraints.reduce(
+            (operators.mass + (k * k / 4.0) * operators.elastic).copy()
+            + ((k / 2.0) * self._alpha_kappa) * operators.deviatoric)
+        if self.solver._resolve(self.system.matrix.shape[0], reused=True) == "direct":
+            # SuperLU factorizes CSC: the system keeps that copy in place of
+            # the CSR, which is freed before the factorization starts
+            self.system.matrix = self.system.matrix.tocsc()
         self._solve_free = self.solver.prepare(self.system.matrix)
 
     def rhs(self, state: State, t_next=None):

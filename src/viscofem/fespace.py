@@ -633,7 +633,14 @@ class Constraints:
 
 
 class ConstrainedSystem:
-    """A symmetric system reduced to the free frame dofs."""
+    """A symmetric system reduced to the free frame dofs.
+
+    It holds the only copies of the reduced matrices: ``matrix``, the
+    free-free block A_ff, and ``coupling``, the free-fixed block A_fx,
+    both CSR from ``Constraints.reduce``. A holder that factorizes
+    ``matrix`` may replace it by the copy it factorizes (a
+    ``ReducedStepper`` on the direct path keeps the CSC), so that one copy
+    is alive while the factorization runs."""
 
     def __init__(self, constraints: Constraints, a_ff, a_fx):
         self.constraints = constraints

@@ -334,7 +334,13 @@ def test_criterion_6_monotone_decay_random_states():
 
 @pytest.mark.long
 def test_criterion_7_seal_pressure_sign():
-    from viscofem.cli import SealSweepConfig, run_seal_frequency, seal_probe_nodes
+    from viscofem.cli import (
+        SealSweepConfig,
+        _seal_constraints,
+        run_seal_frequency,
+        seal_probe_nodes,
+    )
+    from viscofem.dynamics import static_solve
     from viscofem.mesh import build_annulus_mesh
 
     material = MaterialModel.from_engineering(
@@ -347,10 +353,11 @@ def test_criterion_7_seal_pressure_sign():
     sweep = SealSweepConfig(frequencies=(1.0, 15.0))
     solver = LinearSolver(method="cg", rtol=1e-10)
     probes = seal_probe_nodes(space, sweep.stations, 0.02)
+    u0 = static_solve(ops, _seal_constraints(space, 0.006, sweep, 1.0), solver=solver)
     p_lo_1, _, _ = run_seal_frequency(space, ops, material, 0.006, sweep, 1.0,
-                                      solver, probes)
+                                      solver, probes, u0)
     p_lo_15, _, _ = run_seal_frequency(space, ops, material, 0.006, sweep, 15.0,
-                                       solver, probes)
+                                       solver, probes, u0)
     ok = p_lo_1[0] > 0 and p_lo_15[0] < 0
     assert report(
         "7 seal end-station min pressure",

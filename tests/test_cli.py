@@ -479,6 +479,35 @@ def test_seal_writes_one_vtk_file_per_frequency(tmp_path):
     ]
 
 
+def test_seal_sweep_solves_the_static_state_once(tmp_path, monkeypatch):
+    # the prescribed surface value at t = 0 does not depend on the
+    # frequency, so a sweep's frequencies share one static pre-solve and
+    # give the rows and files of one-frequency sweeps bit for bit
+    from viscofem import cli
+
+    solves = [0]
+    original = cli.static_solve
+
+    def counting(*args, **kwargs):
+        solves[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "static_solve", counting)
+    path = write_cfg(tmp_path, _with(BASE_SEAL, "seal", "frequencies", "2.0 3.0"))
+    assert main(["seal", "--config", path, "--out", str(tmp_path / "both")]) == 0
+    assert solves[0] == 1
+    rows = []
+    for omega in ("2", "3"):
+        out = tmp_path / omega
+        out.mkdir()
+        path = write_cfg(out, _with(BASE_SEAL, "seal", "frequencies", omega))
+        assert main(["seal", "--config", path, "--out", str(out / "o")]) == 0
+        rows += (out / "o" / "seal_pressure.csv").read_text().splitlines()[1:]
+        vtk = f"seal_omega_{omega}.vtk"
+        assert (tmp_path / "both" / vtk).read_bytes() == (out / "o" / vtk).read_bytes()
+    assert (tmp_path / "both" / "seal_pressure.csv").read_text().splitlines()[1:] == rows
+
+
 def test_removed_threads_option_exit_code(tmp_path):
     # an unknown option is a command-line error: argparse exits 2 before
     # any config is read

@@ -665,9 +665,117 @@ def test_one_shot_direct_solve_falls_back_to_double_factor(monkeypatch, matrix,
     b = np.random.default_rng(1).standard_normal(matrix.shape[0])
     want = DIRECT.prepare(matrix)(b)
     dtypes = _record_splu(monkeypatch)
+    census = _census_at_factor(monkeypatch)
     got = DIRECT.solve(matrix, b)
     assert dtypes == single_factors + [np.float64]
     assert np.array_equal(got, want)
+    # the float32 copy is released once factorized: none is alive through
+    # the refinement's solves and the float64 factorization
+    events = [(event, factored[3]) for event, factored, _ in census]
+    assert events[-2:] == [("factor", np.float64), ("solve", np.float64)]
+    for _, _, live in census[len(single_factors):]:
+        assert [m for m in live if m[3] == np.float32] == []
+
+
+def _census_at_factor(monkeypatch):
+    """Patch ``dynamics._factor`` to take a census at each factorization and
+    at each solve with its factor: (event, factored, live), the event
+    ('factor' or 'solve'), the (id, shape, format, dtype) of the factorized
+    matrix and those of every scipy.sparse matrix alive, after a full
+    collection. Only these summaries are kept, so the census keeps no
+    matrix alive."""
+    import gc
+    from types import SimpleNamespace
+
+    import scipy.sparse as sp
+
+    from viscofem import dynamics
+
+    def summary(m):
+        return id(m), m.shape, m.format, m.dtype
+
+    def take(event, factored):
+        gc.collect()
+        calls.append((event, factored, [summary(m) for m in gc.get_objects()
+                                        if sp.issparse(m)]))
+
+    calls = []
+    original = dynamics._factor
+
+    def census(matrix):
+        factored = summary(matrix)
+        take("factor", factored)
+        factor = original(matrix)
+
+        def solve(b):
+            take("solve", factored)
+            return factor.solve(b)
+
+        return SimpleNamespace(solve=solve)
+
+    monkeypatch.setattr(dynamics, "_factor", census)
+    return calls
+
+
+TWO_ARMS = MaterialModel.from_engineering(100.0, 1e5, 0.3, arms=((1e5, 1e-2), (3e4, 0.3)))
+
+
+def _reduced_schur(ops, con, stepper):
+    """The stepper's reduced Schur matrix as CSR, formed independently."""
+    k = stepper.k
+    schur = ((ops.mass + (k * k / 4.0) * ops.elastic).copy()
+             + ((k / 2.0) * stepper._alpha_kappa) * ops.deviatoric)
+    return con.reduce(schur).matrix
+
+
+def _assert_same_arrays(got, want):
+    assert got.format == want.format
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+
+
+def test_direct_stepper_factorizes_its_only_reduced_copy(monkeypatch):
+    # while SuperLU runs, the Schur sum is freed and the reduced CSR has
+    # given way to the CSC copy being factorized: that copy and the three
+    # operators are the only matrices of their sizes alive
+    ops, con = make_problem(n=3, p=2, material=TWO_ARMS)
+    n_free, n = len(con.free), ops.space.n_dofs
+    census = _census_at_factor(monkeypatch)
+    stepper = ReducedStepper(ops, con, 0.01, solver=DIRECT)
+    [(_, factored, live)] = census
+    assert [m for m in live if m[1] == (n_free, n_free)] == [factored]
+    assert factored[0] == id(stepper.system.matrix) and factored[2] == "csc"
+    assert sorted(m[0] for m in live if m[1] == (n, n)) == sorted(
+        map(id, (ops.mass, ops.elastic, ops.deviatoric)))
+    # the factor sees the CSC of the reduced Schur matrix
+    _assert_same_arrays(stepper.system.matrix, _reduced_schur(ops, con, stepper).tocsc())
+
+
+def test_cg_stepper_keeps_the_reduced_csr(monkeypatch):
+    # CG multiplies by the reduced CSR, so its iterates are those of the
+    # independently formed matrix bit for bit
+    import scipy.sparse.linalg as spla
+
+    ops, con = make_problem(n=3, p=2, material=TWO_ARMS)
+    solver = LinearSolver("cg", rtol=1e-10)
+    stepper = ReducedStepper(ops, con, 0.01, solver=solver)
+    want = _reduced_schur(ops, con, stepper)
+    _assert_same_arrays(stepper.system.matrix, want)
+    calls = []
+    original = spla.cg
+
+    def recording(matrix, b, **kwargs):
+        iterates = []
+        calls.append((matrix, b, iterates))
+        return original(matrix, b, callback=lambda x: iterates.append(x.copy()), **kwargs)
+
+    monkeypatch.setattr(spla, "cg", recording)
+    stepper.step(admissible_random_state(ops, con, 5))
+    solver.prepare(want)(calls[0][1])
+    (got_matrix, _, got), (_, _, expected) = calls
+    assert got_matrix is stepper.system.matrix
+    assert len(got) == len(expected) > 1
+    assert all(np.array_equal(x, y) for x, y in zip(got, expected))
 
 
 def test_symmetric_factor_agrees_with_colamd():

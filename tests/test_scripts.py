@@ -49,3 +49,7 @@ def test_arm_sweep_prints_json(monkeypatch, capsys):
     for row in out["rows"]:
         assert row["schur_nnz"] > 0 and row["factor_nnz"] > 0
         assert row["build_s"] > 0 and row["step_ms"] > 0 and row["ledger_ms"] > 0
+        # the build holds at least the factorized matrix, the march the
+        # new states
+        assert row["build_traced_mib"] > 0 and row["march_traced_mib"] > 0
+    assert "SuperLU" in out["traced_mib"]
