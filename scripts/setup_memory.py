@@ -16,8 +16,8 @@ one JSON line:
 * ``error_norms_s`` and ``peak_rss_mb``: the error norms' wall time, and
   the peak after them;
 * ``energy_error`` and ``l2_error``: the two norms, for comparing runs;
-* ``pattern_bytes``: the bytes of the arrays of the space's cached
-  ``assembly.pattern``;
+* ``pattern_bytes``: the bytes of the arrays of the space's
+  ``assembly.pattern``, built once and kept in ``space.tables``;
 * ``operators_s``: the wall time of one ``dynamics.OperatorSet`` build on
   a fresh space over the same mesh (its geometry, pattern and the three
   operators), timed after the peaks are read.

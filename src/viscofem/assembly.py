@@ -32,7 +32,6 @@ integrals.
 """
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,8 +39,6 @@ import scipy.sparse as sp
 
 from .fespace import FeSpace, quadrature, reference_basis, triangle_quadrature
 from .mesh import BoundaryKind
-
-_space_caches = weakref.WeakKeyDictionary()
 
 # elements per chunk of an element loop, which bounds its temporaries on
 # fine meshes: at 27 quadrature points per element (P1 loads) a chunk
@@ -107,10 +104,10 @@ class LoadSpec:
     g = sum_j c_j(t) G_j(x, normal).
 
     The spatial vector of each F_j and G_j is assembled once per (space,
-    field) and cached under the field object, so a field should keep its
-    identity across calls (a function or a bound method, not a fresh
-    lambda); only the scalars c_j are evaluated per time. A load that is
-    not a finite sum of such terms cannot be expressed.
+    field) and kept in ``space.tables`` under the field object, so a field
+    should keep its identity across calls (a function or a bound method,
+    not a fresh lambda); only the scalars c_j are evaluated per time. A
+    load that is not a finite sum of such terms cannot be expressed.
     """
 
     body_terms: tuple = ()
@@ -119,7 +116,7 @@ class LoadSpec:
 
 def element_geometry(space: FeSpace):
     """(jinv, det) of every element of the space: inverse Jacobians
-    (ne, 3, 3) and Jacobian determinants (ne,), computed once per space
+    (ne, 3, 3) and Jacobian determinants (ne,), kept in ``space.tables``
     and shared by every volume and facet quadrature."""
 
     def build():
@@ -176,7 +173,6 @@ class FacetData:
     placement of a facet in its owner (``space.facet_local``)."""
 
     def __init__(self, space: FeSpace, degree: int, facets):
-        self.space = space
         self.facets = np.asarray(facets, dtype=np.int64)
         rule = triangle_quadrature(degree)
         mesh = space.mesh
@@ -201,12 +197,10 @@ class FacetData:
 
 
 def _cached(space, key, build):
-    """build(), computed once per (space, key) and kept while the space
-    lives."""
-    cache = _space_caches.setdefault(space, {})
-    if key not in cache:
-        cache[key] = build()
-    return cache[key]
+    """build(), computed once per (space, key) and kept in ``space.tables``."""
+    if key not in space.tables:
+        space.tables[key] = build()
+    return space.tables[key]
 
 
 def volume_data(space: FeSpace, degree=None) -> VolumeData:
@@ -374,7 +368,7 @@ def assemble_strain_operators(space: FeSpace, mu, lam):
     return tuple(pattern(space).assemble(element_blocks))
 
 
-def assemble_volume_load(space: FeSpace, fields, degree=None):
+def assemble_volume_load(space: FeSpace, fields):
     """[(F, v) for F in fields] of body-force fields F(x)->(n,3). The fields
     are evaluated ``ELEMENT_CHUNK`` elements at a time, so the memory their
     evaluation takes stays bounded on fine meshes, and one after another
@@ -382,7 +376,7 @@ def assemble_volume_load(space: FeSpace, fields, degree=None):
     it. A field that is a method of an object keeping that shared work
     (``release_points``, as ``verify.ManufacturedSolution`` has) has the
     object release it when the pass ends."""
-    vd = volume_data(space, degree if degree is not None else load_degree(space))
+    vd = volume_data(space, load_degree(space))
     out = [np.zeros(space.n_dofs) for _ in fields]
     for chunk in vd.chunks():
         points, wdet = vd.points(chunk), vd.weights(chunk)
@@ -415,21 +409,21 @@ def assemble_traction_load(space: FeSpace, field, label=None):
 
 def body_term_vectors(space: FeSpace, fields):
     """[(F, v) for F in fields] of time-independent body-force fields
-    F(x)->(n,3), each assembled once per (space, field) and cached
-    read-only; the fields not cached yet are assembled in one pass."""
-    cache = _space_caches.setdefault(space, {})
+    F(x)->(n,3), each assembled once per (space, field) and kept read-only
+    in ``space.tables``; the missing ones are assembled in one pass."""
+    tables = space.tables
     keys = [("body_term", field) for field in fields]
-    missing = list(dict.fromkeys(f for f, key in zip(fields, keys) if key not in cache))
+    missing = list(dict.fromkeys(f for f, key in zip(fields, keys) if key not in tables))
     if missing:
         for field, vec in zip(missing, assemble_volume_load(space, missing)):
-            cache[("body_term", field)] = _read_only(vec)
-    return [cache[key] for key in keys]
+            tables[("body_term", field)] = _read_only(vec)
+    return [tables[key] for key in keys]
 
 
 def traction_term_vector(space: FeSpace, field):
     """(G, v)_Gamma_N of a time-independent traction field G(x, normal)->(n,3)
     on the Neumann-tagged facets, assembled once per (space, field) and
-    cached read-only."""
+    kept read-only in ``space.tables``."""
     return _cached(space, ("traction_term", field),
                    lambda: _read_only(assemble_traction_load(space, field)))
 
@@ -478,7 +472,7 @@ def surface_strain_maps(space: FeSpace, label):
     scalar dofs, and two sparse maps from a displacement u to each node's
     area-weighted mean, over its facets, of the facet means of the normal
     strain n.eps(u).n and of div u, taken from the owning elements at the
-    facet quadrature of degree 2p. Cached per (space, label)."""
+    facet quadrature of degree 2p. Kept in ``space.tables`` per label."""
 
     def build():
         fd = facet_data(space, degree=2 * space.p, label=label)

@@ -92,10 +92,10 @@ class LinearSolver:
     pays the factorization for a single right-hand side, so it is direct
     only up to ``ONE_SHOT_DOF_BOUND``.
 
-    A one-shot direct ``solve`` factorizes a float32 copy of the matrix,
-    with the same SuperLU options, and refines in float64 (r = b - A x,
-    x += solve32(r)) until LAPACK dsposv's test
-    ||r||_inf <= sqrt(n) eps ||A||_inf ||x||_inf holds. A matrix that
+    A one-shot direct ``solve`` factorizes a float32 CSC copy of the
+    matrix, with the same SuperLU options, and refines in float64 with the
+    matrix as given (r = b - A x, x += solve32(r)) until LAPACK dsposv's
+    test ||r||_inf <= sqrt(n) eps ||A||_inf ||x||_inf holds. A matrix that
     does not fit float32, a failed single factorization, a non-finite
     iterate, a correction that does not shrink the residual, or
     ``REFINE_MAX_CORRECTIONS`` corrections fall back to the float64
@@ -136,7 +136,6 @@ class LinearSolver:
         factor refined in float64, or else from the float64 factor."""
         n = matrix.shape[0]
         if n and self._resolve(n, reused=False) == "direct":
-            matrix = matrix.tocsc()
             x = _refined_solve(matrix, b)
             if x is not None:
                 return x
@@ -187,11 +186,11 @@ def _factor(matrix):
 
 
 def _refined_solve(matrix, b):
-    """x with matrix x = b from a float32 factor of the CSC ``matrix``
-    refined in float64 to dsposv's bound, or None where the refinement
-    fails (see ``LinearSolver``)."""
+    """x with matrix x = b from the float32 factor of a CSC copy, refined
+    in float64 with ``matrix``'s residuals to dsposv's bound, or None where
+    the refinement fails (see ``LinearSolver``)."""
     with np.errstate(over="ignore"):
-        single = matrix.astype(np.float32)
+        single = matrix.astype(np.float32).tocsc()
     if not np.all(np.isfinite(single.data)):
         return None
     try:

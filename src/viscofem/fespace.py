@@ -289,6 +289,7 @@ class FeSpace:
     Scalar dofs sit at vertices, edge lattice points, and (for p=3) face
     barycenters; ``cell_dofs`` maps each tet's reference nodes to global
     scalar dofs with edge nodes oriented by ascending global vertex id.
+    ``tables`` keeps the tables that ``assembly`` derives from the space.
     """
 
     def __init__(self, mesh: Mesh, p: int):
@@ -297,6 +298,7 @@ class FeSpace:
         self.mesh = mesh
         self.p = p
         self.ref_nodes = reference_nodes(p)
+        self.tables = {}
         self._build_dof_map()
         self._build_facets()
 
@@ -640,7 +642,8 @@ class ConstrainedSystem:
     both CSR from ``Constraints.reduce``. A holder that factorizes
     ``matrix`` may replace it by the copy it factorizes (a
     ``ReducedStepper`` on the direct path keeps the CSC), so that one copy
-    is alive while the factorization runs."""
+    is alive while the factorization runs. A one-shot direct ``solve``
+    factorizes a float32 copy beside the CSR, and no float64 one."""
 
     def __init__(self, constraints: Constraints, a_ff, a_fx):
         self.constraints = constraints

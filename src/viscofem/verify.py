@@ -245,8 +245,8 @@ class ManufacturedSolution:
             g = A(t) sigma_E[V] n + sum_m kappa_m g_m(t) dev eps(V) n,
 
         whose spatial fields are methods, so their assembled vectors are
-        cached per space across calls. All arms share the vectors of
-        L_D[V] and dev eps(V) n."""
+        kept in the space's ``tables`` across calls. All arms share the
+        vectors of L_D[V] and dev eps(V) n."""
         rho = self.material.rho
         body = [
             (lambda t: rho * self.time_factor_rate(t), self.shape),

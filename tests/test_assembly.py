@@ -683,7 +683,11 @@ def test_manufactured_load_vs_refined_quadrature():
     w = space.interpolate(lambda x: ms.velocity(t, x))
     oracle = _subdivided_load_functional(space, lambda x, t: body_force(ms, x, t), w, t)
     body = lambda x: body_force(ms, x, t)
-    full = w @ assemble_volume_load(space, [body], degree=8)[0]
+    # (f, w) at degree 8, from the tables of that volume quadrature
+    vd = volume_data(space, 8)
+    points = vd.points()
+    f = body(points.reshape(-1, 3)).reshape(points.shape)
+    full = np.sum(vd.weights() * np.einsum("eqa,eqa->eq", f, vd.value(w)))
     assert abs(full - oracle) < 1e-10 * abs(oracle)
     # the configured default order is converged well past discretization needs
     default = w @ assemble_volume_load(space, [body])[0]
@@ -718,3 +722,60 @@ def test_volume_load_chunks_match_one_chunk(monkeypatch, space):
     (chunked,) = assemble_volume_load(space, [body])
     assert len(calls) == -(-n_elem // 7)
     assert np.abs(chunked - whole).max() <= 1e-14 * np.abs(whole).max()
+
+
+def _push(x):
+    return np.stack([np.sin(x[:, 0]), x[:, 1], 1.0 + 0.0 * x[:, 2]], axis=1)
+
+
+def _pull(x, normal):
+    return -x[:, :1] * normal
+
+
+def _space_with_every_table(n, p):
+    """A box space on which every table ``assembly`` keeps per space was
+    built: the volume quadratures of the form and load degrees, the
+    Neumann facets', the pattern and the operators on it, the surface
+    strain maps of the boundary, and a body and a traction term vector."""
+    from viscofem import assembly
+
+    space = FeSpace(build_box_mesh(n), p)
+    volume_data(space)
+    volume_data(space, assembly.load_degree(space))
+    facet_data(space)
+    operators(space)
+    assembly.surface_strain_maps(space, "boundary")
+    assembly.body_term_vectors(space, [_push])
+    assembly.traction_term_vector(space, _pull)
+    return space
+
+
+def test_space_is_freed_with_its_tables():
+    import gc
+    import weakref
+
+    space = weakref.ref(_space_with_every_table(2, 2))
+    gc.collect()
+    assert space() is None
+
+
+# traced memory that the four builds after the first may leave allocated
+# after a collection: a space kept alive by its tables holds 1.8 MiB per
+# build of the n = 3, P2 box, 7.2 MiB after the fifth
+RETAINED_BOUND_BYTES = 2**18
+
+
+def test_repeated_builds_hold_no_memory():
+    import gc
+    import tracemalloc
+
+    held = []
+    tracemalloc.start()
+    try:
+        for _ in range(5):
+            _space_with_every_table(3, 2)
+            gc.collect()
+            held.append(tracemalloc.get_traced_memory()[0])
+    finally:
+        tracemalloc.stop()
+    assert held[-1] - held[0] < RETAINED_BOUND_BYTES, held

@@ -778,6 +778,22 @@ def test_cg_stepper_keeps_the_reduced_csr(monkeypatch):
     assert all(np.array_equal(x, y) for x, y in zip(got, expected))
 
 
+def test_static_solve_factorizes_beside_one_double_reduced_copy(monkeypatch):
+    # the one-shot solve factorizes a float32 CSC made straight from the
+    # reduced CSR, whose products give the refinement's residuals: no
+    # float64 CSC of the reduced matrix is alive at the factorization
+    from viscofem.dynamics import static_solve
+
+    ops, con = make_problem(n=3, p=2, material=TWO_ARMS)
+    n_free = len(con.free)
+    census = _census_at_factor(monkeypatch)
+    static_solve(ops, con, solver=DIRECT)
+    (_, factored, live) = census[0]
+    assert factored[1:] == ((n_free, n_free), "csc", np.float32)
+    reduced = sorted((m[2], str(m[3])) for m in live if m[1] == (n_free, n_free))
+    assert reduced == [("csc", "float32"), ("csr", "float64")]
+
+
 def test_symmetric_factor_agrees_with_colamd():
     import scipy.sparse.linalg as spla
 
