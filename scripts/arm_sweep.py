@@ -10,7 +10,7 @@ modulus 1e5 / M Pa with relaxation times log-spaced in [1e-3, 1e2] s,
 it measures:
 
 * the nonzeros of the reduced Schur matrix and the L + U nonzeros of its
-  factor (``LinearSolver("direct")``);
+  factor, both from the stepper's own ``LinearSolver("direct").prepare``;
 * the build: seconds to construct the ``ReducedStepper`` (Schur sum,
   reduction and factorization);
 * the step: the median milliseconds of ``ReducedStepper.step`` over
@@ -19,9 +19,11 @@ it measures:
   ``dissipation_increment`` and ``energy``;
 * the memory: the tracemalloc peak, in MiB, of the allocations made while
   the ``ReducedStepper`` is built (``build_traced_mib``) and while its
-  steps and ledger run (``march_traced_mib``), in a second, untimed pass
-  of the same build and steps. SuperLU allocates its factor in C, outside
-  tracemalloc, so the factor is not in these figures.
+  steps and ledger run (``march_traced_mib``), and tracemalloc's current
+  memory once the build returns (``build_held_mib``), which is what the
+  stepper keeps, in a second, untimed pass of the same build and steps.
+  SuperLU allocates its factor in C, outside tracemalloc, so the factor
+  is not in these figures.
 
 Run from the root of the repository, one thread:
 
@@ -72,27 +74,41 @@ def march(stepper, ops, state):
     return step_s, ledger_s
 
 
+class RecordingSolver(dynamics.LinearSolver):
+    """``LinearSolver("direct")`` that keeps, in ``prepared``, the nonzeros
+    of each matrix it factorizes and the factor."""
+
+    def __init__(self):
+        super().__init__("direct")
+        self.prepared = []
+
+    def prepare(self, matrix):
+        solve = super().prepare(matrix)
+        # the direct path returns the factor's bound solve
+        self.prepared.append((int(matrix.nnz), solve.__self__))
+        return solve
+
+
 def traced_mib(fn):
-    """fn() and the tracemalloc peak, in MiB, of the allocations made while
-    it ran."""
+    """fn() and tracemalloc's current and peak memory, in MiB, of the
+    allocations made while it ran: the current memory is what is still
+    held once it returns."""
     tracemalloc.start()
     try:
         result = fn()
-        peak = tracemalloc.get_traced_memory()[1]
+        current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return result, round(peak / 2**20, 2)
+    return result, round(current / 2**20, 2), round(peak / 2**20, 2)
 
 
 def row(space, con, m):
     ops = dynamics.OperatorSet(space, arm_material(m))
-    solver = dynamics.LinearSolver("direct")
+    solver = RecordingSolver()
     tic = perf_counter()
     stepper = dynamics.ReducedStepper(ops, con, K, solver=solver)
     build_s = perf_counter() - tic
-    schur_nnz = int(stepper.system.matrix.nnz)
-    # ``prepare`` returns the factor's bound solve
-    factor = solver.prepare(stepper.system.matrix).__self__
+    schur_nnz, factor = solver.prepared.pop()
     factor_nnz = int(factor.L.nnz + factor.U.nnz)
     del factor
     fields = 1e-3 * np.random.default_rng(m).standard_normal((2 + m, space.n_dofs))
@@ -100,15 +116,16 @@ def row(space, con, m):
     state = dynamics.State(0.0, u1, u0, uve)
     step_s, ledger_s = march(stepper, ops, state)
     stepper = None  # release the factor before the traced pass builds its own
-    stepper, build_mib = traced_mib(
+    stepper, held_mib, build_mib = traced_mib(
         lambda: dynamics.ReducedStepper(ops, con, K, solver=solver))
-    _, march_mib = traced_mib(lambda: march(stepper, ops, state))
+    _, _, march_mib = traced_mib(lambda: march(stepper, ops, state))
     return {
         "arms": m, "schur_nnz": schur_nnz, "factor_nnz": factor_nnz,
         "build_s": round(build_s, 4),
         "step_ms": round(1e3 * statistics.median(step_s), 3),
         "ledger_ms": round(1e3 * statistics.median(ledger_s), 3),
-        "build_traced_mib": build_mib, "march_traced_mib": march_mib,
+        "build_traced_mib": build_mib, "build_held_mib": held_mib,
+        "march_traced_mib": march_mib,
     }
 
 
@@ -128,8 +145,9 @@ def main():
         "n": N, "p": P, "dofs": space.n_dofs, "free_dofs": len(con.free), "k": K,
         "steps": STEPS,
         "traced_mib": "tracemalloc peaks of the allocations made during the build and "
-                      "during the steps plus ledger; SuperLU's own allocations, the "
-                      "factor among them, are untraced",
+                      "during the steps plus ledger, and the build's allocations still "
+                      "held once it returns; SuperLU's own allocations, the factor "
+                      "among them, are untraced",
         "rows": rows,
     }, indent=1))
 

@@ -95,7 +95,7 @@ def reduced(space, label):
     alpha_kappa = sum(m.kappa * a for m, a in zip(mat.arms, coeffs.alpha))
     a = ops.mass + (K * K / 4.0) * ops.elastic + ((K / 2.0) * alpha_kappa) * ops.deviatoric
     con = constraints(space, label)
-    return con.reduce(a).matrix, con.reduce(ops.elastic).matrix
+    return con.reduce(a)[0], con.reduce(ops.elastic)[0]
 
 
 def timed(fn, repeat):

@@ -401,14 +401,14 @@ class ReducedStepper:
     ``OperatorSet.keep_products`` for the ledger and the next rhs.
 
     Who holds which copy: the ``OperatorSet`` holds M, K_E and D; the
-    stepper holds the reduced system (``system``), whose ``matrix`` is the
-    reduced Schur matrix the solver uses, CSC on the direct path (the copy
-    SuperLU factorizes) and CSR on CG (the copy CG multiplies by), and its
-    solve (the factor, or CG's hold on ``system.matrix``). The full-size
-    Schur sum lives only until the reduction returns, and the reduced CSR
-    of the direct path only until its CSC copy is made, so while SuperLU
-    runs the only matrices alive are the three operators, the one CSC and
-    the small coupling block.
+    stepper holds the coupling block A_fx of ``Constraints.reduce``
+    (``coupling``) and its solve. The full-size Schur sum lives only until
+    the reduction returns. On the direct path the reduced CSR lives only
+    until its CSC copy is made, so while SuperLU runs the only matrices
+    alive are the three operators, the one CSC and the coupling block;
+    the factor keeps no reference to the CSC, which dies when the build
+    returns, so a march holds M, K_E, D, the coupling block and the
+    factor. On CG the solve holds the reduced CSR it multiplies by.
 
     ``step(state, t_next)`` advances by the stepper's own ``k``: the Schur
     matrix, the rhs, the constraint velocities and the displacement update
@@ -439,14 +439,14 @@ class ReducedStepper:
         # three quarters. The sum is bound to no name, so it is freed as
         # soon as ``reduce`` returns
         k = self.k
-        self.system = constraints.reduce(
+        schur, self.coupling = constraints.reduce(
             (operators.mass + (k * k / 4.0) * operators.elastic).copy()
             + ((k / 2.0) * self._alpha_kappa) * operators.deviatoric)
-        if self.solver._resolve(self.system.matrix.shape[0], reused=True) == "direct":
-            # SuperLU factorizes CSC: the system keeps that copy in place of
-            # the CSR, which is freed before the factorization starts
-            self.system.matrix = self.system.matrix.tocsc()
-        self._solve_free = self.solver.prepare(self.system.matrix)
+        if self.solver._resolve(schur.shape[0], reused=True) == "direct":
+            # SuperLU factorizes CSC: rebinding frees the CSR before the
+            # factorization starts, and the CSC when this returns
+            schur = schur.tocsc()
+        self._solve_free = self.solver.prepare(schur)
 
     def rhs(self, state: State, t_next=None):
         ops, k = self.ops, self.k
@@ -468,7 +468,7 @@ class ReducedStepper:
         d_prev = con.fixed_values(state.t)
         d_next = con.fixed_values(t_next)
         w_fixed = _constraint_velocities(d_prev, d_next, con.to_frame(state.u1)[con.fixed], k)
-        u1_next = con.expand(self._solve_free(self.system.reduced_rhs(b, w_fixed)), w_fixed)
+        u1_next = con.expand(self._solve_free(con.reduced_rhs(b, self.coupling, w_fixed)), w_fixed)
         nxt = State(t_next, u1_next,
                     advance_displacement(state.u0, state.u1, u1_next, k),
                     reconstruct_ve(state.u1, u1_next, state.uve, self.coeffs))
@@ -489,15 +489,15 @@ def static_solve(operators: OperatorSet, constraints: Constraints, loads=None,
                  t=0.0, solver=None):
     """Elastostatic displacement with the given essential constraints.
 
-    One reduced K_E solve through ``LinearSolver.solve``: on the direct
-    path a float32 factor refined in float64, falling back to the float64
-    factor (see ``LinearSolver``)."""
+    One reduced K_E solve, ``Constraints.solve``, through
+    ``LinearSolver.solve``: on the direct path a float32 factor refined in
+    float64, falling back to the float64 factor (see ``LinearSolver``).
+    The reduced pair lives only for the solve."""
     # the values first: kept by the constraint set, they would otherwise sit
     # above the reduction's temporaries and raise the RSS peak of the heap
     values = constraints.fixed_values(t)
     rhs = assemble_load(operators.space, loads, t)
-    system = constraints.reduce(operators.elastic)
-    return system.solve(rhs, values, solver or LinearSolver())
+    return constraints.solve(operators.elastic, rhs, values, solver or LinearSolver())
 
 
 @dataclass

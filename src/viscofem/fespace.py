@@ -10,7 +10,8 @@ all weights are positive and a rule of requested exactness degree d uses
 ceil((d+1)/2)^dim points.
 
 Essential constraints (Dirichlet and slip) are imposed by symmetric
-elimination. Slip nodes are rotated into an orthonormal frame (n, t1, t2)
+elimination, into a free-free and a free-fixed block that the caller
+holds. Slip nodes are rotated into an orthonormal frame (n, t1, t2)
 built from area-weighted facet normals; the normal component is
 prescribed strongly and the tangential components stay free. One frame
 kernel, ``_frame_sum``, rotates the slip nodes' 3-blocks of vectors and
@@ -54,42 +55,34 @@ def _jacobi01(n, alpha):
     return (1.0 + x) / 2.0, w * 2.0 ** (-alpha - 1.0)
 
 
+def _conical_rule(exactness_degree, dim):
+    """Conical-product rule on the reference simplex of dimension ``dim``:
+    the product of Gauss-Jacobi rules of weight (1-u)^alpha, alpha = dim-1
+    down to 0, with collapsed coordinate i = u_i (1-u_0) ... (1-u_{i-1})."""
+    d = int(exactness_degree)
+    if d < 0 or d > _MAX_QUAD_DEGREE:
+        raise ValueError(f"unsupported quadrature degree {d} (max {_MAX_QUAD_DEGREE})")
+    n = max(1, (d + 2) // 2)
+    nodes, weights = zip(*(_jacobi01(n, dim - 1 - i) for i in range(dim)))
+    grid = np.meshgrid(*nodes, indexing="ij")
+    coords = [reduce(lambda c, u: c * (1 - u), grid[:i], grid[i]).ravel() for i in range(dim)]
+    weights = reduce(np.multiply, np.meshgrid(*weights, indexing="ij")).ravel()
+    points = np.stack([reduce(np.subtract, coords, 1.0)] + coords, axis=1)
+    return QuadratureRule(points, weights)
+
+
 def quadrature(exactness_degree):
     """Conical-product rule on the reference tetrahedron.
 
     Exact for all polynomials of total degree <= exactness_degree; the
     weights are positive and sum to the reference volume 1/6.
     """
-    d = int(exactness_degree)
-    if d < 0 or d > _MAX_QUAD_DEGREE:
-        raise ValueError(f"unsupported quadrature degree {d} (max {_MAX_QUAD_DEGREE})")
-    n = max(1, (d + 2) // 2)
-    u, wu = _jacobi01(n, 2)
-    v, wv = _jacobi01(n, 1)
-    w, ww = _jacobi01(n, 0)
-    U, V, W = np.meshgrid(u, v, w, indexing="ij")
-    x = U.ravel()
-    y = (V * (1 - U)).ravel()
-    z = (W * (1 - U) * (1 - V)).ravel()
-    weights = (wu[:, None, None] * wv[None, :, None] * ww[None, None, :]).ravel()
-    points = np.stack([1 - x - y - z, x, y, z], axis=1)
-    return QuadratureRule(points, weights)
+    return _conical_rule(exactness_degree, 3)
 
 
 def triangle_quadrature(exactness_degree):
     """Conical-product rule on the reference triangle (weights sum to 1/2)."""
-    d = int(exactness_degree)
-    if d < 0 or d > _MAX_QUAD_DEGREE:
-        raise ValueError(f"unsupported quadrature degree {d} (max {_MAX_QUAD_DEGREE})")
-    n = max(1, (d + 2) // 2)
-    u, wu = _jacobi01(n, 1)
-    v, wv = _jacobi01(n, 0)
-    U, V = np.meshgrid(u, v, indexing="ij")
-    x = U.ravel()
-    y = (V * (1 - U)).ravel()
-    weights = (wu[:, None] * wv[None, :]).ravel()
-    points = np.stack([1 - x - y, x, y], axis=1)
-    return QuadratureRule(points, weights)
+    return _conical_rule(exactness_degree, 2)
 
 
 def reference_nodes(p):
@@ -449,8 +442,9 @@ class Constraints:
     3x3 blocks, whose columns are their frames. R is never formed:
     ``to_frame`` and ``from_frame`` apply R' and R, to a vector or to each
     row of an array of them, and ``reduce`` forms R'AR, by rotating those
-    blocks only, with the one kernel ``_frame_sum``. ``expand`` joins the
-    free and fixed frame values of a solve into Cartesian vectors.
+    blocks only, with the one kernel ``_frame_sum``, and splits it into the
+    pair (A_ff, A_fx) that its caller holds. ``expand`` joins the free and
+    fixed frame values of a solve into Cartesian vectors.
     """
 
     def __init__(self, space: FeSpace, spec: dict):
@@ -626,39 +620,25 @@ class Constraints:
         return a
 
     def reduce(self, matrix):
-        """Symmetric elimination: rotate to frame coordinates and split."""
+        """Symmetric elimination: rotate to frame coordinates and split
+        into (A_ff, A_fx), the free-free and free-fixed blocks, both CSR."""
         a = self._rotate_matrix(matrix) if len(self.slip_nodes) else matrix.tocsr()
         rows = a[self.free]
-        a_ff = rows[:, self.free].tocsr()
-        a_fx = rows[:, self.fixed].tocsr()
-        return ConstrainedSystem(self, a_ff, a_fx)
+        return rows[:, self.free].tocsr(), rows[:, self.fixed].tocsr()
 
-
-class ConstrainedSystem:
-    """A symmetric system reduced to the free frame dofs.
-
-    It holds the only copies of the reduced matrices: ``matrix``, the
-    free-free block A_ff, and ``coupling``, the free-fixed block A_fx,
-    both CSR from ``Constraints.reduce``. A holder that factorizes
-    ``matrix`` may replace it by the copy it factorizes (a
-    ``ReducedStepper`` on the direct path keeps the CSC), so that one copy
-    is alive while the factorization runs. A one-shot direct ``solve``
-    factorizes a float32 copy beside the CSR, and no float64 one."""
-
-    def __init__(self, constraints: Constraints, a_ff, a_fx):
-        self.constraints = constraints
-        self.matrix = a_ff
-        self.coupling = a_fx
-
-    def reduced_rhs(self, rhs, fixed_values):
-        b = self.constraints.to_frame(rhs)[self.constraints.free]
+    def reduced_rhs(self, rhs, coupling, fixed_values):
+        """The free part of R'rhs, less the ``coupling`` block A_fx times
+        the fixed frame values."""
+        b = self.to_frame(rhs)[self.free]
         # with all values zero, b - A 0 would equal b bit for bit
         if np.any(fixed_values):
-            b = b - self.coupling @ fixed_values
+            b = b - coupling @ fixed_values
         return b
 
-    def solve(self, rhs, fixed_values, solver):
-        """Solve for the full vector given a global rhs, fixed values and solver."""
-        b = self.reduced_rhs(rhs, fixed_values)
-        return self.constraints.expand(solver.solve(self.matrix, b), fixed_values)
+    def solve(self, matrix, rhs, fixed_values, solver):
+        """The full vector solving ``matrix`` under the constraints, given
+        a global rhs and the fixed frame values, by one solve of A_ff."""
+        a_ff, a_fx = self.reduce(matrix)
+        b = self.reduced_rhs(rhs, a_fx, fixed_values)
+        return self.expand(solver.solve(a_ff, b), fixed_values)
 

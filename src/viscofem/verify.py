@@ -329,10 +329,18 @@ def error_norms(state: State, exact: ManufacturedSolution, operators: OperatorSe
     return float(np.sqrt(kin + ela + sum(ve, 0.0))), float(np.sqrt(l2))
 
 
+def _count(ratio, what):
+    """round(ratio) as an int, a count of ``what``; a ValueError where the
+    ratio overflowed to a non-finite float, which no int can hold."""
+    if not np.isfinite(ratio):
+        raise ValueError(f"the number of {what} overflows")
+    return int(round(ratio))
+
+
 def cube_cells(h):
     """Cells per axis of the unit cube at mesh size h; a ValueError unless
     h divides the cube."""
-    n = int(round(1.0 / h)) if h > 0 else 0
+    n = _count(1.0 / h, f"cells per axis at mesh size {h}") if h > 0 else 0
     if n < 1 or abs(n * h - 1.0) > 1e-12:
         raise ValueError(f"mesh size {h} must divide the unit cube")
     return n
@@ -341,7 +349,7 @@ def cube_cells(h):
 def step_count(k, end_time):
     """Steps of size k up to ``end_time``; a ValueError unless k divides
     it."""
-    n = int(round(end_time / k)) if k > 0 else 0
+    n = _count(end_time / k, f"steps of {k} up to {end_time}") if k > 0 else 0
     if n < 1 or abs(n * k - end_time) > 1e-10:
         raise ValueError(f"timestep {k} must divide the end time {end_time}")
     return n
@@ -499,7 +507,7 @@ class ConserveConfig:
             raise ValueError("need k > 0 and 0 < release time < end time")
         for name, span in (("release time", self.release_time),
                            ("end time", self.end_time - self.release_time)):
-            if abs(round(span / self.k) * self.k - span) > 1e-10:
+            if abs(_count(span / self.k, f"steps in the {name}") * self.k - span) > 1e-10:
                 raise ValueError(f"{name} must be a time node")
 
     def resolved_material(self):

@@ -5,7 +5,8 @@ all internal fields simultaneously is kept as a cross-validation oracle
 for ``dynamics.ReducedStepper``; both paths produce identical states up
 to solver tolerance. The full stepper's states get direct products, so
 its ledger checks the reduced stepper's carried ones. ``simulate_full``
-marches it through ``dynamics.simulate`` itself.
+marches it through ``dynamics.simulate`` itself. ``PreparingSolver`` keeps
+the matrices a stepper's solver is prepared with.
 
 The other oracles are an adaptive-quadrature convolution for the
 internal-field update; the manufactured solution's stress, body force and
@@ -59,13 +60,13 @@ class FullStepper:
         mat = operators.material
         self.coeffs = step_coefficients(mat.arms, self.k)
         h = self.k / 2.0
-        mass, elastic, dev = (constraints.reduce(a) for a in (
-            operators.mass, operators.elastic, operators.deviatoric))
+        reduced = [constraints.reduce(a) for a in (
+            operators.mass, operators.elastic, operators.deviatoric)]
 
         def joined(part):
-            """The block matrix of the ``part`` ("matrix" or "coupling") of
-            every block's reduction."""
-            m, e, d = (getattr(system, part) for system in (mass, elastic, dev))
+            """The block matrix of the ``part`` (0 for A_ff, 1 for the
+            coupling block A_fx) of every block's reduction."""
+            m, e, d = (pair[part] for pair in reduced)
             blocks = [[None] * (2 + mat.n_arms) for _ in range(2 + mat.n_arms)]
             blocks[0][:2] = [m, h * e]
             blocks[1][:2] = [-h * e, e]
@@ -75,9 +76,9 @@ class FullStepper:
                 blocks[2 + i][2 + i] = ((1.0 + self.k / (2.0 * tau)) * kappa) * d
             return sp.bmat(blocks, format="csc")
 
-        a_ff = joined("matrix")
+        a_ff = joined(0)
         self._solve_free = spla.splu(a_ff).solve if a_ff.shape[0] else np.asarray
-        self._coupling = joined("coupling")
+        self._coupling = joined(1)
 
     def step(self, state: State, t_next=None) -> State:
         ops, con, k = self.ops, self.con, self.k
@@ -111,6 +112,21 @@ def simulate_full(*args, **kwargs):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dynamics, "ReducedStepper", FullStepper)
         return dynamics.simulate(*args, **kwargs)
+
+
+class PreparingSolver(dynamics.LinearSolver):
+    """A ``LinearSolver`` that keeps each matrix ``prepare`` is given, in
+    ``prepared``: a stepper holds no reduced Schur matrix of its own, so
+    this is how a test sees the one its solver factorizes or multiplies
+    by."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.prepared = []
+
+    def prepare(self, matrix):
+        self.prepared.append(matrix)
+        return super().prepare(matrix)
 
 
 def duhamel_stress(arm: MaxwellArm, strain_rate_history, t, rtol=1e-10):

@@ -290,8 +290,7 @@ def test_criterion_6_static_affine_patch():
             space, {"bottom": DirichletBC(lambda x, t: a0 + x @ B.T)}
         )
         rhs = assemble_traction_load(space, lambda x, n: n @ sig.T)
-        system = con.reduce(ops.elastic)
-        u = system.solve(rhs, con.fixed_values(0.0), DIRECT)
+        u = con.solve(ops.elastic, rhs, con.fixed_values(0.0), DIRECT)
         exact = space.interpolate(lambda x: a0 + x @ B.T)
         worst = max(worst, np.abs(u - exact).max() / np.abs(exact).max())
     assert report("6 static affine patch test", f"{worst:.2e}",

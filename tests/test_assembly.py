@@ -22,7 +22,7 @@ from viscofem.dynamics import OperatorSet
 from viscofem.fespace import FeSpace, reference_basis, triangle_quadrature
 from viscofem.material import MaterialModel
 from viscofem.mesh import BoundaryKind, BoundaryTag, box_face_tagger, build_box_mesh
-from oracles import body_force, tet_volumes
+from oracles import PreparingSolver, body_force, tet_volumes
 
 MU, LAM, RHO, KAPPA = 0.4, 0.6, 100.0, 2.5
 
@@ -194,7 +194,7 @@ def test_mass_keeps_a_third_of_the_shared_pattern(p):
 def test_schur_matrix_bit_equal_with_full_pattern_mass(kind, p):
     # the sparse sum drops the full-pattern mass's zeros, so the Schur
     # matrix does not see which pattern M is stored on
-    from viscofem.dynamics import LinearSolver, ReducedStepper
+    from viscofem.dynamics import ReducedStepper
     from viscofem.fespace import Constraints, DirichletBC, SlipBC
     from viscofem.mesh import build_annulus_mesh
 
@@ -206,9 +206,11 @@ def test_schur_matrix_bit_equal_with_full_pattern_mass(kind, p):
         space = FeSpace(build_annulus_mesh(0.5, 1.0, 0.4, (2, 6, 2)), p)
         con = Constraints(space, {"outer": DirichletBC(), "inner": SlipBC(0.1)})
     ops = OperatorSet(space, MaterialModel(RHO, MU, LAM, arms=((KAPPA, 1.0), (1.0, 0.1))))
-    got = ReducedStepper(ops, con, 0.01, solver=LinearSolver("direct")).system.matrix
+    solver = PreparingSolver("direct")
+    ReducedStepper(ops, con, 0.01, solver=solver)
     ops.mass = full_pattern_mass(space)
-    want = ReducedStepper(ops, con, 0.01, solver=LinearSolver("direct")).system.matrix
+    ReducedStepper(ops, con, 0.01, solver=solver)
+    got, want = solver.prepared
     for name in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(got, name), getattr(want, name))
 

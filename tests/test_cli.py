@@ -617,6 +617,25 @@ def test_out_of_range_time_value_exit_code(tmp_path, capsys, scenario, key, valu
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scenario, edits", [
+    ("single", [("time", "k", "1e-320")]),
+    ("single", [("time", "t", "1e308"), ("time", "k", "0.1")]),
+    ("conserve", [("time", "k", "1e-320")]),
+    ("convergence", [("convergence", "h", "1e-320")]),
+], ids=["single-tiny-k", "single-huge-t", "conserve-tiny-k", "convergence-tiny-h"])
+def test_overflowing_count_exit_code(tmp_path, capsys, scenario, edits):
+    # a step or cell count whose ratio overflows to inf holds in no int
+    body = {"single": BASE_SINGLE, "conserve": BASE_CONSERVE.replace("T = ", "t = "),
+            "convergence": BASE_CONVERGENCE}[scenario]
+    for section, key, value in edits:
+        body = _with(body, section, key, value)
+    code = main([scenario, "--config", write_cfg(tmp_path, body),
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "overflows" in err
+
+
 def test_non_finite_number_list_exit_code(tmp_path):
     body = BASE_CONSERVE.replace("[conserve]", "[conserve]\ndisplacement = 0 0 nan")
     path = write_cfg(tmp_path, body)
@@ -715,10 +734,11 @@ def test_example_config_sets_only_keys_the_cli_reads(tmp_path, monkeypatch):
 
 # values per (section, key) for the exit-code fuzz, which edits up to three
 # keys of a tiny base config: valid values, and ones that are malformed,
-# non-finite, out of range, empty, off the time grid or too large to
+# non-finite, out of range, empty, off the time grid, too large to
 # allocate (a mesh whose arrays outgrow the 64-bit address space, so the
-# allocation fails before any memory is touched). Marches stay short
-# whatever is drawn: at most 20 steps each.
+# allocation fails before any memory is touched) or so small or large that
+# a step or cell count overflows. Marches stay short whatever is drawn: at
+# most 20 steps each.
 FUZZ_VALUES = {
     ("material", "rho"): ["100", "0", "-1", "nan"],
     ("material", "E"): ["1e5", "-1e5", "inf", "1e308"],
@@ -731,8 +751,8 @@ FUZZ_DEGREE_VALUES = {("discretization", "p"): ["1", "2", "0", "4"]}
 FUZZ_MARCH_VALUES = {
     **FUZZ_DEGREE_VALUES,
     ("geometry", "n"): ["1", "2", "0", "-1", "1.5", "x", "1000000"],
-    ("time", "t"): ["0.2", "0.3", "0", "-0.2", "0.33", "nan"],
-    ("time", "k"): ["0.05", "0.1", "0.07", "0", "-0.1", "inf"],
+    ("time", "t"): ["0.2", "0.3", "0", "-0.2", "0.33", "nan", "1e308"],
+    ("time", "k"): ["0.05", "0.1", "0.07", "0", "-0.1", "inf", "1e-320"],
 }
 FUZZ_SCENARIO_VALUES = {
     "single": FUZZ_MARCH_VALUES,
@@ -758,7 +778,7 @@ FUZZ_SCENARIO_VALUES = {
         ("output", "vtk_stride"): ["1", "0"],
     },
     "convergence": {
-        ("convergence", "h"): ["0.5", "1", "1 0.5", "0.3", "0", ""],
+        ("convergence", "h"): ["0.5", "1", "1 0.5", "0.3", "0", "", "1e-320"],
         ("convergence", "k"): ["0.25", "0.5", "0.5 0.25", "0.3", "-0.25", ""],
         ("convergence", "p"): ["1", "2", "1 2", "0", "5", ""],
         ("convergence", "reference"): ["exact", "fine_k", "fine"],

@@ -19,7 +19,7 @@ from viscofem.assembly import LoadSpec
 from viscofem.fespace import Constraints, DirichletBC, FeSpace
 from viscofem.material import MaterialModel, MaxwellArm, step_coefficients
 from viscofem.mesh import BoundaryKind, BoundaryTag, box_face_tagger, build_box_mesh
-from oracles import FullStepper, apply_values, simulate_full
+from oracles import FullStepper, PreparingSolver, apply_values, simulate_full
 
 MATERIAL = MaterialModel.from_engineering(100.0, 1e5, 0.3, arms=((1e5, 1e-2),))
 DIRECT = LinearSolver(method="direct")
@@ -534,7 +534,7 @@ def test_static_solve_honours_separable_loads():
                          traction_terms=((lambda t: -2.0, push),))
     rhs = (assemble_volume_load(ops.space, [lambda x: 3.0 * shape(x)])[0]
            + assemble_traction_load(ops.space, lambda x, n: -2.0 * push(x, n)))
-    want = con.reduce(ops.elastic).solve(rhs, con.fixed_values(0.0), DIRECT)
+    want = con.solve(ops.elastic, rhs, con.fixed_values(0.0), DIRECT)
     got = static_solve(ops, con, separable, solver=DIRECT)
     assert np.abs(want).max() > 0
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
@@ -605,8 +605,8 @@ def _held_box_static_system(n=4, p=2):
     ops = OperatorSet(space, MaterialModel.from_engineering(1100.0, 0.5e6, 0.39))
     con = Constraints(space, {"bottom": DirichletBC((0.0, 0.0, 0.0)),
                               "held": DirichletBC((0.004, -0.002, 0.2))})
-    system = con.reduce(ops.elastic)
-    return system.matrix, system.reduced_rhs(np.zeros(space.n_dofs), con.fixed_values(0.0))
+    a_ff, a_fx = con.reduce(ops.elastic)
+    return a_ff, con.reduced_rhs(np.zeros(space.n_dofs), a_fx, con.fixed_values(0.0))
 
 
 def _ill_conditioned_spd(n=8, cond=1e10):
@@ -725,7 +725,7 @@ def _reduced_schur(ops, con, stepper):
     k = stepper.k
     schur = ((ops.mass + (k * k / 4.0) * ops.elastic).copy()
              + ((k / 2.0) * stepper._alpha_kappa) * ops.deviatoric)
-    return con.reduce(schur).matrix
+    return con.reduce(schur)[0]
 
 
 def _assert_same_arrays(got, want):
@@ -741,14 +741,16 @@ def test_direct_stepper_factorizes_its_only_reduced_copy(monkeypatch):
     ops, con = make_problem(n=3, p=2, material=TWO_ARMS)
     n_free, n = len(con.free), ops.space.n_dofs
     census = _census_at_factor(monkeypatch)
-    stepper = ReducedStepper(ops, con, 0.01, solver=DIRECT)
+    solver = PreparingSolver("direct")
+    stepper = ReducedStepper(ops, con, 0.01, solver=solver)
     [(_, factored, live)] = census
+    [schur] = solver.prepared
     assert [m for m in live if m[1] == (n_free, n_free)] == [factored]
-    assert factored[0] == id(stepper.system.matrix) and factored[2] == "csc"
+    assert factored[0] == id(schur) and factored[2] == "csc"
     assert sorted(m[0] for m in live if m[1] == (n, n)) == sorted(
         map(id, (ops.mass, ops.elastic, ops.deviatoric)))
     # the factor sees the CSC of the reduced Schur matrix
-    _assert_same_arrays(stepper.system.matrix, _reduced_schur(ops, con, stepper).tocsc())
+    _assert_same_arrays(schur, _reduced_schur(ops, con, stepper).tocsc())
 
 
 def test_cg_stepper_keeps_the_reduced_csr(monkeypatch):
@@ -757,10 +759,11 @@ def test_cg_stepper_keeps_the_reduced_csr(monkeypatch):
     import scipy.sparse.linalg as spla
 
     ops, con = make_problem(n=3, p=2, material=TWO_ARMS)
-    solver = LinearSolver("cg", rtol=1e-10)
+    solver = PreparingSolver("cg", rtol=1e-10)
     stepper = ReducedStepper(ops, con, 0.01, solver=solver)
+    [schur] = solver.prepared
     want = _reduced_schur(ops, con, stepper)
-    _assert_same_arrays(stepper.system.matrix, want)
+    _assert_same_arrays(schur, want)
     calls = []
     original = spla.cg
 
@@ -773,9 +776,34 @@ def test_cg_stepper_keeps_the_reduced_csr(monkeypatch):
     stepper.step(admissible_random_state(ops, con, 5))
     solver.prepare(want)(calls[0][1])
     (got_matrix, _, got), (_, _, expected) = calls
-    assert got_matrix is stepper.system.matrix
+    assert got_matrix is schur
     assert len(got) == len(expected) > 1
     assert all(np.array_equal(x, y) for x, y in zip(got, expected))
+
+
+def test_built_stepper_holds_no_reduced_schur_matrix_unless_cg():
+    # the factor keeps no reference to the CSC it was made from, so once a
+    # direct stepper is built no n_free x n_free matrix is alive: a march
+    # holds M, K_E, D, the coupling block and the factor. A CG stepper
+    # keeps the reduced CSR it multiplies by, and nothing more
+    import gc
+
+    import scipy.sparse as sp
+
+    ops, con = make_problem(n=3, p=2, material=TWO_ARMS)
+    n_free = len(con.free)
+
+    def reduced_alive():
+        gc.collect()
+        return [m for m in gc.get_objects() if sp.issparse(m) and m.shape[0] == n_free]
+
+    direct = ReducedStepper(ops, con, 0.01, solver=DIRECT)
+    [coupling] = reduced_alive()
+    assert coupling is direct.coupling and coupling.shape == (n_free, len(con.fixed))
+    cg = ReducedStepper(ops, con, 0.01, solver=LinearSolver("cg"))
+    held = [m for m in reduced_alive() if m.shape == (n_free, n_free)]
+    assert len(held) == 1
+    _assert_same_arrays(held[0], _reduced_schur(ops, con, cg))
 
 
 def test_static_solve_factorizes_beside_one_double_reduced_copy(monkeypatch):
@@ -798,8 +826,9 @@ def test_symmetric_factor_agrees_with_colamd():
     import scipy.sparse.linalg as spla
 
     ops, con = make_problem(n=3, p=2)
-    stepper = ReducedStepper(ops, con, 0.01, solver=DIRECT)
-    a = stepper.system.matrix
+    solver = PreparingSolver("direct")
+    ReducedStepper(ops, con, 0.01, solver=solver)
+    [a] = solver.prepared
     b = np.random.default_rng(4).standard_normal(a.shape[0])
     want = spla.splu(a.tocsc(), permc_spec="COLAMD").solve(b)
     got = DIRECT.prepare(a)(b)

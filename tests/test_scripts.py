@@ -52,4 +52,7 @@ def test_arm_sweep_prints_json(monkeypatch, capsys):
         # the build holds at least the factorized matrix, the march the
         # new states
         assert row["build_traced_mib"] > 0 and row["march_traced_mib"] > 0
+        # the built stepper keeps its coupling block, not the factorized
+        # matrix that the build's peak held
+        assert 0 < row["build_held_mib"] < row["build_traced_mib"]
     assert "SuperLU" in out["traced_mib"]
