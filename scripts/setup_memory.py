@@ -5,8 +5,7 @@ In one fresh process it builds ``verify.unit_cube_problem`` (mesh, space,
 mass, elastic and deviatoric operators, bottom constraints) for the
 one-arm material of the manufactured study, then assembles the spatial
 vectors of its manufactured loads (three body-force and two traction
-vectors, ``assembly.body_term_vectors`` and
-``assembly.traction_term_vector``) and makes one ``verify.error_norms``
+vectors, ``assembly.load_vectors``) and makes one ``verify.error_norms``
 call on the nodal interpolant of the exact solution at t = 1. It prints
 one JSON line:
 
@@ -58,11 +57,8 @@ def main():
 
     exact = verify.ManufacturedSolution(mat)
     space, t = ops.space, END_TIME
-    loads = exact.loads()
     tic = perf_counter()
-    assembly.body_term_vectors(space, [field for _, field in loads.body_terms])
-    for _, field in loads.traction_terms:
-        assembly.traction_term_vector(space, field)
+    assembly.load_vectors(space, exact.loads())
     loads_s = perf_counter() - tic
 
     state = dynamics.State(

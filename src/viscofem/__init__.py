@@ -5,7 +5,6 @@ manufactured-solution verification harness."""
 
 from .assembly import (
     LoadSpec,
-    assemble_load,
     assemble_mass,
     assemble_strain_operators,
     von_mises,

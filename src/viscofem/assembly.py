@@ -104,10 +104,13 @@ class LoadSpec:
     g = sum_j c_j(t) G_j(x, normal).
 
     The spatial vector of each F_j and G_j is assembled once per (space,
-    field) and kept in ``space.tables`` under the field object, so a field
-    should keep its identity across calls (a function or a bound method,
-    not a fresh lambda); only the scalars c_j are evaluated per time. A
-    load that is not a finite sum of such terms cannot be expressed.
+    field) by ``load_vectors`` and kept in ``space.tables`` under the field
+    object, so a field should keep its identity across calls (a function
+    or a bound method, not a fresh lambda); only the scalars c_j are
+    evaluated per time. Give one term per distinct spatial field, with the
+    coefficients summed: a body field repeated in one call is assembled
+    once per term. A load that is not a finite sum of such terms cannot be
+    expressed.
     """
 
     body_terms: tuple = ()
@@ -393,11 +396,11 @@ def assemble_volume_load(space: FeSpace, fields):
     return out
 
 
-def assemble_traction_load(space: FeSpace, field, label=None):
-    """(G, v)_Gamma of a traction field G(x, normal)->(n,3) on the facets
-    tagged ``label`` (default: every Neumann-tagged facet)."""
+def assemble_traction_load(space: FeSpace, field):
+    """(G, v)_Gamma_N of a traction field G(x, normal)->(n,3) on the
+    Neumann-tagged facets."""
     out = np.zeros(space.n_dofs)
-    fd = facet_data(space, label=label)
+    fd = facet_data(space)
     if len(fd.facets) == 0:
         return out
     nrm = np.repeat(fd.normals, fd.points.shape[1], axis=0)
@@ -407,47 +410,21 @@ def assemble_traction_load(space: FeSpace, field, label=None):
     return out
 
 
-def body_term_vectors(space: FeSpace, fields):
-    """[(F, v) for F in fields] of time-independent body-force fields
-    F(x)->(n,3), each assembled once per (space, field) and kept read-only
-    in ``space.tables``; the missing ones are assembled in one pass."""
+def load_vectors(space: FeSpace, loads: LoadSpec):
+    """(body, traction): the spatial vectors (F_j, v) and (G_j, v)_Gamma_N
+    of the terms of ``loads``, one per term in term order, each assembled
+    once per (space, field) and kept read-only in ``space.tables``. The
+    body fields not yet kept are assembled in one pass."""
     tables = space.tables
-    keys = [("body_term", field) for field in fields]
-    missing = list(dict.fromkeys(f for f, key in zip(fields, keys) if key not in tables))
+    fields = [field for _, field in loads.body_terms]
+    missing = [field for field in fields if ("body_term", field) not in tables]
     if missing:
         for field, vec in zip(missing, assemble_volume_load(space, missing)):
             tables[("body_term", field)] = _read_only(vec)
-    return [tables[key] for key in keys]
-
-
-def traction_term_vector(space: FeSpace, field):
-    """(G, v)_Gamma_N of a time-independent traction field G(x, normal)->(n,3)
-    on the Neumann-tagged facets, assembled once per (space, field) and
-    kept read-only in ``space.tables``."""
-    return _cached(space, ("traction_term", field),
-                   lambda: _read_only(assemble_traction_load(space, field)))
-
-
-def combine_loads(space: FeSpace, loads: LoadSpec, body_weight, traction_weight):
-    """sum_j w_j V_j over the cached spatial vectors V_j of the separable
-    terms of ``loads`` (zero for None), where w_j is ``body_weight(c_j)``
-    or ``traction_weight(c_j)`` of the term's coefficient c_j."""
-    out = np.zeros(space.n_dofs)
-    if loads is None:
-        return out
-    fields = [field for _, field in loads.body_terms]
-    for (coef, _), vec in zip(loads.body_terms, body_term_vectors(space, fields)):
-        out += body_weight(coef) * vec
-    for coef, field in loads.traction_terms:
-        out += traction_weight(coef) * traction_term_vector(space, field)
-    return out
-
-
-def assemble_load(space: FeSpace, loads: LoadSpec, t):
-    """Load vector (f, v) + (g, v)_Gamma_N at a fixed time, from the
-    separable terms of ``loads`` (zero for None)."""
-    value = lambda coef: coef(t)
-    return combine_loads(space, loads, value, value)
+    traction = [_cached(space, ("traction_term", field),
+                        lambda field=field: _read_only(assemble_traction_load(space, field)))
+                for _, field in loads.traction_terms]
+    return [tables[("body_term", field)] for field in fields], traction
 
 
 # -- stress evaluation ----------------------------------------------------

@@ -245,8 +245,11 @@ class SealSweepConfig:
             raise ConfigError("seal needs one or more frequencies, all positive")
         if not self.stations or any(not 0.0 <= s <= 1.0 for s in self.stations):
             raise ConfigError("seal needs one or more stations, all in [0, 1]")
-        if self.measure_cycles > self.cycles:
-            raise ConfigError("measure_cycles must not exceed cycles")
+        if not 1 <= self.measure_cycles <= self.cycles:
+            raise ConfigError("measure_cycles must lie in 1 .. cycles")
+        if len({f"{w:g}" for w in self.frequencies}) < len(self.frequencies):
+            raise ConfigError("seal frequencies must differ in 6 significant digits, "
+                              "which name their VTK files")
 
 
 def seal_normal_value(r_in, expansion, amplitude, omega, eccentricity=1.0):

@@ -41,7 +41,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .assembly import assemble_load, assemble_mass, assemble_strain_operators, combine_loads
+from .assembly import assemble_mass, assemble_strain_operators, load_vectors
 from .fespace import Constraints, FeSpace
 from .material import MaterialModel, step_coefficients
 
@@ -366,21 +366,24 @@ def load_time_integral(loads, space: FeSpace, t_prev, t_next):
     """Integral of the load functional over one time interval.
 
     Each term c_j(t) F_j(x) integrates its scalar c_j only, times the
-    cached spatial vector of F_j. Body-force coefficients use 2-point
-    Gauss in time (exact for quadratic-in-time f); traction coefficients
-    use the trapezoidal rule on their endpoint values, which integrates
-    the piecewise-linear-in-time interpolant of g exactly.
+    spatial vector of F_j from ``load_vectors``, summed in term order.
+    Body-force coefficients use 2-point Gauss in time (exact for
+    quadratic-in-time f); traction coefficients use the trapezoidal rule
+    on their endpoint values, which integrates the piecewise-linear-in-time
+    interpolant of g exactly.
     """
     k = t_next - t_prev
     if k <= 0:
         raise ValueError("need t_next > t_prev")
     mid = 0.5 * (t_prev + t_next)
     off = 0.5 * k / np.sqrt(3.0)
-    return combine_loads(
-        space, loads,
-        lambda coef: 0.5 * k * (coef(mid - off) + coef(mid + off)),
-        lambda coef: 0.5 * k * (coef(t_prev) + coef(t_next)),
-    )
+    body, traction = load_vectors(space, loads)
+    out = np.zeros(space.n_dofs)
+    for (coef, _), vec in zip(loads.body_terms, body):
+        out += 0.5 * k * (coef(mid - off) + coef(mid + off)) * vec
+    for (coef, _), vec in zip(loads.traction_terms, traction):
+        out += 0.5 * k * (coef(t_prev) + coef(t_next)) * vec
+    return out
 
 
 def _constraint_velocities(d_prev, d_next, u1_prev, k):
@@ -485,18 +488,18 @@ class ReducedStepper:
         return nxt
 
 
-def static_solve(operators: OperatorSet, constraints: Constraints, loads=None,
-                 t=0.0, solver=None):
-    """Elastostatic displacement with the given essential constraints.
+def static_solve(operators: OperatorSet, constraints: Constraints, t=0.0, solver=None):
+    """Unloaded elastostatic displacement that takes the constraints'
+    prescribed values at time ``t``.
 
-    One reduced K_E solve, ``Constraints.solve``, through
+    One reduced K_E solve, ``Constraints.solve``, of a zero load through
     ``LinearSolver.solve``: on the direct path a float32 factor refined in
     float64, falling back to the float64 factor (see ``LinearSolver``).
     The reduced pair lives only for the solve."""
     # the values first: kept by the constraint set, they would otherwise sit
     # above the reduction's temporaries and raise the RSS peak of the heap
     values = constraints.fixed_values(t)
-    rhs = assemble_load(operators.space, loads, t)
+    rhs = np.zeros(operators.space.n_dofs)
     return constraints.solve(operators.elastic, rhs, values, solver or LinearSolver())
 
 

@@ -241,24 +241,25 @@ class ManufacturedSolution:
     def loads(self):
         """The body force and traction in time-separable form,
 
-            f = rho a'(t) V - A(t) L_E[V] - sum_m kappa_m g_m(t) L_D[V],
-            g = A(t) sigma_E[V] n + sum_m kappa_m g_m(t) dev eps(V) n,
+            f = rho a'(t) V - A(t) L_E[V] - G(t) L_D[V],
+            g = A(t) sigma_E[V] n + G(t) dev eps(V) n,
 
-        whose spatial fields are methods, so their assembled vectors are
-        kept in the space's ``tables`` across calls. All arms share the
-        vectors of L_D[V] and dev eps(V) n."""
-        rho = self.material.rho
+        with G(t) = sum_m kappa_m g_m(t), so three body and two traction
+        terms for any arm count, and the G terms left out without arms.
+        The spatial fields are methods, so their assembled vectors are kept
+        in the space's ``tables`` across calls."""
+        rho, arms = self.material.rho, self.material.arms
         body = [
             (lambda t: rho * self.time_factor_rate(t), self.shape),
             (lambda t: -self.displacement_factor(t), self.elastic_divergence),
         ]
         traction = [(self.displacement_factor, self.elastic_traction)]
-        for m, arm in enumerate(self.material.arms):
-            def arm_coef(t, m=m, kappa=arm.kappa):
-                return kappa * self.arm_factor(m, t)
+        if arms:
+            def arm_sum(t):
+                return sum(arm.kappa * self.arm_factor(m, t) for m, arm in enumerate(arms))
 
-            body.append((lambda t, c=arm_coef: -c(t), self.deviatoric_divergence))
-            traction.append((arm_coef, self.deviatoric_traction))
+            body.append((lambda t: -arm_sum(t), self.deviatoric_divergence))
+            traction.append((arm_sum, self.deviatoric_traction))
         return LoadSpec(body_terms=tuple(body), traction_terms=tuple(traction))
 
 

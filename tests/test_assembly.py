@@ -8,11 +8,11 @@ from viscofem.assembly import (
     FacetData,
     _evaluate_field,
     _vector_dofs,
-    assemble_load,
     assemble_mass,
     assemble_traction_load,
     assemble_volume_load,
     facet_data,
+    load_vectors,
     LoadSpec,
     recover_nodal_stress,
     volume_data,
@@ -587,7 +587,7 @@ def test_load_constant_body_force(space):
     loads = LoadSpec(body_terms=(
         (lambda t: 1.0, lambda x: np.broadcast_to(c, (len(x), 3))),
     ))
-    F = assemble_load(space, loads, 0.0)
+    (F,), _ = load_vectors(space, loads)
     d = space.interpolate(lambda x: d_vec + 0 * x)
     assert abs(d @ F - c @ d_vec) < 1e-12  # |Omega| = 1
 
@@ -608,7 +608,7 @@ def test_load_traction_single_face():
         pressure = 3.5
         n_hat = np.array([0.0, 0.0, 1.0])
         g = lambda x, n: pressure * n
-        F = assemble_traction_load(space, g, label="lid")
+        F = assemble_traction_load(space, g)  # the lid is the only Neumann face
         d_vec = np.array([0.2, -0.4, 1.0])
         d = space.interpolate(lambda x: d_vec + 0 * x)
         assert abs(d @ F - pressure * (n_hat @ d_vec)) < 1e-12
@@ -626,10 +626,7 @@ def test_load_traction_acts_on_every_neumann_label(p):
     space = FeSpace(mesh, p)
     pressure = 3.5
     g = lambda x, n: pressure * n
-    F = assemble_load(space, LoadSpec(traction_terms=((lambda t: 1.0, g),)), 0.0)
-    want = (assemble_traction_load(space, g, label="lid")
-            + assemble_traction_load(space, g, label="side"))
-    assert np.abs(F - want).max() <= 1e-14 * np.abs(want).max()
+    _, (F,) = load_vectors(space, LoadSpec(traction_terms=((lambda t: 1.0, g),)))
     d_vec = np.array([0.2, -0.4, 1.0])
     d = space.interpolate(lambda x: d_vec + 0 * x)
     assert abs(d @ F - pressure * (d_vec[0] + d_vec[2])) < 1e-12
@@ -747,8 +744,8 @@ def _space_with_every_table(n, p):
     facet_data(space)
     operators(space)
     assembly.surface_strain_maps(space, "boundary")
-    assembly.body_term_vectors(space, [_push])
-    assembly.traction_term_vector(space, _pull)
+    one = lambda t: 1.0
+    assembly.load_vectors(space, LoadSpec(((one, _push),), ((one, _pull),)))
     return space
 
 

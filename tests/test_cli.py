@@ -452,6 +452,22 @@ def test_seal_station_or_empty_list_exit_code(tmp_path, capsys, key, value):
     assert not (tmp_path / "o" / "seal_pressure.csv").exists()
 
 
+@pytest.mark.parametrize("key, value", [
+    ("measure_cycles", "0"), ("measure_cycles", "-1"),
+    ("frequencies", "2 2"), ("frequencies", "2 2.0000001"),
+], ids=["no-measured-cycle", "negative-measured-cycles", "repeated-frequency",
+        "frequencies-sharing-a-vtk-name"])
+def test_seal_measure_cycles_or_frequency_names_exit_code(tmp_path, capsys, key, value):
+    # a measured span outside 1 .. cycles has no min/max to take, and two
+    # frequencies equal under :g would write one seal_omega_*.vtk file;
+    # the message names the key, not a failure downstream of it
+    path = write_cfg(tmp_path, _with(BASE_SEAL, "seal", key, value))
+    assert main(["seal", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err
+    assert not (tmp_path / "o" / "seal_pressure.csv").exists()
+
+
 def test_seal_scenario_tiny(tmp_path):
     path = write_cfg(tmp_path, BASE_SEAL)
     out = tmp_path / "o"
@@ -768,7 +784,7 @@ FUZZ_SCENARIO_VALUES = {
                                     "1000000 1000000 1000000"],
         ("geometry", "r_inner"): ["0.006", "0.02", "0", "-0.006"],
         ("geometry", "length"): ["0.02", "0", "-0.02", "inf"],
-        ("seal", "frequencies"): ["2", "1 3", "0", "-2", "", "nan"],
+        ("seal", "frequencies"): ["2", "1 3", "2 2", "0", "-2", "", "nan"],
         ("seal", "stations"): ["0.5", "0 1", "0.25 0.5", "2", "-0.5", ""],
         ("seal", "cycles"): ["1", "2", "0", "-1", "1.5"],
         ("seal", "measure_cycles"): ["1", "0", "2", "-1"],

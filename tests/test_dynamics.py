@@ -301,17 +301,17 @@ def test_load_time_integral_constant_and_linear():
     loads = LoadSpec(body_terms=((lambda t: 1.0, _constant(c)),))
     k = 0.3
     vec = load_time_integral(loads, space, 0.2, 0.2 + k)
-    from viscofem.assembly import assemble_load
+    from viscofem.assembly import load_vectors
 
-    single = assemble_load(space, loads, 0.0)
+    (single,), _ = load_vectors(space, loads)
     assert np.abs(vec - k * single).max() < 1e-12 * np.abs(single).max()
 
     # traction linear in time: trapezoid is exact
     tr = LoadSpec(traction_terms=((lambda t: 1.0 + 2.0 * t, _normal),))
     vec2 = load_time_integral(tr, space, 0.0, k)
     mid_val = 1.0 + 2.0 * (k / 2)
-    mid = LoadSpec(traction_terms=((lambda t: mid_val, _normal),))
-    ref = assemble_load(space, mid, 0.0)
+    _, (unit,) = load_vectors(space, tr)
+    ref = mid_val * unit
     assert np.abs(vec2 - k * ref).max() < 1e-12 * np.abs(k * ref).max()
 
 
@@ -324,9 +324,9 @@ def test_load_time_integral_quadratic_gauss_exact():
     vec = load_time_integral(loads, space, t0, t1)
     # integral of (3t^2 - t + 2) over [t0, t1], computed symbolically
     anti = lambda t: t**3 - t**2 / 2 + 2 * t
-    from viscofem.assembly import assemble_load
+    from viscofem.assembly import load_vectors
 
-    base = assemble_load(space, LoadSpec(body_terms=((lambda t: 1.0, unit),)), 0.0)
+    (base,), _ = load_vectors(space, loads)
     expect = (anti(t1) - anti(t0)) * base
     assert np.abs(vec - expect).max() < 1e-12 * np.abs(expect).max()
 
@@ -520,24 +520,6 @@ def test_ledger_columns_equal_direct_quadratic_forms():
             close(dissipation_increment(prev, state, ops, k), want)
             dissipated += want
         close(rec.dissipated, dissipated)
-
-
-def test_static_solve_honours_separable_loads():
-    from viscofem.dynamics import static_solve
-
-    from viscofem.assembly import assemble_traction_load, assemble_volume_load
-
-    ops, con = make_problem(n=2, p=2)
-    shape = lambda x: np.stack([x[:, 2], x[:, 0] * x[:, 1], np.sin(x[:, 2])], axis=1)
-    push = lambda x, n: np.cos(x[:, :1]) * n
-    separable = LoadSpec(body_terms=((lambda t: 3.0, shape),),
-                         traction_terms=((lambda t: -2.0, push),))
-    rhs = (assemble_volume_load(ops.space, [lambda x: 3.0 * shape(x)])[0]
-           + assemble_traction_load(ops.space, lambda x, n: -2.0 * push(x, n)))
-    want = con.solve(ops.elastic, rhs, con.fixed_values(0.0), DIRECT)
-    got = static_solve(ops, con, separable, solver=DIRECT)
-    assert np.abs(want).max() > 0
-    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_direct_factorization_failure_is_solver_error():

@@ -306,7 +306,6 @@ def _pointwise_time_integral(space, exact, t0, t1):
 @pytest.mark.parametrize("p", [1, 2])
 @pytest.mark.parametrize("n_arms", [1, 3])
 def test_separable_loads_match_closures(p, n_arms):
-    from viscofem.assembly import assemble_load
     from viscofem.dynamics import load_time_integral
 
     material = MaterialModel.from_engineering(100.0, 1e5, 0.3, arms=_arms(n_arms))
@@ -317,9 +316,6 @@ def test_separable_loads_match_closures(p, n_arms):
     for t0, t1 in ((0.0, 0.125), (0.3, 0.35), (0.9, 1.0)):
         want = _pointwise_time_integral(space, exact, t0, t1)
         got = load_time_integral(separable, space, t0, t1)
-        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
-        want = _pointwise_body(space, exact, t1) + _pointwise_traction(space, exact, t1)
-        got = assemble_load(space, separable, t1)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
@@ -377,8 +373,8 @@ def test_separable_loads_assemble_spatial_vectors_once(n_arms, monkeypatch):
     steps = 6
     simulate(ops, con, TimeGrid.uniform(0.0, 0.5, steps), loads=exact.loads(),
              solver=DIRECT)
-    # rho V, L_E[V] and L_D[V] (shared by every arm); sigma_E[V]n and
-    # dev eps(V)n: independent of the step and arm counts
+    # rho V, L_E[V] and L_D[V]; sigma_E[V]n and dev eps(V)n: independent
+    # of the step and arm counts
     assert calls == {"volume": 3, "traction": 2}
     # the three body-force fields share one pass over the elements
     assert passes.count("volume") == 1
@@ -386,6 +382,19 @@ def test_separable_loads_assemble_spatial_vectors_once(n_arms, monkeypatch):
     simulate(ops, con, TimeGrid.uniform(0.0, 0.5, steps), loads=exact.loads(),
              solver=DIRECT)
     assert calls == {"volume": 3, "traction": 2}
+
+
+@pytest.mark.parametrize("n_arms, counts", [(0, (2, 1)), (1, (3, 2)), (3, (3, 2))])
+def test_manufactured_loads_have_one_deviatoric_term_for_all_arms(n_arms, counts):
+    material = MaterialModel.from_engineering(100.0, 1e5, 0.3, arms=_arms(n_arms))
+    exact = ManufacturedSolution(material, 0.3, -0.1)
+    loads = exact.loads()
+    assert (len(loads.body_terms), len(loads.traction_terms)) == counts
+    if n_arms:
+        # the deviatoric coefficient sums kappa_m g_m over the arms
+        want = sum(arm.kappa * exact.arm_factor(m, 0.7) for m, arm in enumerate(material.arms))
+        assert loads.traction_terms[-1][0](0.7) == want
+        assert loads.body_terms[-1][0](0.7) == -want
 
 
 def _count_factor_calls(monkeypatch):
@@ -401,16 +410,17 @@ def _count_factor_calls(monkeypatch):
 @pytest.mark.parametrize("p", [1, 2])
 def test_manufactured_loads_evaluate_each_shape_factor_once_per_chunk(monkeypatch, p):
     from viscofem import assembly
-    from viscofem.assembly import assemble_volume_load, body_term_vectors
+    from viscofem.assembly import LoadSpec, assemble_volume_load, load_vectors
 
     material = MaterialModel.from_engineering(100.0, 1e5, 0.3, arms=_arms(3))
     ops, _ = unit_cube_problem(material, 2, p)
     space = ops.space
     monkeypatch.setattr(assembly, "ELEMENT_CHUNK", 7)
     exact = ManufacturedSolution(material)
-    fields = [field for _, field in exact.loads().body_terms]
+    terms = exact.loads().body_terms
+    fields = [field for _, field in terms]
     calls = _count_factor_calls(monkeypatch)
-    got = body_term_vectors(space, fields)
+    got, _ = load_vectors(space, LoadSpec(body_terms=terms))
     # V, L_E[V] and L_D[V] of one chunk share its factors: two per axis,
     # each of orders 0, 1 and 2
     assert len(calls) == 18 * -(-len(space.mesh.tets) // 7)
@@ -422,15 +432,16 @@ def test_manufactured_loads_evaluate_each_shape_factor_once_per_chunk(monkeypatc
 
 
 def test_manufactured_tractions_evaluate_each_shape_factor_once(monkeypatch):
-    from viscofem.assembly import assemble_traction_load, traction_term_vector
+    from viscofem.assembly import LoadSpec, assemble_traction_load, load_vectors
 
     material = MaterialModel.from_engineering(100.0, 1e5, 0.3, arms=_arms(3))
     ops, _ = unit_cube_problem(material, 2, 2)
     space = ops.space
     exact = ManufacturedSolution(material)
-    fields = [field for _, field in exact.loads().traction_terms]
+    terms = exact.loads().traction_terms
+    fields = [field for _, field in terms]
     calls = _count_factor_calls(monkeypatch)
-    got = [traction_term_vector(space, field) for field in fields]
+    _, got = load_vectors(space, LoadSpec(traction_terms=terms))
     # sigma_E[V]n and dev eps(V)n on the facet points share their factors:
     # two per axis, each of orders 0 and 1
     assert len(calls) == 12
@@ -514,12 +525,12 @@ def test_error_norms_evaluate_each_shape_factor_once_per_chunk(monkeypatch):
 
 
 def test_passes_over_the_mesh_release_the_point_table():
-    from viscofem.assembly import body_term_vectors
+    from viscofem.assembly import LoadSpec, load_vectors
 
     material = MaterialModel.from_engineering(100.0, 1e5, 0.3, arms=_arms(2))
     ops, _ = unit_cube_problem(material, 2, 1)
     exact = ManufacturedSolution(material)
-    body_term_vectors(ops.space, [field for _, field in exact.loads().body_terms])
+    load_vectors(ops.space, LoadSpec(body_terms=exact.loads().body_terms))
     assert exact._table is None
     exact.shape(ops.space.dof_coords)
     assert exact._table is not None
