@@ -47,9 +47,7 @@ from .material import MaterialModel, step_coefficients
 
 
 class SolverError(RuntimeError):
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
+    """A factorization, CG solve or march that failed."""
 
 
 # free dofs up to which ``auto`` factorizes a matrix whose solver is reused
@@ -167,11 +165,8 @@ class LinearSolver:
             )
             if info != 0:
                 res = float(np.linalg.norm(matrix @ x - b))
-                raise SolverError(
-                    f"CG did not converge within {maxiter} iterations "
-                    f"(residual {res:.3e})",
-                    residual=res,
-                )
+                raise SolverError(f"CG did not converge within {maxiter} iterations "
+                                  f"(residual {res:.3e})")
             state["x0"] = x
             return x
 
@@ -258,10 +253,6 @@ class TimeGrid:
     @classmethod
     def uniform(cls, t_start, t_end, n_steps):
         return cls(np.linspace(t_start, t_end, int(n_steps) + 1))
-
-    @property
-    def steps(self):
-        return np.diff(self.nodes)
 
 
 @dataclass(frozen=True)

@@ -286,8 +286,6 @@ class FeSpace:
     """
 
     def __init__(self, mesh: Mesh, p: int):
-        if p not in (1, 2, 3):
-            raise ValueError(f"unsupported polynomial degree {p}")
         self.mesh = mesh
         self.p = p
         self.ref_nodes = reference_nodes(p)

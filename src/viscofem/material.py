@@ -89,7 +89,6 @@ class StepCoefficients:
     u_ve(t_n) = alpha*(u1(t_n) + u1(t_{n-1})) + beta*u_ve(t_{n-1}).
     """
 
-    k: float
     alpha: np.ndarray
     beta: np.ndarray
 
@@ -98,5 +97,5 @@ def step_coefficients(arms, k) -> StepCoefficients:
     if k <= 0:
         raise ValueError("timestep must be positive")
     taus = np.array([arm.tau for arm in arms], dtype=float)
-    return StepCoefficients(float(k), k / (2.0 + k / taus),
+    return StepCoefficients(k / (2.0 + k / taus),
                             (2.0 - k / taus) / (2.0 + k / taus))

@@ -125,7 +125,7 @@ def _fix_orientation(vertices, tets):
     return tets
 
 
-def _extract_boundary(vertices, tets):
+def _extract_boundary(tets):
     """Facets belonging to exactly one tet, outward oriented, with owners."""
     n_tets = len(tets)
     faces = np.empty((4 * n_tets, 3), dtype=np.int64)
@@ -145,7 +145,7 @@ def _extract_boundary(vertices, tets):
     return faces[sel], owners[sel]
 
 
-def _tag_facets(vertices, facets, owners, tagger, default_tag):
+def _tag_facets(vertices, facets, tagger, default_tag):
     """Assign one BoundaryTag per facet via the tagger callback."""
     tri = vertices[facets]
     centroids = tri.mean(axis=1)
@@ -195,9 +195,9 @@ def build_box_mesh(n, extent=(1.0, 1.0, 1.0), tagger=None):
 
     tets = _fix_orientation(vertices, _kuhn_tets((nx, ny, nz), vid))
 
-    facets, owners = _extract_boundary(vertices, tets)
+    facets, owners = _extract_boundary(tets)
     default = BoundaryTag(BoundaryKind.NEUMANN, "boundary")
-    tags, facet_tags = _tag_facets(vertices, facets, owners, tagger, default)
+    tags, facet_tags = _tag_facets(vertices, facets, tagger, default)
     return Mesh(vertices, tets, facets, facet_tags, owners, tags)
 
 
@@ -265,7 +265,7 @@ def build_annulus_mesh(r_in, r_out, length_z, divisions):
 
     tets = _fix_orientation(vertices, _kuhn_tets((n_r, n_t, n_z), vid))
 
-    facets, owners = _extract_boundary(vertices, tets)
+    facets, owners = _extract_boundary(tets)
     tol = 1e-10 * (2 * r_out + length_z)
     tags = (
         BoundaryTag(BoundaryKind.SLIP, "inner"),

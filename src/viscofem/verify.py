@@ -35,12 +35,14 @@ from .assembly import (
 from .dynamics import (
     LinearSolver,
     OperatorSet,
+    SolverError,
     State,
     TimeGrid,
+    energy,
     simulate,
     static_solve,
 )
-from .fespace import Constraints, DirichletBC, FeSpace
+from .fespace import Constraints, DirichletBC, FeSpace, reference_nodes
 from .material import MaterialModel
 from .mesh import BoundaryKind, BoundaryTag, box_face_tagger, build_box_mesh
 
@@ -429,15 +431,12 @@ class ConvergenceTable:
 
 def _discrete_error(state, reference, operators):
     """Discrete energy-norm and L2 distance between two states on the
-    same space (used for reference-solution temporal studies)."""
-    du1 = state.u1 - reference.u1
+    same space (used for reference-solution temporal studies): the
+    ``energy`` of their difference, and its M-norm over rho."""
     du0 = state.u0 - reference.u0
-    total = float(du1 @ (operators.mass @ du1))
-    total += float(du0 @ (operators.elastic @ du0))
-    d = state.uve - reference.uve  # per arm, added in arm order
-    total = sum(operators.material.kappa * np.vecdot(d, (operators.deviatoric @ d.T).T), total)
+    d = State(state.t, state.u1 - reference.u1, du0, state.uve - reference.uve)
     l2 = float(du0 @ (operators.mass @ du0)) / operators.material.rho
-    return np.sqrt(total), np.sqrt(l2)
+    return np.sqrt(energy(d, operators).total), np.sqrt(l2)
 
 
 def _sweep_row(material, case, end_time, solver, reference=None):
@@ -452,7 +451,7 @@ def _sweep_row(material, case, end_time, solver, reference=None):
             row.energy_error, row.l2_error = error_norms(final, exact, ops)
         else:
             row.energy_error, row.l2_error = _discrete_error(final, reference, ops)
-    except Exception as exc:  # record the failure, keep sweeping
+    except (SolverError, MemoryError) as exc:  # record the failure, keep sweeping
         row.failure = str(exc)
     row.wall_seconds = time.perf_counter() - tic
     return row
@@ -467,10 +466,21 @@ def convergence_study(material, cases, end_time=1.0, solver=None,
     reference='fine_k' measures against a same-mesh run with the
     smallest case timestep divided by ``refine_reference``, isolating the
     time-integration error. Solver failures are recorded per row and do
-    not abort the sweep; a failing reference run does.
+    not abort the sweep; a failing reference run does. Every case is
+    checked before the first row runs: an unknown reference, a repeated
+    case, or a mesh size, timestep or degree that cannot run raises
+    ``ValueError``.
     """
     if reference not in ("exact", "fine_k"):
         raise ValueError(f"unknown reference {reference!r}")
+    seen = set()
+    for h, k, p in cases:
+        if (h, k, p) in seen:
+            raise ValueError(f"case h={h} k={k} p={p} is repeated")
+        seen.add((h, k, p))
+        cube_cells(h)
+        step_count(k, end_time)
+        reference_nodes(p)
     refs = {}
     if reference == "fine_k":
         k_ref = min(c[1] for c in cases) / refine_reference

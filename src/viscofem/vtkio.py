@@ -15,8 +15,7 @@ from .mesh import Mesh
 _VTK_TET = 10
 
 
-def write_vtk(mesh: Mesh, path, point_vectors=None, point_scalars=None,
-              title="viscofem output"):
+def write_vtk(mesh: Mesh, path, point_vectors=None, point_scalars=None):
     """Write the mesh and optional vertex fields.
 
     point_vectors: dict name -> (n_vertices, 3) array
@@ -35,7 +34,7 @@ def write_vtk(mesh: Mesh, path, point_vectors=None, point_scalars=None,
 
     lines = [
         "# vtk DataFile Version 3.0",
-        title,
+        "viscofem output",
         "ASCII",
         "DATASET UNSTRUCTURED_GRID",
         f"POINTS {nv} double",

@@ -171,6 +171,16 @@ def test_convergence_size_off_grid_exit_code(tmp_path, capsys, key, value):
     assert not (tmp_path / "o" / "convergence.csv").exists()
 
 
+@pytest.mark.parametrize("key, value", [("h", "0.5 0.25 0.5"), ("k", "0.25 0.25"),
+                                        ("p", "1 1")])
+def test_convergence_repeated_value_exit_code(tmp_path, capsys, key, value):
+    # a repeated case would run twice and give a nan rate between its rows
+    path = write_cfg(tmp_path, _with(BASE_CONVERGENCE, "convergence", key, value))
+    assert main(["convergence", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert "is repeated" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "convergence.csv").exists()
+
+
 @pytest.mark.parametrize("key, value, message", [
     ("p", "0", "unsupported polynomial degree"),
     ("p", "5", "unsupported polynomial degree"),
@@ -794,9 +804,9 @@ FUZZ_SCENARIO_VALUES = {
         ("output", "vtk_stride"): ["1", "0"],
     },
     "convergence": {
-        ("convergence", "h"): ["0.5", "1", "1 0.5", "0.3", "0", "", "1e-320"],
-        ("convergence", "k"): ["0.25", "0.5", "0.5 0.25", "0.3", "-0.25", ""],
-        ("convergence", "p"): ["1", "2", "1 2", "0", "5", ""],
+        ("convergence", "h"): ["0.5", "1", "1 0.5", "0.5 0.5", "0.3", "0", "", "1e-320"],
+        ("convergence", "k"): ["0.25", "0.5", "0.5 0.25", "0.25 0.25", "0.3", "-0.25", ""],
+        ("convergence", "p"): ["1", "2", "1 2", "1 1", "0", "5", ""],
         ("convergence", "reference"): ["exact", "fine_k", "fine"],
         ("time", "t"): ["1", "0.5", "0.3", "0", "-1"],
     },

@@ -366,9 +366,8 @@ def test_cg_solver_matches_direct_and_reports_failure(monkeypatch):
     assert np.abs(s_cg.u1 - s_dir.u1).max() < 1e-9 * max(np.abs(s_dir.u1).max(), 1e-30)
     monkeypatch.setattr(dynamics, "CG_ITERATION_FACTOR", 1e-9)
     starved = LinearSolver(method="cg", rtol=1e-16)
-    with pytest.raises(SolverError) as err:
+    with pytest.raises(SolverError, match="residual"):
         ReducedStepper(ops, con, k, solver=starved).step(state)
-    assert err.value.residual is not None
 
 
 def test_reduced_full_equivalence_with_slip():
@@ -835,7 +834,7 @@ def _count_builds(monkeypatch, cls):
 def test_uniform_grid_builds_one_stepper(monkeypatch, t_start, t_end, n_steps):
     ops, con = make_problem(n=1, p=1)
     grid = TimeGrid.uniform(t_start, t_end, n_steps)
-    steps = grid.steps
+    steps = np.diff(grid.nodes)
     if n_steps >= 80:
         # the rounding jitter of the linspace steps exceeds 1e-14 relative
         assert np.ptp(steps) > 1e-14 * steps.max()
@@ -943,7 +942,8 @@ def test_reduced_full_simulate_agree_on_jittered_grid(monkeypatch):
         traction_terms=((lambda t: 1.0 + np.sin(2.0 * t), _normal),),
     )
     grid = TimeGrid.uniform(0.0, 0.3, 90)
-    assert np.ptp(grid.steps) > 1e-14 * grid.steps.max()
+    steps = np.diff(grid.nodes)
+    assert np.ptp(steps) > 1e-14 * steps.max()
     full_builds = _count_builds(monkeypatch, FullStepper)
     red = simulate(ops, con, grid, loads=loads, solver=DIRECT)
     ful = simulate_full(ops, con, grid, loads=loads)

@@ -195,9 +195,15 @@ def test_convergence_table_self_consistency():
     assert rate > 0.3 and not saturated
 
 
-def test_convergence_table_csv_and_failures(tmp_path):
-    cases = [(0.5, 0.25, 1), (0.3, 0.25, 1)]  # 0.3 does not divide the cube
-    table = convergence_study(MATERIAL, cases, solver=DIRECT)
+def test_convergence_table_csv_and_failures(tmp_path, monkeypatch):
+    from viscofem import dynamics
+
+    # the h = 0.25 row's 300 free dofs exceed the factor bound, so its
+    # stepper runs CG capped at one iteration, which fails its first solve
+    monkeypatch.setattr(dynamics, "FACTOR_DOF_BOUND", 100)
+    monkeypatch.setattr(dynamics, "CG_ITERATION_FACTOR", 1e-9)
+    cases = [(0.5, 0.25, 1), (0.25, 0.25, 1)]
+    table = convergence_study(MATERIAL, cases, solver=LinearSolver())
     assert table.rows[1].failure is not None
     assert len(table.ok_rows()) == 1
     path = tmp_path / "conv.csv"
@@ -205,6 +211,32 @@ def test_convergence_table_csv_and_failures(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "h,k,p,energy_error,l2_error,wall_seconds"
     assert len(lines) == 3
+
+
+def test_convergence_cases_checked_before_any_row(monkeypatch):
+    from viscofem import verify
+
+    calls = []
+    monkeypatch.setattr(verify, "simulate", lambda *a, **kw: calls.append(a))
+    # the second case's h = 0.3 does not divide the cube
+    with pytest.raises(ValueError, match="mesh size 0.3"):
+        convergence_study(MATERIAL, [(0.5, 0.25, 1), (0.3, 0.25, 1)], solver=DIRECT)
+    with pytest.raises(ValueError, match="h=0.5 k=0.25 p=1 is repeated"):
+        convergence_study(MATERIAL, [(0.5, 0.25, 1), (0.25, 0.25, 1), (0.5, 0.25, 1)],
+                          solver=DIRECT)
+    assert calls == []
+
+
+def test_convergence_row_programming_error_propagates(monkeypatch):
+    # only solver failures are recorded per row; any other error is a fault
+    from viscofem import verify
+
+    def broken(*args):
+        raise TypeError("broken error norm")
+
+    monkeypatch.setattr(verify, "error_norms", broken)
+    with pytest.raises(TypeError, match="broken error norm"):
+        convergence_study(MATERIAL, [(0.5, 0.25, 1)], solver=DIRECT)
 
 
 def test_saturated_rates_flagged():
