@@ -474,20 +474,22 @@ def surface_strain_maps(space: FeSpace, label):
 
 
 def recover_nodal_stress(space: FeSpace, material, u0, uve):
-    """Elementwise stress averaged to the scalar dofs (one 3x3 per node),
-    formed one chunk of elements at a time, from the displacement and the
-    internal fields, an (M, n) array or a sequence of M rows."""
-    nodes = np.array([np.array(a) / space.p for a in space.ref_nodes])
-    _, dN = reference_basis(space.p, nodes)
+    """Elementwise stress at the four vertices averaged to the mesh
+    vertices (one 3x3 per vertex), formed one chunk of elements at a time,
+    from the displacement and the internal fields, an (M, n) array or a
+    sequence of M rows."""
+    _, dN = reference_basis(space.p, np.eye(4))
     jinv, _ = element_geometry(space)
     weighted = material.kappa @ np.reshape(uve, (-1, len(u0)))
-    out = np.zeros((space.n_scalar_dofs, 3, 3))
+    tets = space.mesh.tets
+    out = np.zeros((space.mesh.n_vertices, 3, 3))
     for chunk in _chunks(len(jinv)):
         G = _physical_gradients(dN, jinv[chunk])
         cd = space.cell_dofs[chunk]
         grad_u0, grad_ve = (_evaluate_field(G, u.reshape(-1, 3)[cd]) for u in (u0, weighted))
-        np.add.at(out, cd, stress_from_gradients(grad_u0, grad_ve, material.mu, material.lam))
-    count = np.bincount(space.cell_dofs.ravel(), minlength=space.n_scalar_dofs)
+        sigma = stress_from_gradients(grad_u0, grad_ve, material.mu, material.lam)
+        np.add.at(out, tets[chunk], sigma)
+    count = np.bincount(tets.ravel(), minlength=space.mesh.n_vertices)
     return out / count[:, None, None]
 
 

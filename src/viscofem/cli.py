@@ -47,7 +47,7 @@ from .verify import (
     unit_cube_problem,
     write_ledger_csv,
 )
-from .vtkio import write_vtk
+from .vtkio import write_csv, write_vtk
 
 
 class ConfigError(ValueError):
@@ -92,17 +92,6 @@ class Section:
         if val != int(val):
             raise ConfigError(f"key '{key}' in [{self.name}] must be an integer")
         return int(val)
-
-    def get_bool(self, key, default=None):
-        raw = self._raw(key, default)
-        if raw is None or isinstance(raw, bool):
-            return raw
-        low = str(raw).strip().lower()
-        if low in ("true", "yes", "on", "1"):
-            return True
-        if low in ("false", "no", "off", "0"):
-            return False
-        raise ConfigError(f"key '{key}' in [{self.name}] must be a boolean")
 
     def get_str(self, key, default=None):
         raw = self._raw(key, default)
@@ -218,8 +207,6 @@ def compute_contact_pressure(state: State, space: FeSpace, slip_label,
 
     Returns (node_indices, pressures).
     """
-    if len(space.mesh.facets_with_label(slip_label)) == 0:
-        raise ValueError(f"no facets labelled {slip_label!r}")
     nodes, normal, div = surface_strain_maps(space, slip_label)
     u0, w = state.u0, material.kappa @ state.uve
     return nodes, -(normal @ (2.0 * material.mu * u0 + w) + div @ (material.lam * u0 - w / 3.0))
@@ -292,15 +279,16 @@ def run_seal_frequency(space, ops, material, r_in, sweep: SealSweepConfig,
     n_steps = sweep.cycles * sweep.steps_per_cycle
     grid = TimeGrid.uniform(0.0, sweep.cycles / omega, n_steps)
     measure_from = n_steps - sweep.measure_cycles * sweep.steps_per_cycle
+    # the probes' positions among the inner surface's nodes, which
+    # compute_contact_pressure returns in label_nodes order
+    at = np.searchsorted(space.label_nodes("inner"), probe_nodes)
     records = []
     count = [0]
 
     def probe(state):
         count[0] += 1
         if count[0] >= measure_from:
-            nodes, p = compute_contact_pressure(state, space, "inner", material)
-            lookup = dict(zip(nodes.tolist(), p))
-            records.append([lookup[nd] for nd in probe_nodes])
+            records.append(compute_contact_pressure(state, space, "inner", material)[1][at])
 
     res = simulate(ops, con, grid, state0=state0, solver=solver, callback=probe)
     arr = np.array(records)
@@ -348,36 +336,30 @@ def seal_sweep(sweep: SealSweepConfig, cfg: RunConfig, out_dir: Path):
             rows.append((omega, station, lo, hi))
     if vtk_stride:
         for omega, (_, _, final) in zip(sweep.frequencies, results):
-            vectors, scalars = _vtk_fields(space, final, material)
             nodes, p_vals = compute_contact_pressure(final, space, "inner", material)
             pressure = np.zeros(space.n_scalar_dofs)
             pressure[nodes] = p_vals
-            scalars["contact_pressure"] = pressure[: space.mesh.n_vertices]
-            write_vtk(
-                space.mesh, out_dir / f"seal_omega_{omega:g}.vtk", vectors, scalars
-            )
+            _write_state_vtk(out_dir / f"seal_omega_{omega:g}.vtk", space, final, material,
+                             contact_pressure=pressure)
     path = out_dir / "seal_pressure.csv"
-    with open(path, "w") as fh:
-        fh.write("omega,station,p_min,p_max\n")
-        for omega, station, lo, hi in rows:
-            fh.write(
-                f"{float(omega)!r},{float(station)!r},{float(lo)!r},{float(hi)!r}\n"
-            )
+    write_csv(path, ("omega", "station", "p_min", "p_max"), rows)
     return path, rows
 
 
 # -- scenario runners -------------------------------------------------------
 
 
-def _vtk_fields(space, state, material):
+def _write_state_vtk(path, space, state, material, **scalars):
+    """The VTK file of a state: displacement, velocity and von Mises stress
+    at the mesh vertices, then the nodal ``scalars``, each cut to its
+    vertex rows."""
     nv = space.mesh.n_vertices
-    sigma = recover_nodal_stress(space, material, state.u0, state.uve)[:nv]
-    return (
-        {
-            "displacement": state.u0.reshape(-1, 3)[:nv],
-            "velocity": state.u1.reshape(-1, 3)[:nv],
-        },
-        {"von_mises": von_mises(sigma)},
+    sigma = recover_nodal_stress(space, material, state.u0, state.uve)
+    write_vtk(
+        space.mesh, path,
+        {"displacement": state.u0.reshape(-1, 3)[:nv],
+         "velocity": state.u1.reshape(-1, 3)[:nv]},
+        {"von_mises": von_mises(sigma), **{k: v[:nv] for k, v in scalars.items()}},
     )
 
 
@@ -430,10 +412,9 @@ def run_conserve(cfg: RunConfig, out_dir: Path):
         solver=solver_from_config(cfg),
     )
     result = conservation_experiment(config)
-    if cfg.section("output").get_bool("csv", True):
-        path = out_dir / "energy_ledger.csv"
-        result.to_csv(path)
-        print(f"wrote {path}")
+    path = out_dir / "energy_ledger.csv"
+    result.to_csv(path)
+    print(f"wrote {path}")
     first = result.ledger[0]
     last = result.ledger[-1]
     total0 = first.total + first.dissipated
@@ -486,15 +467,12 @@ def run_single(cfg: RunConfig, out_dir: Path):
     e_err, l2_err = error_norms(result.final, exact, ops)
     print(f"end-time energy error {e_err!r}")
     print(f"end-time L2 error {l2_err!r}")
-    out = cfg.section("output")
-    if out.get_bool("csv", True):
-        path = out_dir / "energy_ledger.csv"
-        write_ledger_csv(result.ledger, path)
-        print(f"wrote {path}")
-    if out.get_int("vtk_stride", 0):
-        vectors, scalars = _vtk_fields(ops.space, result.final, material)
+    path = out_dir / "energy_ledger.csv"
+    write_ledger_csv(result.ledger, path)
+    print(f"wrote {path}")
+    if cfg.section("output").get_int("vtk_stride", 0):
         vtk_path = out_dir / "single_final.vtk"
-        write_vtk(ops.space.mesh, vtk_path, vectors, scalars)
+        _write_state_vtk(vtk_path, ops.space, result.final, material)
         print(f"wrote {vtk_path}")
     return 0
 

@@ -30,8 +30,8 @@ products for any arm count.
 At the fixed frame dofs a step sets the velocity so that the trapezoidal
 displacement update reproduces the prescribed values exactly. It takes
 them from ``Constraints.fixed_values`` at the step's start and end; the
-constraint set keeps the last time's values, so a step starts from the
-very values the previous step ended on, as the energy identity needs.
+constraint set keeps the last time's values, so an n-step march evaluates
+the prescribed callables n + 1 times, not 2n.
 """
 from __future__ import annotations
 

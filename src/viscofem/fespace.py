@@ -553,9 +553,9 @@ class Constraints:
         """Prescribed displacement values at the fixed frame dofs, as a
         read-only array. When every BC is constant, this is one array for
         every t. Otherwise the values of the last t asked for are kept: a
-        march asks for each step's start after the previous step's end, so
-        both steps use the same values bit for bit, as the energy identity
-        needs."""
+        march asks for each step's start right after the previous step's
+        end, so an n-step march evaluates the callables n + 1 times, not
+        2n (the values would be bit-equal without this, too)."""
         if not self._targets:
             return self._constant_values
         if self._last is None or self._last[0] != t:

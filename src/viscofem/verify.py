@@ -45,6 +45,7 @@ from .dynamics import (
 from .fespace import Constraints, DirichletBC, FeSpace, reference_nodes
 from .material import MaterialModel
 from .mesh import BoundaryKind, BoundaryTag, box_face_tagger, build_box_mesh
+from .vtkio import write_csv
 
 # separable factors sin(w*s + phase) per component and axis
 _SHAPE_COEF = (0.75, 0.75, 1.0)
@@ -419,14 +420,9 @@ class ConvergenceTable:
         return out
 
     def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("h,k,p,energy_error,l2_error,wall_seconds\n")
-            for r in self.rows:
-                fh.write(
-                    f"{float(r.h)!r},{float(r.k)!r},{int(r.p)!r},"
-                    f"{float(r.energy_error)!r},{float(r.l2_error)!r},"
-                    f"{float(r.wall_seconds)!r}\n"
-                )
+        write_csv(path, ("h", "k", "p", "energy_error", "l2_error", "wall_seconds"),
+                  ((float(r.h), float(r.k), r.p, r.energy_error, r.l2_error,
+                    r.wall_seconds) for r in self.rows))
 
 
 def _discrete_error(state, reference, operators):
@@ -468,19 +464,19 @@ def convergence_study(material, cases, end_time=1.0, solver=None,
     time-integration error. Solver failures are recorded per row and do
     not abort the sweep; a failing reference run does. Every case is
     checked before the first row runs: an unknown reference, a repeated
-    case, or a mesh size, timestep or degree that cannot run raises
-    ``ValueError``.
+    case (one that makes the same run as an earlier one: the same cells,
+    steps and degree), or a mesh size, timestep or degree that cannot run
+    raises ``ValueError``.
     """
     if reference not in ("exact", "fine_k"):
         raise ValueError(f"unknown reference {reference!r}")
     seen = set()
     for h, k, p in cases:
-        if (h, k, p) in seen:
-            raise ValueError(f"case h={h} k={k} p={p} is repeated")
-        seen.add((h, k, p))
-        cube_cells(h)
-        step_count(k, end_time)
+        run = (cube_cells(h), step_count(k, end_time), p)
         reference_nodes(p)
+        if run in seen:
+            raise ValueError(f"case h={h} k={k} p={p} is repeated")
+        seen.add(run)
     refs = {}
     if reference == "fine_k":
         k_ref = min(c[1] for c in cases) / refine_reference
@@ -540,14 +536,8 @@ class ConservationResult:
 
 def write_ledger_csv(ledger, path):
     """The energy ledger, one EnergyReport per row, as CSV."""
-    with open(path, "w") as fh:
-        fh.write("t,kinetic,elastic,viscoelastic_total,dissipated,total\n")
-        for rec in ledger:
-            fh.write(
-                f"{float(rec.t)!r},{float(rec.kinetic)!r},{float(rec.elastic)!r},"
-                f"{float(rec.viscoelastic_total)!r},{float(rec.dissipated)!r},"
-                f"{float(rec.total)!r}\n"
-            )
+    columns = ("t", "kinetic", "elastic", "viscoelastic_total", "dissipated", "total")
+    write_csv(path, columns, ([float(getattr(rec, c)) for c in columns] for rec in ledger))
 
 
 def conservation_experiment(config: ConserveConfig = None) -> ConservationResult:

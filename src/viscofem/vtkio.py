@@ -1,10 +1,11 @@
-"""VTK legacy ASCII writer (unstructured grid, linear tetrahedra).
+"""Writers of every output file: CSV tables and the VTK legacy ASCII
+unstructured grid (linear tetrahedra).
 
-Point data is attached at mesh vertices; higher-order spaces pass the
-vertex slice of their nodal fields. Coordinates and field values are
-written as Python floats in shortest round-trip form (``0.0``, not
-numpy's ``np.float64(0.0)``), so identical runs produce byte-identical
-files that read back exactly.
+Both write numbers one way (``_number``): an ``int`` as itself, anything
+else as a Python float in shortest round-trip form (``0.0``, not numpy's
+``np.float64(0.0)``), so identical runs produce byte-identical files that
+read back exactly. VTK point data is attached at mesh vertices;
+higher-order spaces pass the vertex slice of their nodal fields.
 """
 from __future__ import annotations
 
@@ -15,6 +16,18 @@ from .mesh import Mesh
 _VTK_TET = 10
 
 
+def _number(v):
+    return str(v) if isinstance(v, int) else repr(float(v))
+
+
+def write_csv(path, header, rows):
+    """Write the column names ``header`` and one line per row of values."""
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(map(_number, row)) + "\n")
+
+
 def write_vtk(mesh: Mesh, path, point_vectors=None, point_scalars=None):
     """Write the mesh and optional vertex fields.
 
@@ -23,14 +36,15 @@ def write_vtk(mesh: Mesh, path, point_vectors=None, point_scalars=None):
     """
     point_vectors = point_vectors or {}
     point_scalars = point_scalars or {}
-    nv = mesh.n_vertices
-    nt = mesh.n_tets
-    for name, arr in point_vectors.items():
-        if np.shape(arr) != (nv, 3):
-            raise ValueError(f"vector field {name!r} must have shape ({nv}, 3)")
-    for name, arr in point_scalars.items():
-        if np.shape(arr) != (nv,):
-            raise ValueError(f"scalar field {name!r} must have shape ({nv},)")
+    nv, nt = mesh.n_vertices, mesh.n_tets
+    for fields, shape in ((point_vectors, (nv, 3)), (point_scalars, (nv,))):
+        for name, arr in fields.items():
+            if np.shape(arr) != shape:
+                raise ValueError(f"field {name!r} must have shape {shape}")
+
+    def rows(arr):  # one line per vertex
+        values = np.asarray(arr, dtype=float).reshape(nv, -1).tolist()
+        return [" ".join(map(_number, row)) for row in values]
 
     lines = [
         "# vtk DataFile Version 3.0",
@@ -38,24 +52,17 @@ def write_vtk(mesh: Mesh, path, point_vectors=None, point_scalars=None):
         "ASCII",
         "DATASET UNSTRUCTURED_GRID",
         f"POINTS {nv} double",
+        *rows(mesh.vertices),
+        f"CELLS {nt} {5 * nt}",
     ]
-    points = np.asarray(mesh.vertices, dtype=float).tolist()
-    lines.extend(" ".join(map(repr, p)) for p in points)
-    lines.append(f"CELLS {nt} {5 * nt}")
-    for tet in mesh.tets:
-        lines.append(f"4 {tet[0]} {tet[1]} {tet[2]} {tet[3]}")
+    lines.extend(f"4 {a} {b} {c} {d}" for a, b, c, d in mesh.tets.tolist())
     lines.append(f"CELL_TYPES {nt}")
     lines.extend([str(_VTK_TET)] * nt)
     if point_vectors or point_scalars:
         lines.append(f"POINT_DATA {nv}")
         for name, arr in point_vectors.items():
-            lines.append(f"VECTORS {name} double")
-            values = np.asarray(arr, dtype=float).tolist()
-            lines.extend(" ".join(map(repr, v)) for v in values)
+            lines += [f"VECTORS {name} double", *rows(arr)]
         for name, arr in point_scalars.items():
-            lines.append(f"SCALARS {name} double 1")
-            lines.append("LOOKUP_TABLE default")
-            lines.extend(map(repr, np.asarray(arr, dtype=float).tolist()))
+            lines += [f"SCALARS {name} double 1", "LOOKUP_TABLE default", *rows(arr)]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-

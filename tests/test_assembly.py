@@ -517,7 +517,7 @@ def test_field_evaluations_match_einsum_definitions(space):
     for got, want in pairs:
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
-    # a field linear in x has one constant stress, recovered at every node
+    # a field linear in x has one constant stress, recovered at every vertex
     x = space.dof_coords
     grad = np.array([[0.3, -0.2, 0.1], [0.05, 0.4, -0.3], [0.2, 0.1, -0.1]])
     material = MaterialModel(RHO, MU, LAM)
@@ -525,6 +525,48 @@ def test_field_evaluations_match_einsum_definitions(space):
     eps = 0.5 * (grad + grad.T)
     want = 2 * MU * eps + LAM * np.trace(eps) * np.eye(3)
     assert np.abs(sigma - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def _all_node_stress(space, material, u0, uve):
+    """The stress recovered at every node of the space: each element's
+    stress at its reference nodes, averaged onto the scalar dofs."""
+    from viscofem.assembly import (
+        _chunks,
+        _physical_gradients,
+        element_geometry,
+        stress_from_gradients,
+    )
+
+    nodes = np.array([np.array(a) / space.p for a in space.ref_nodes])
+    _, dN = reference_basis(space.p, nodes)
+    jinv, _ = element_geometry(space)
+    weighted = material.kappa @ np.reshape(uve, (-1, len(u0)))
+    out = np.zeros((space.n_scalar_dofs, 3, 3))
+    for chunk in _chunks(len(jinv)):
+        G = _physical_gradients(dN, jinv[chunk])
+        cd = space.cell_dofs[chunk]
+        grad_u0, grad_ve = (_evaluate_field(G, u.reshape(-1, 3)[cd]) for u in (u0, weighted))
+        np.add.at(out, cd, stress_from_gradients(grad_u0, grad_ve, material.mu, material.lam))
+    count = np.bincount(space.cell_dofs.ravel(), minlength=space.n_scalar_dofs)
+    return out / count[:, None, None]
+
+
+@pytest.mark.parametrize("mesh_name, p", [("box", 2), ("box", 3), ("annulus", 2)])
+def test_recover_nodal_stress_is_the_vertex_rows_of_all_node_recovery(mesh_name, p):
+    from viscofem.mesh import build_annulus_mesh
+
+    if mesh_name == "box":
+        mesh, arms = build_box_mesh(2), ()
+    else:
+        mesh, arms = build_annulus_mesh(0.006, 0.01, 0.02, (2, 12, 2)), ((2.5, 1.0), (0.7, 3.0))
+    space = FeSpace(mesh, p)
+    material = MaterialModel(RHO, MU, LAM, arms=arms)
+    u0 = _rand_field(space, 7)
+    uve = np.reshape([_rand_field(space, 8 + m) for m in range(len(arms))],
+                     (len(arms), space.n_dofs))
+    sigma = recover_nodal_stress(space, material, u0, uve)
+    assert sigma.shape == (mesh.n_vertices, 3, 3)
+    assert np.array_equal(sigma, _all_node_stress(space, material, u0, uve)[: mesh.n_vertices])
 
 
 def _per_facet_tables(space, degree, facets):

@@ -17,7 +17,7 @@ from viscofem.dynamics import LinearSolver, OperatorSet, State, static_solve
 from viscofem.fespace import Constraints, DirichletBC, FeSpace, SlipBC
 from viscofem.material import MaterialModel
 from viscofem.mesh import build_annulus_mesh, build_box_mesh
-from viscofem.vtkio import write_vtk
+from viscofem.vtkio import write_csv, write_vtk
 
 DIRECT = LinearSolver(method="direct")
 
@@ -172,9 +172,11 @@ def test_convergence_size_off_grid_exit_code(tmp_path, capsys, key, value):
 
 
 @pytest.mark.parametrize("key, value", [("h", "0.5 0.25 0.5"), ("k", "0.25 0.25"),
-                                        ("p", "1 1")])
+                                        ("p", "1 1"), ("h", "0.5 0.5000000000001"),
+                                        ("k", "0.25 0.2500000000001")])
 def test_convergence_repeated_value_exit_code(tmp_path, capsys, key, value):
-    # a repeated case would run twice and give a nan rate between its rows
+    # a repeated case would run twice and give a nan rate between its rows; a
+    # near-repeat makes the same cells and steps, so the same run twice
     path = write_cfg(tmp_path, _with(BASE_CONVERGENCE, "convergence", key, value))
     assert main(["convergence", "--config", path, "--out", str(tmp_path / "o")]) == 2
     assert "is repeated" in capsys.readouterr().err
@@ -245,6 +247,48 @@ def test_write_vtk_roundtrip_and_zero_fields(tmp_path):
         write_vtk(mesh, path, {"bad": np.zeros((3, 3))})
 
 
+def test_write_csv_header_and_number_forms(tmp_path):
+    path = tmp_path / "t.csv"
+    write_csv(path, ("a", "b", "c", "d"), [(1, np.float64(0.1) + 0.2, np.nan, -0.0),
+                                           (np.int64(2), 1e300, 3.0, 2**60)])
+    assert path.read_text() == ("a,b,c,d\n"
+                                "1,0.30000000000000004,nan,-0.0\n"
+                                "2.0,1e+300,3.0,1152921504606846976\n")
+
+
+def test_write_csv_rows_match_the_earlier_formats(tmp_path):
+    # the per-file f-strings that wrote each CSV before write_csv
+    from viscofem.dynamics import EnergyReport
+    from viscofem.verify import ConvergenceTable, SweepRow, write_ledger_csv
+
+    rec = EnergyReport(np.float64(0.25), 1 / 3, np.float64(2e-17), (0.1, 0.2), 5e-9)
+    ledger_line = (
+        f"{float(rec.t)!r},{float(rec.kinetic)!r},{float(rec.elastic)!r},"
+        f"{float(rec.viscoelastic_total)!r},{float(rec.dissipated)!r},"
+        f"{float(rec.total)!r}\n"
+    )
+    write_ledger_csv([rec], tmp_path / "ledger.csv")
+    assert (tmp_path / "ledger.csv").read_text().splitlines(True)[1] == ledger_line
+
+    rows = [SweepRow(0.5, 0.125, 2, np.float64(1 / 7), 3e-5, 0.0123),
+            SweepRow(0.25, 0.125, 1, failure="no convergence", wall_seconds=0.5)]
+    conv_lines = [
+        f"{float(r.h)!r},{float(r.k)!r},{int(r.p)!r},"
+        f"{float(r.energy_error)!r},{float(r.l2_error)!r},"
+        f"{float(r.wall_seconds)!r}\n"
+        for r in rows
+    ]
+    assert "nan" in conv_lines[1]
+    ConvergenceTable(rows).to_csv(tmp_path / "conv.csv")
+    assert (tmp_path / "conv.csv").read_text().splitlines(True)[1:] == conv_lines
+
+    omega, station, lo, hi = 15.0, 0.02, np.float64(-1234.5678), np.float64(9.9e-3)
+    seal_line = f"{float(omega)!r},{float(station)!r},{float(lo)!r},{float(hi)!r}\n"
+    write_csv(tmp_path / "seal.csv", ("omega", "station", "p_min", "p_max"),
+              [(omega, station, lo, hi)])
+    assert (tmp_path / "seal.csv").read_text().splitlines(True)[1] == seal_line
+
+
 def read_vtk_arrays(path):
     """The POINTS, VECTORS and SCALARS blocks of a legacy VTK file by name
     ('POINTS' for the coordinates), every value parsed with ``float``."""
@@ -298,6 +342,8 @@ def test_contact_pressure_hydrostatic():
     nodes, p_vals = compute_contact_pressure(state, space, "inner", mat)
     assert len(nodes) > 0
     assert np.abs(p_vals - pressure).max() < 1e-8 * pressure
+    with pytest.raises(ValueError, match="no boundary tag labelled 'shaft'"):
+        compute_contact_pressure(state, space, "shaft", mat)
 
 
 def test_contact_pressure_zero_state():
@@ -593,8 +639,6 @@ k = 0.125
 p = 1
 [solver]
 method = direct
-[output]
-csv = false
 """
 
 
@@ -616,6 +660,16 @@ def _with(body, section, key, value):
 def test_single_base_config_runs(tmp_path):
     path = write_cfg(tmp_path, BASE_SINGLE)
     assert main(["single", "--config", path, "--out", str(tmp_path / "o")]) == 0
+
+
+@pytest.mark.parametrize("scenario", ["single", "conserve"])
+def test_ledger_written_whatever_csv_key_says(tmp_path, scenario):
+    # [output] csv is no longer read: like any unknown key it is ignored
+    body = _with({"single": BASE_SINGLE, "conserve": BASE_CONSERVE}[scenario] + "[output]\n",
+                 "output", "csv", "false")
+    out = tmp_path / "o"
+    assert main([scenario, "--config", write_cfg(tmp_path, body), "--out", str(out)]) == 0
+    assert (out / "energy_ledger.csv").read_text().startswith("t,kinetic,")
 
 
 @pytest.mark.parametrize(
@@ -804,8 +858,10 @@ FUZZ_SCENARIO_VALUES = {
         ("output", "vtk_stride"): ["1", "0"],
     },
     "convergence": {
-        ("convergence", "h"): ["0.5", "1", "1 0.5", "0.5 0.5", "0.3", "0", "", "1e-320"],
-        ("convergence", "k"): ["0.25", "0.5", "0.5 0.25", "0.25 0.25", "0.3", "-0.25", ""],
+        ("convergence", "h"): ["0.5", "1", "1 0.5", "0.5 0.5", "0.5 0.5000000000001", "0.3",
+                               "0", "", "1e-320"],
+        ("convergence", "k"): ["0.25", "0.5", "0.5 0.25", "0.25 0.25", "0.25 0.2500000000001",
+                               "0.3", "-0.25", ""],
         ("convergence", "p"): ["1", "2", "1 2", "1 1", "0", "5", ""],
         ("convergence", "reference"): ["exact", "fine_k", "fine"],
         ("time", "t"): ["1", "0.5", "0.3", "0", "-1"],

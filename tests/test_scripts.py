@@ -56,3 +56,49 @@ def test_arm_sweep_prints_json(monkeypatch, capsys):
         # matrix that the build's peak held
         assert 0 < row["build_held_mib"] < row["build_traced_mib"]
     assert "SuperLU" in out["traced_mib"]
+
+
+TINY_CONFIG = """
+[geometry]
+n = 1
+divisions = 2 8 2
+[material]
+rho = 100
+E = 1e5
+nu = 0.3
+arms = 1e5:1e-2
+[time]
+T = 0.2
+k = 0.1
+[discretization]
+p = 1
+[solver]
+method = direct
+[conserve]
+release_time = 0.1
+[convergence]
+h = 1 0.5
+k = 0.2 0.1
+[seal]
+frequencies = 2
+cycles = 1
+steps_per_cycle = 4
+"""
+
+
+def test_output_digests_cover_every_scenario_and_repeat(tmp_path, capsys):
+    config = tmp_path / "tiny.cfg"
+    config.write_text(TINY_CONFIG)
+    module = _load("output_digests")
+    runs = []
+    for _ in range(2):
+        module.main(["--config", str(config)])
+        runs.append(json.loads(capsys.readouterr().out))
+    assert runs[0] == runs[1]
+    assert sorted(runs[0]) == [
+        "conserve/energy_ledger.csv", "convergence/convergence.csv",
+        "seal/seal_omega_2.vtk", "seal/seal_pressure.csv",
+        "single/energy_ledger.csv", "single/single_final.vtk",
+    ]
+    for digest in runs[0].values():
+        assert len(digest) == 64 and int(digest, 16) >= 0

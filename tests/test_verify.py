@@ -224,6 +224,14 @@ def test_convergence_cases_checked_before_any_row(monkeypatch):
     with pytest.raises(ValueError, match="h=0.5 k=0.25 p=1 is repeated"):
         convergence_study(MATERIAL, [(0.5, 0.25, 1), (0.25, 0.25, 1), (0.5, 0.25, 1)],
                           solver=DIRECT)
+    # near-repeats make the same cells and steps as an earlier case, so the
+    # same run
+    with pytest.raises(ValueError, match="h=0.5 k=0.2500000000001 p=1 is repeated"):
+        convergence_study(MATERIAL, [(0.5, 0.25, 1), (0.5, 0.2500000000001, 1)],
+                          solver=DIRECT)
+    with pytest.raises(ValueError, match="h=0.5000000000001 k=0.25 p=1 is repeated"):
+        convergence_study(MATERIAL, [(0.5, 0.25, 1), (0.5000000000001, 0.25, 1)],
+                          solver=DIRECT)
     assert calls == []
 
 
