@@ -333,7 +333,7 @@ def seal_sweep(sweep: SealSweepConfig, cfg: RunConfig, out_dir: Path):
     rows = []
     for omega, (pmin, pmax, _) in zip(sweep.frequencies, results):
         for station, lo, hi in zip(sweep.stations, pmin, pmax):
-            rows.append((omega, station, lo, hi))
+            rows.append((float(omega), float(station), lo, hi))
     if vtk_stride:
         for omega, (_, _, final) in zip(sweep.frequencies, results):
             nodes, p_vals = compute_contact_pressure(final, space, "inner", material)

@@ -6,12 +6,14 @@ from hypothesis import strategies as st
 
 from viscofem.cli import (
     ConfigError,
+    RunConfig,
     SealSweepConfig,
     compute_contact_pressure,
     main,
     material_from_config,
     parse_config,
     seal_normal_value,
+    seal_sweep,
 )
 from viscofem.dynamics import LinearSolver, OperatorSet, State, static_solve
 from viscofem.fespace import Constraints, DirichletBC, FeSpace, SlipBC
@@ -282,11 +284,16 @@ def test_write_csv_rows_match_the_earlier_formats(tmp_path):
     ConvergenceTable(rows).to_csv(tmp_path / "conv.csv")
     assert (tmp_path / "conv.csv").read_text().splitlines(True)[1:] == conv_lines
 
-    omega, station, lo, hi = 15.0, 0.02, np.float64(-1234.5678), np.float64(9.9e-3)
-    seal_line = f"{float(omega)!r},{float(station)!r},{float(lo)!r},{float(hi)!r}\n"
-    write_csv(tmp_path / "seal.csv", ("omega", "station", "p_min", "p_max"),
-              [(omega, station, lo, hi)])
-    assert (tmp_path / "seal.csv").read_text().splitlines(True)[1] == seal_line
+    # a frequency and stations given as ints still print as floats
+    sweep = SealSweepConfig(frequencies=(2,), stations=(0, 1), cycles=1, steps_per_cycle=4)
+    cfg = RunConfig("seal", {"geometry": {"divisions": "2 8 2"}, "discretization": {"p": "1"},
+                             "material": {"rho": "100", "e": "1e5", "nu": "0.3"},
+                             "solver": {"method": "direct"}})
+    path, seal_rows = seal_sweep(sweep, cfg, tmp_path)
+    seal_lines = [f"{float(w)!r},{float(s)!r},{float(lo)!r},{float(hi)!r}\n"
+                  for w, s, lo, hi in seal_rows]
+    assert seal_lines[0].startswith("2.0,0.0,")
+    assert path.read_text().splitlines(True)[1:] == seal_lines
 
 
 def read_vtk_arrays(path):
